@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .storage import sha256_text
+from .storage import read_text, sha256_text
 
 MODES = ("vanilla", "infused")
 
@@ -137,9 +137,7 @@ def _as_float(name, value, positive=False, nonnegative=False):
 
 
 def parse_config(path) -> PipelineConfig:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_config_text(text, origin=str(path),
+    return parse_config_text(read_text(path), origin=str(path),
                              base_dir=os.path.dirname(os.path.abspath(path)))
 
 

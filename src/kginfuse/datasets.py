@@ -13,23 +13,21 @@ import numpy as np
 
 from .embedding import content_width
 from .errors import ValidationError
-from .storage import atomic_write_text
+from .storage import atomic_write_text, read_text
 from .text import tokenize
 
 
 def read_labeled_tsv(path) -> list:
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[0].strip():
-                raise ValidationError(
-                    f"{path}:{line_number}: expected 'label<TAB>text'"
-                )
-            rows.append((parts[0].strip(), parts[1]))
+    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2 or not parts[0].strip():
+            raise ValidationError(
+                f"{path}:{line_number}: expected 'label<TAB>text'"
+            )
+        rows.append((parts[0].strip(), parts[1]))
     if not rows:
         raise ValidationError(f"{path}: dataset is empty")
     return rows

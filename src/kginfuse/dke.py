@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import concept_embedding
+from .embedding import embed_concepts
 from .errors import SolverError, UnknownConceptError, ValidationError
 from .kg import KnowledgeGraph, SubKG, n_hop_neighborhood
 from .seeding import SeededSubKG
@@ -81,23 +81,12 @@ def differential_subkg(retrieved: SubKG, seeded: SeededSubKG, models) -> Differe
     new_concepts = sorted(
         {c for t in diff_triples for c in (t.subject, t.object)} - seeded_concepts
     )
-    kg = retrieved.parent
-    columns = []
-    resolvable = []
-    for cid in new_concepts:
-        cv = concept_embedding(models, kg.concepts[cid])
-        norm = float(np.linalg.norm(cv.values))
-        if cv.hit_count == 0 or norm == 0.0:
-            continue
-        columns.append(cv.values / norm)
-        resolvable.append(cid)
-    width = seeded.embedding_matrix.shape[0]
-    matrix = np.stack(columns, axis=1) if columns else np.zeros((width, 0))
+    matrix, resolvable = embed_concepts(retrieved.parent, new_concepts, models)
     depths = {c: retrieved.frontier_depth[c] for c in new_concepts}
     return DifferentialSubKG(
         triples=diff_triples,
         embedding_matrix=matrix,
-        new_concepts=tuple(resolvable),
+        new_concepts=resolvable,
         frontier_depth=depths,
     )
 

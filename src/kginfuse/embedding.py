@@ -11,7 +11,6 @@ L2-normalized.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ class ContentVector:
     """
 
     values: np.ndarray
-    dimension_offsets: tuple[tuple[str, int, int], ...]
     hit_count: int
 
 
@@ -116,7 +114,6 @@ def _positive_pmi(counts: np.ndarray) -> np.ndarray:
         return np.zeros_like(counts)
     row = counts.sum(axis=1, keepdims=True)
     col = counts.sum(axis=0, keepdims=True)
-    expected = row @ col / total
     with np.errstate(divide="ignore", invalid="ignore"):
         pmi = np.log(counts * total / (row * col))
     pmi[~np.isfinite(pmi)] = 0.0
@@ -145,9 +142,7 @@ def embed_text(models, text: str) -> ContentVector:
         raise ValidationError("at least one dimension model is required")
     tokens = tokenize(text)
     pieces = []
-    offsets = []
     hits = 0
-    start = 0
     for model in models:
         matched = sorted(t for t in tokens if t in model.vocab)
         if matched:
@@ -156,13 +151,7 @@ def embed_text(models, text: str) -> ContentVector:
         else:
             piece = np.zeros(model.d_sub)
         pieces.append(piece)
-        offsets.append((model.dimension_name, start, start + model.d_sub))
-        start += model.d_sub
-    return ContentVector(
-        values=np.concatenate(pieces),
-        dimension_offsets=tuple(offsets),
-        hit_count=hits,
-    )
+    return ContentVector(values=np.concatenate(pieces), hit_count=hits)
 
 
 def concept_embedding(models, concept: Concept) -> ContentVector:
@@ -174,14 +163,31 @@ def concept_embedding(models, concept: Concept) -> ContentVector:
     return embed_text(models, normalize_label(concept.label))
 
 
+def embed_concepts(kg, concept_ids, models) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Unit-norm embedding columns for the resolvable concepts among
+    concept_ids, in the given order; returns (matrix, embedded ids)."""
+    columns = []
+    embedded = []
+    for cid in concept_ids:
+        cv = concept_embedding(models, kg.concepts[cid])
+        norm = float(np.linalg.norm(cv.values))
+        if cv.hit_count == 0 or norm == 0.0:
+            continue
+        columns.append(cv.values / norm)
+        embedded.append(cid)
+    matrix = np.stack(columns, axis=1) if columns else np.zeros((content_width(models), 0))
+    return matrix, tuple(embedded)
+
+
 def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
     """Single-vector summary of a seeded subgraph (distance-weighted pairs).
 
     For every triple whose predicate passes the allowlist and whose
     endpoints both resolve, the pair contributes the elementwise mean of
-    the two concept embeddings, weighted by 1/(1 + taxonomy distance)
-    (falling back to 1/(1 + subgraph hops) when the concepts share no
-    taxonomy ancestor). The weighted sum is L2-normalized.
+    the two concept embeddings, weighted by 1/(1 + taxonomy distance).
+    A pair whose concepts share no taxonomy ancestor gets weight 1/2: its
+    concepts are the endpoints of one triple, so they are adjacent. The
+    weighted sum is L2-normalized.
 
     allowlist=None admits every predicate; an empty set admits none.
     """
@@ -208,7 +214,7 @@ def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
             continue
         dist = lcs_distance(kg, t.subject, t.object)
         if dist is None:
-            dist = _subkg_hops(subkg, t.subject, t.object)
+            dist = 0 if t.subject == t.object else 1
         weight = 1.0 / (1.0 + dist)
         acc += weight * 0.5 * (ei.values + ej.values)
         pair_count += 1
@@ -218,26 +224,3 @@ def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
         log.warning("knowledge embedding is empty: no resolvable concept pair")
         return KnowledgeEmbedding(values=np.zeros(width), pair_count=0)
     return KnowledgeEmbedding(values=acc / norm, pair_count=pair_count)
-
-
-def _subkg_hops(subkg, a: str, b: str) -> int:
-    """Undirected shortest-path hops between two concepts inside a subgraph."""
-    if a == b:
-        return 0
-    neighbors: dict[str, set[str]] = {}
-    for t in subkg.triples:
-        neighbors.setdefault(t.subject, set()).add(t.object)
-        neighbors.setdefault(t.object, set()).add(t.subject)
-    depth = {a: 0}
-    queue = deque([a])
-    while queue:
-        node = queue.popleft()
-        for nxt in neighbors.get(node, ()):
-            if nxt == b:
-                return depth[node] + 1
-            if nxt not in depth:
-                depth[nxt] = depth[node] + 1
-                queue.append(nxt)
-    # Disconnected inside the subgraph; the endpoints of a stored triple
-    # are adjacent, so this only happens for ad-hoc queries.
-    return len(subkg.frontier_depth) + 1

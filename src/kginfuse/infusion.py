@@ -1,5 +1,5 @@
-"""Knowledge infusion layer: divergence utilities, the constrained
-knowledge-aware loss, the fusion gate, and the inner infusion loop.
+"""Knowledge infusion layer: divergence utilities, the fusion gate, and
+the inner infusion loop.
 
 Hidden vectors and the knowledge embedding are not probability
 distributions, so every divergence here maps its arguments onto the
@@ -96,40 +96,26 @@ def kl_divergence(p_raw, q_raw) -> float:
     return float(np.sum(np.exp(lp) * (lp - lq)))
 
 
-def _require_nonzero_knowledge(knowledge: np.ndarray) -> None:
-    if not np.any(knowledge):
-        raise InfusionError(
-            "knowledge embedding is the zero vector (no resolvable concept "
-            "pairs); infusion refused"
-        )
-
-
-def divergence_loss(h_final, h_prev, knowledge):
-    """Knowledge-aware loss with its improvement constraint.
-
-    Returns (divergence of h_final from knowledge, whether it is strictly
-    below the penultimate layer's divergence).
-    """
-    h_final = _check_vector("h_final", h_final)
-    h_prev = _check_vector("h_prev", h_prev)
-    knowledge = _check_vector("knowledge", knowledge)
-    if not h_final.shape == h_prev.shape == knowledge.shape:
-        raise ValidationError("width mismatch")
-    _require_nonzero_knowledge(knowledge)
-    loss = kl_divergence(h_final, knowledge)
-    return loss, loss < kl_divergence(h_prev, knowledge)
-
-
 def fuse_step(h, k, params: InfusionParams) -> np.ndarray:
-    """Gate vector: logistic sigmoid of the affine map of h ++ k."""
-    h = _check_vector("h", h)
+    """Gate: logistic sigmoid of the affine map of h ++ k.
+
+    h is one hidden vector or an (n, d) batch of them, one per row. The
+    gate has h's shape; row i equals the gate of h[i] alone up to float
+    summation order.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim not in (1, 2):
+        raise ValidationError("h must be a vector or a batch of row vectors")
+    if not np.all(np.isfinite(h)):
+        raise InfusionError("non-finite values in h")
     k = _check_vector("k", k)
     d = params.gate_bias.shape[0]
-    if h.shape[0] != d or k.shape[0] != d:
+    if h.shape[-1] != d or k.shape[0] != d:
         raise ValidationError(
-            f"fuse_step widths ({h.shape[0]}, {k.shape[0]}) != gate width {d}"
+            f"fuse_step widths ({h.shape[-1]}, {k.shape[0]}) != gate width {d}"
         )
-    return _sigmoid(params.gate_weights @ np.concatenate([h, k]) + params.gate_bias)
+    joint = np.concatenate([h, np.broadcast_to(k, h.shape)], axis=-1)
+    return _sigmoid(joint @ params.gate_weights.T + params.gate_bias)
 
 
 def gate_gradient(h, knowledge, params: InfusionParams):
@@ -175,7 +161,11 @@ def knowledge_infusion(h_final, h_prev, knowledge, params: InfusionParams) -> In
     knowledge = _check_vector("knowledge", knowledge)
     if not h0.shape == h_prev.shape == knowledge.shape:
         raise ValidationError("width mismatch")
-    _require_nonzero_knowledge(knowledge)
+    if not np.any(knowledge):
+        raise InfusionError(
+            "knowledge embedding is the zero vector (no resolvable concept "
+            "pairs); infusion refused"
+        )
 
     work = params.copy()
     d_prev = kl_divergence(h_prev, knowledge)

@@ -17,6 +17,7 @@ from .errors import (
     UnknownConceptError,
     ValidationError,
 )
+from .storage import read_text
 from .text import normalize_label
 
 DEFAULT_TAXONOMY_PREDICATE = "isa"
@@ -155,42 +156,26 @@ def _find_cycle(parents: dict[str, set[str]]):
     return None
 
 
-def load_graph(path, fmt="tsv", taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE) -> KnowledgeGraph:
-    """Load a graph from a tab-separated triple file.
+def load_graph(path, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE) -> KnowledgeGraph:
+    """Load a graph from a tab-separated UTF-8 triple file.
 
     One triple per line: subject, predicate, object. Lines starting with
     "#" and blank lines are ignored. Duplicate triples collapse to one.
     """
-    if fmt != "tsv":
-        raise ValidationError(f"unsupported triple format: {fmt!r}")
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise GraphFormatError(
-                    path, line_number, f"expected 3 tab-separated fields, got {len(fields)}"
-                )
-            subject, predicate, obj = (f.strip() for f in fields)
-            if not subject or not predicate or not obj:
-                raise GraphFormatError(path, line_number, "empty field")
-            rows.append((subject, predicate, obj))
+    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise GraphFormatError(
+                path, line_number, f"expected 3 tab-separated fields, got {len(fields)}"
+            )
+        subject, predicate, obj = (f.strip() for f in fields)
+        if not subject or not predicate or not obj:
+            raise GraphFormatError(path, line_number, "empty field")
+        rows.append((subject, predicate, obj))
     return KnowledgeGraph.from_labeled_triples(rows, taxonomy_predicate)
-
-
-def save_graph(kg: KnowledgeGraph, path) -> None:
-    """Write the graph back as a sorted TSV; load(save(kg)) is identity."""
-    from .storage import atomic_write_text
-
-    lines = []
-    for t in sorted(kg.triples):
-        lines.append(
-            "%s\t%s\t%s" % (kg.concepts[t.subject].label, t.predicate, kg.concepts[t.object].label)
-        )
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def lcs_distance(kg: KnowledgeGraph, a: str, b: str):

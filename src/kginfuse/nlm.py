@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import KginfuseError, ValidationError
 
-GATE_ORDER = ("input", "forget", "output", "modulation")
-
 
 @dataclass
 class LSTMParams:
@@ -63,10 +61,9 @@ class LSTMParams:
 
 @dataclass
 class HiddenStates:
-    """Per-layer hidden and cell vectors at the final time step."""
+    """Per-layer hidden vectors at the final time step."""
 
     h: list
-    c: list
 
     @property
     def final(self) -> np.ndarray:
@@ -187,10 +184,7 @@ def forward(params: LSTMParams, sequence):
     """Full forward pass; returns final-step hidden states and class probabilities."""
     seq = _as_sequence(params, sequence)
     cache, logits = _forward_cached(params, seq)
-    states = HiddenStates(
-        h=[layer["h"][-1].copy() for layer in cache],
-        c=[layer["c"][-1].copy() for layer in cache],
-    )
+    states = HiddenStates(h=[layer["h"][-1].copy() for layer in cache])
     probs = softmax(logits)
     if not np.all(np.isfinite(probs)):
         raise KginfuseError("non-finite values in forward pass")
@@ -373,11 +367,3 @@ def collect_hidden(params: LSTMParams, sequences):
         finals[i] = states.final
         penults[i] = states.penultimate
     return finals, penults
-
-
-def epoch_hidden_summary(params: LSTMParams, sequences):
-    """Dataset-mean final and penultimate hidden vectors."""
-    if not len(sequences):
-        raise ValidationError("dataset is empty")
-    finals, penults = collect_hidden(params, sequences)
-    return finals.mean(axis=0), penults.mean(axis=0)

@@ -20,12 +20,20 @@ from .config import PipelineConfig, config_hash, emit_config, require_input_file
 from .datasets import encode_dataset, read_labeled_tsv, token_sequence
 from .embedding import (
     DimensionModel,
+    KnowledgeEmbedding,
     content_width,
     knowledge_embedding,
     train_dimension_model,
 )
-from .errors import ConfigError, ValidationError
-from .infusion import InfusionParams, InfusionResult, knowledge_infusion, trace_csv
+from .errors import ConfigError, StorageError, ValidationError
+from .infusion import (
+    InfusionParams,
+    InfusionResult,
+    fuse_step,
+    knowledge_infusion,
+    modulate,
+    trace_csv,
+)
 from .kg import KnowledgeGraph, SubKG, format_stats, load_graph
 from .metrics import EvalReport, evaluate_predictions, report_csv, report_text
 from .nlm import (
@@ -43,6 +51,7 @@ from .storage import (
     atomic_write_text,
     load_array,
     load_checkpoint,
+    read_text,
     save_array,
     save_checkpoint,
     sha256_file,
@@ -131,8 +140,7 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
 
     models = []
     for name in sorted(cfg.corpora):
-        with open(cfg.corpora[name], encoding="utf-8") as handle:
-            corpus = [line.rstrip("\n") for line in handle if line.strip()]
+        corpus = [line for line in read_text(cfg.corpora[name]).split("\n") if line.strip()]
         models.append(
             train_dimension_model(
                 corpus,
@@ -146,8 +154,6 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     seeded = extract_seeded_subkg(
         kg, stats, cfg.target_class, hops=cfg.subkg_hops, top_m=cfg.top_m, models=models
     )
-    allow = None if cfg.predicates is None else frozenset(cfg.predicates)
-    ke = knowledge_embedding(seeded, models, allowlist=allow)
 
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(paths["config"], emit_config(cfg))
@@ -155,11 +161,7 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     for model in models:
         _save_model(paths["models_dir"], model)
     _save_seeded(paths, kg, seeded)
-    save_array(paths["ke"], ke.values)
-    atomic_write_text(
-        paths["ke_meta"],
-        json.dumps({"pair_count": ke.pair_count}, sort_keys=True) + "\n",
-    )
+    ke = _write_knowledge_embedding(cfg, paths, seeded, models)
 
     manifest = {
         "format": 1,
@@ -171,25 +173,34 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     return BuildArtifacts(kg, models, seeded, ke.values, ke.pair_count, cfg_sha)
 
 
+def _artifact_files(cfg: PipelineConfig, paths: dict) -> list:
+    """Every file a build writes, the per-dimension model files included."""
+    files = [path for key, path in paths.items() if key != "models_dir"]
+    for name in sorted(cfg.corpora):
+        for suffix in ("vocab.tsv", "vectors.kign"):
+            files.append(os.path.join(paths["models_dir"], f"{name}.{suffix}"))
+    return files
+
+
 def _artifacts_present(cfg: PipelineConfig, paths: dict) -> bool:
-    flat = [v for k, v in paths.items() if k != "models_dir"]
-    for name in cfg.corpora:
-        flat.append(os.path.join(paths["models_dir"], f"{name}.vocab.tsv"))
-        flat.append(os.path.join(paths["models_dir"], f"{name}.vectors.kign"))
-    return all(os.path.isfile(p) for p in flat)
+    return all(os.path.isfile(p) for p in _artifact_files(cfg, paths))
 
 
 def _hash_artifacts(cfg: PipelineConfig, paths: dict) -> dict:
-    out = {}
-    for key, path in paths.items():
-        if key == "models_dir":
-            continue
-        out[os.path.relpath(path, cfg.out_dir)] = sha256_file(path)
-    for name in sorted(cfg.corpora):
-        for suffix in ("vocab.tsv", "vectors.kign"):
-            path = os.path.join(paths["models_dir"], f"{name}.{suffix}")
-            out[os.path.relpath(path, cfg.out_dir)] = sha256_file(path)
-    return out
+    return {os.path.relpath(p, cfg.out_dir): sha256_file(p)
+            for p in _artifact_files(cfg, paths)}
+
+
+def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededSubKG,
+                               models) -> KnowledgeEmbedding:
+    """Embed the seeded subgraph under the predicate allowlist and store it."""
+    allow = None if cfg.predicates is None else frozenset(cfg.predicates)
+    ke = knowledge_embedding(seeded, models, allowlist=allow)
+    save_array(paths["ke"], ke.values)
+    atomic_write_text(
+        paths["ke_meta"], json.dumps({"pair_count": ke.pair_count}, sort_keys=True) + "\n"
+    )
+    return ke
 
 
 def _save_model(models_dir: str, model: DimensionModel) -> None:
@@ -307,8 +318,6 @@ class Checkpoint:
         states, probs = forward(self.params, sequence)
         if self.mode == "vanilla":
             return probs
-        from .infusion import fuse_step, modulate
-
         gate = fuse_step(states.final, self.ke_values, self.fusion)
         modulated = modulate(states.final, gate)
         logits = self.head_w @ modulated + self.head_b
@@ -341,18 +350,8 @@ def _batch_stream(rng: np.random.Generator, n: int, batch_size: int):
         yield batch
 
 
-def _fusion_gates(hidden: np.ndarray, ke: np.ndarray, fusion: InfusionParams) -> np.ndarray:
-    """fuse_step applied row-wise: sigmoid(H Wh^T + (Wk ke + b))."""
-    d = fusion.gate_bias.shape[0]
-    w_h = fusion.gate_weights[:, :d]
-    w_k = fusion.gate_weights[:, d:]
-    z = hidden @ w_h.T + (w_k @ ke + fusion.gate_bias)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def _calibrate_head(features: np.ndarray, targets, n_classes: int,
-                    w0: np.ndarray, b0: np.ndarray, lr: float, steps: int,
-                    l2: float = HEAD_CALIBRATION_L2):
+                    w0: np.ndarray, b0: np.ndarray, lr: float, steps: int):
     """Full-batch ridge softmax-regression steps of the head on fixed features."""
     w = w0.copy()
     b = b0.copy()
@@ -365,7 +364,7 @@ def _calibrate_head(features: np.ndarray, targets, n_classes: int,
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         g = (p - onehot) / n
-        w -= lr * (g.T @ features + l2 * w)
+        w -= lr * (g.T @ features + HEAD_CALIBRATION_L2 * w)
         b -= lr * g.sum(axis=0)
     return w, b
 
@@ -431,7 +430,7 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
             )
             fusion = result.params
             infusion_results.append(result)
-            gates = _fusion_gates(finals, art.ke_values, fusion)
+            gates = fuse_step(finals, art.ke_values, fusion)
             head_w, head_b = _calibrate_head(
                 finals * gates, targets, len(labels),
                 params.w_out, params.b_out, schedule.lr, HEAD_CALIBRATION_STEPS,
@@ -480,35 +479,50 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
     return TrainResult(checkpoint_path, epoch_loss, infusion_results)
 
 
+# Metadata keys of every checkpoint, and the extra ones of an infused one.
+_CHECKPOINT_META = ("mode", "labels", "seed", "config_sha256", "layers", "hidden",
+                    "input_width", "n_classes")
+_INFUSED_META = ("gate_lr", "epsilon", "max_inner_iters")
+
+
 def load_trained(path) -> Checkpoint:
+    """Read a checkpoint; a missing metadata key or array raises StorageError."""
     meta, arrays = load_checkpoint(path)
-    layers = meta["layers"]
-    params = LSTMParams(
-        layer_weights=[arrays[f"lstm.layer{l}.W"] for l in range(layers)],
-        layer_biases=[arrays[f"lstm.layer{l}.b"] for l in range(layers)],
-        w_out=arrays["lstm.head.W"],
-        b_out=arrays["lstm.head.b"],
-        d=meta["hidden"],
-        input_width=meta["input_width"],
-        n_classes=meta["n_classes"],
-    )
-    fusion = None
-    head_w = head_b = None
-    if meta["mode"] == "infused":
-        fusion = InfusionParams(
-            gate_weights=arrays["fusion.gate_weights"],
-            gate_bias=arrays["fusion.gate_bias"],
-            gate_lr=meta["gate_lr"],
-            epsilon=meta["epsilon"],
-            max_inner_iters=meta["max_inner_iters"],
+    infused = meta.get("mode") == "infused"
+    missing = [k for k in _CHECKPOINT_META + (_INFUSED_META if infused else ()) if k not in meta]
+    if missing:
+        raise StorageError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+    try:
+        layers = meta["layers"]
+        params = LSTMParams(
+            layer_weights=[arrays[f"lstm.layer{l}.W"] for l in range(layers)],
+            layer_biases=[arrays[f"lstm.layer{l}.b"] for l in range(layers)],
+            w_out=arrays["lstm.head.W"],
+            b_out=arrays["lstm.head.b"],
+            d=meta["hidden"],
+            input_width=meta["input_width"],
+            n_classes=meta["n_classes"],
         )
-        head_w = arrays["fusion.head.W"]
-        head_b = arrays["fusion.head.b"]
+        fusion = None
+        head_w = head_b = None
+        if infused:
+            fusion = InfusionParams(
+                gate_weights=arrays["fusion.gate_weights"],
+                gate_bias=arrays["fusion.gate_bias"],
+                gate_lr=meta["gate_lr"],
+                epsilon=meta["epsilon"],
+                max_inner_iters=meta["max_inner_iters"],
+            )
+            head_w = arrays["fusion.head.W"]
+            head_b = arrays["fusion.head.b"]
+        ke_values = arrays["ke"]
+    except KeyError as exc:
+        raise StorageError(f"{path}: checkpoint has no array {exc.args[0]!r}") from exc
     return Checkpoint(
         mode=meta["mode"],
         labels=tuple(meta["labels"]),
         params=params,
-        ke_values=arrays["ke"],
+        ke_values=ke_values,
         fusion=fusion,
         head_w=head_w,
         head_b=head_b,
@@ -748,12 +762,7 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
 
     paths = _artifact_paths(cfg.out_dir)
     _save_seeded(paths, art.kg, updated)
-    allow = None if cfg.predicates is None else frozenset(cfg.predicates)
-    ke = knowledge_embedding(updated, art.models, allowlist=allow)
-    save_array(paths["ke"], ke.values)
-    atomic_write_text(
-        paths["ke_meta"], json.dumps({"pair_count": ke.pair_count}, sort_keys=True) + "\n"
-    )
+    _write_knowledge_embedding(cfg, paths, updated, art.models)
     manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
     if os.path.isfile(manifest_path):
         with open(manifest_path, encoding="utf-8") as handle:

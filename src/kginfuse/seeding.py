@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import concept_embedding
+from .embedding import embed_concepts
 from .errors import ValidationError
 from .kg import KnowledgeGraph, SubKG, n_hop_neighborhood
 from .text import tokenize
@@ -125,7 +125,7 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
     seeds = sorted(cid for cid, s in ranked if s >= cutoff)
 
     subkg = n_hop_neighborhood(kg, seeds, hops)
-    matrix, embedded = embed_subkg_concepts(subkg, models)
+    matrix, embedded = embed_concepts(kg, sorted(subkg.frontier_depth), models)
     relevance = {cid: scores[cid] for cid in subkg.frontier_depth if cid in scores}
     return SeededSubKG(
         subkg=subkg,
@@ -133,21 +133,3 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
         embedding_matrix=matrix,
         embedded_concepts=embedded,
     )
-
-
-def embed_subkg_concepts(subkg: SubKG, models) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Unit-norm embedding columns for the resolvable concepts of a subgraph."""
-    from .embedding import content_width
-
-    width = content_width(models)
-    columns = []
-    embedded = []
-    for cid in sorted(subkg.frontier_depth):
-        cv = concept_embedding(models, subkg.parent.concepts[cid])
-        norm = float(np.linalg.norm(cv.values))
-        if cv.hit_count == 0 or norm == 0.0:
-            continue
-        columns.append(cv.values / norm)
-        embedded.append(cid)
-    matrix = np.stack(columns, axis=1) if columns else np.zeros((width, 0))
-    return matrix, tuple(embedded)

@@ -1,4 +1,5 @@
-"""Binary artifact formats and atomic file writes.
+"""Binary artifact formats, atomic file writes, and the UTF-8 reader for
+text inputs.
 
 Two container formats, both with bit-exact round-trips:
 
@@ -8,19 +9,22 @@ Two container formats, both with bit-exact round-trips:
   a shape table of named arrays, then the concatenated float64 payloads.
 
 All integers are little-endian unsigned 32-bit. Writes go through a
-temp-file-then-rename so readers never observe a partial file.
+temp-file-then-rename so readers never observe a partial file. Readers
+check every length against the file's size, so a truncated or padded
+file raises StorageError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
 
 import numpy as np
 
-from .errors import StorageError
+from .errors import StorageError, ValidationError
 
 ARRAY_MAGIC = b"KIGN"
 CHECKPOINT_MAGIC = b"KICP"
@@ -46,6 +50,23 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents, with newlines as open() reads them.
+
+    Bytes that are not UTF-8 raise ValidationError naming path:line.
+    """
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}:{line}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _pack_u32(*values: int) -> bytes:
     return struct.pack("<%dI" % len(values), *values)
 
@@ -61,20 +82,50 @@ def save_array(path, arr: np.ndarray) -> None:
     atomic_write_bytes(path, _array_bytes(arr))
 
 
+def _take(path, blob: bytes, offset: int, length: int):
+    """blob[offset:offset + length] and the offset after it; raises when
+    the file ends before that."""
+    end = offset + length
+    if end > len(blob):
+        raise StorageError(f"{path}: truncated at byte {len(blob)}, expected {end} or more")
+    return blob[offset:end], end
+
+
+def _u32s(path, blob: bytes, offset: int, count: int):
+    raw, end = _take(path, blob, offset, 4 * count)
+    return struct.unpack("<%dI" % count, raw), end
+
+
+def _payload(path, blob: bytes, offset: int, shape):
+    raw, end = _take(path, blob, offset, 8 * math.prod(shape))
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64), end
+
+
+def _header(path, blob: bytes, magic: bytes, kind: str):
+    """Checks magic and version; returns the u32 after the version and
+    the offset after it."""
+    if blob[:4] != magic:
+        raise StorageError(f"{path}: not a {kind}")
+    (version, value), offset = _u32s(path, blob, 4, 2)
+    if version != FORMAT_VERSION:
+        raise StorageError(f"{path}: unsupported format version {version}")
+    return value, offset
+
+
+def _check_end(path, blob: bytes, offset: int) -> None:
+    if offset != len(blob):
+        raise StorageError(f"{path}: {len(blob) - offset} bytes past the end of the payload")
+
+
 def load_array(path) -> np.ndarray:
     """Read a KIGN array file back, bit-exactly."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[:4] != ARRAY_MAGIC:
-        raise StorageError(f"{path}: not a KIGN array file")
-    version, rank = struct.unpack_from("<2I", blob, 4)
-    if version != FORMAT_VERSION:
-        raise StorageError(f"{path}: unsupported format version {version}")
-    shape = struct.unpack_from("<%dI" % rank, blob, 12)
-    offset = 12 + 4 * rank
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    return payload.reshape(shape).astype(np.float64)
+    rank, offset = _header(path, blob, ARRAY_MAGIC, "KIGN array file")
+    shape, offset = _u32s(path, blob, offset, rank)
+    array, offset = _payload(path, blob, offset, shape)
+    _check_end(path, blob, offset)
+    return array
 
 
 def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -102,34 +153,30 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a KICP checkpoint back as (meta, arrays)."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise StorageError(f"{path}: not a KICP checkpoint")
-    version, meta_len = struct.unpack_from("<2I", blob, 4)
-    if version != FORMAT_VERSION:
-        raise StorageError(f"{path}: unsupported format version {version}")
-    offset = 12
-    meta = json.loads(blob[offset:offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    meta_len, offset = _header(path, blob, CHECKPOINT_MAGIC, "KICP checkpoint")
+    raw, offset = _take(path, blob, offset, meta_len)
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise StorageError(f"{path}: unreadable metadata block ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise StorageError(f"{path}: metadata block is not a JSON object")
+    (count,), offset = _u32s(path, blob, offset, 1)
     entries = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from("<%dI" % rank, blob, offset)
-        offset += 4 * rank
+        (name_len,), offset = _u32s(path, blob, offset, 1)
+        raw, offset = _take(path, blob, offset, name_len)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageError(f"{path}: unreadable array name ({exc})") from exc
+        (rank,), offset = _u32s(path, blob, offset, 1)
+        shape, offset = _u32s(path, blob, offset, rank)
         entries.append((name, shape))
     arrays = {}
     for name, shape in entries:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arrays[name] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).astype(np.float64)
-        offset += 8 * count
+        arrays[name], offset = _payload(path, blob, offset, shape)
+    _check_end(path, blob, offset)
     return meta, arrays
 
 

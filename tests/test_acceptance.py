@@ -13,7 +13,12 @@ import numpy as np
 
 from kginfuse.config import parse_config
 from kginfuse.dke import differential_subkg, solve_mapping, update_seeded
-from kginfuse.embedding import DimensionModel, content_width, knowledge_embedding
+from kginfuse.embedding import (
+    DimensionModel,
+    content_width,
+    embed_concepts,
+    knowledge_embedding,
+)
 from kginfuse.infusion import (
     InfusionParams,
     fuse_step,
@@ -27,7 +32,6 @@ from kginfuse.pipeline import build, compare, train
 from kginfuse.seeding import (
     SeededSubKG,
     corpus_stats,
-    embed_subkg_concepts,
     relevance_score,
 )
 from kginfuse.synth import generate_benchmark
@@ -230,7 +234,7 @@ def test_criterion_5_oracle_equivalence():
             rng.normal(size=(n, 3)), 3,
         )
         sub = n_hop_neighborhood(kg, set(kg.concepts), 1)
-        matrix, embedded = embed_subkg_concepts(sub, [model])
+        matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), [model])
         seeded = SeededSubKG(sub, {}, matrix, embedded)
         ke = knowledge_embedding(seeded, [model])
         want_ke, want_pairs = _brute_ke(seeded, [model])
@@ -253,7 +257,7 @@ def test_criterion_6_dke_absorption():
             rng.normal(size=(len(names), 3)), 3,
         )
         sub = n_hop_neighborhood(kg, {names[0]}, 2)
-        matrix, embedded = embed_subkg_concepts(sub, [model])
+        matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), [model])
         seeded = SeededSubKG(sub, {names[0]: 1.0}, matrix, embedded)
         retrieved = n_hop_neighborhood(kg, {names[8]}, 2)
         diff = differential_subkg(retrieved, seeded, [model])

@@ -75,3 +75,26 @@ def test_seed_and_out_overrides(tiny_project, tmp_path, capsys):
     assert main(["build", "--config", str(tiny_project), "--seed", "5",
                  "--out", str(alt)]) == 0
     assert os.path.isfile(alt / "manifest.json")
+
+
+def test_truncated_checkpoint_exits_two(tiny_project, capsys):
+    assert main(["train", "--config", str(tiny_project)]) == 0
+    checkpoint = capsys.readouterr().out.split("checkpoint: ", 1)[1].splitlines()[0]
+    with open(checkpoint, "rb") as handle:
+        blob = handle.read()
+    with open(checkpoint, "wb") as handle:
+        handle.write(blob[:-10])
+    assert main(["eval", "--config", str(tiny_project), "--checkpoint", checkpoint]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error:" in err and "truncated" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_dataset_exits_one(tiny_project, capsys):
+    dataset = os.path.join(os.path.dirname(str(tiny_project)), "train.tsv")
+    with open(dataset, "ab") as handle:
+        handle.write("pos\tcafé jihad\n".encode("latin-1"))
+    assert main(["build", "--config", str(tiny_project)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {dataset}:9: not valid UTF-8" in err
+    assert "Traceback" not in err

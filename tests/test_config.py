@@ -1,5 +1,7 @@
 """Configuration parsing, validation, and round-tripping."""
 
+import re
+
 import pytest
 
 from kginfuse.config import (
@@ -10,7 +12,7 @@ from kginfuse.config import (
     require_input_files,
     with_overrides,
 )
-from kginfuse.errors import ConfigError
+from kginfuse.errors import ConfigError, ValidationError
 
 
 def test_parse_tiny_project(tiny_project):
@@ -124,3 +126,10 @@ def test_overrides(tiny_project):
     assert cfg.mode == "vanilla"
     with pytest.raises(ConfigError):
         with_overrides(cfg, mode="bogus")
+
+
+def test_non_utf8_config_names_path_and_line(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("[run]\nseed = 1\n# café\n".encode("latin-1"))
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:3: not valid UTF-8")):
+        parse_config(path)

@@ -9,10 +9,10 @@ from kginfuse.dke import (
     solve_mapping,
     update_seeded,
 )
-from kginfuse.embedding import DimensionModel
+from kginfuse.embedding import DimensionModel, embed_concepts
 from kginfuse.errors import SolverError, UnknownConceptError, ValidationError
 from kginfuse.kg import KnowledgeGraph, Triple, n_hop_neighborhood
-from kginfuse.seeding import SeededSubKG, embed_subkg_concepts
+from kginfuse.seeding import SeededSubKG
 
 
 def model_for(tokens, d_sub=2, seed=0):
@@ -28,7 +28,7 @@ def chain_kg(labels, predicate="linked"):
 
 def seeded_from(kg, seeds, hops, models):
     sub = n_hop_neighborhood(kg, seeds, hops)
-    matrix, embedded = embed_subkg_concepts(sub, models)
+    matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), models)
     relevance = {cid: 1.0 for cid in seeds}
     return SeededSubKG(sub, relevance, matrix, embedded)
 

@@ -10,13 +10,14 @@ from kginfuse.embedding import (
     _positive_pmi,
     concept_embedding,
     content_width,
+    embed_concepts,
     embed_text,
     knowledge_embedding,
     train_dimension_model,
 )
 from kginfuse.errors import ValidationError
 from kginfuse.kg import Concept, KnowledgeGraph, n_hop_neighborhood
-from kginfuse.seeding import SeededSubKG, embed_subkg_concepts
+from kginfuse.seeding import SeededSubKG
 
 
 def make_model(name, vectors_by_token, d_sub):
@@ -83,7 +84,6 @@ class TestEmbedText:
         np.testing.assert_array_equal(cv1.values, [3.0, -1.0])
         cv2 = embed_text([self.m1, self.m2], "moon")
         np.testing.assert_array_equal(cv2.values, [3.0, -1.0, 0.0])
-        assert cv2.dimension_offsets == (("one", 0, 2), ("two", 2, 3))
 
     def test_mean_of_two_tokens_by_hand(self):
         cv = embed_text([self.m1], "sun moon")
@@ -104,10 +104,7 @@ class TestEmbedText:
     def test_offsets_partition_total_width(self):
         cv = embed_text([self.m1, self.m2], "sun")
         assert cv.values.shape[0] == content_width([self.m1, self.m2])
-        spans = [(s, e) for _, s, e in cv.dimension_offsets]
-        assert spans[0][0] == 0 and spans[-1][1] == cv.values.shape[0]
-        for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
-            assert prev_end == next_start
+        np.testing.assert_array_equal(cv.values, [1.0, 2.0, 5.0])
 
 
 class TestConceptEmbedding:
@@ -130,7 +127,7 @@ class TestConceptEmbedding:
 
 def seeded_from(kg, seeds, hops, models):
     sub = n_hop_neighborhood(kg, seeds, hops)
-    matrix, embedded = embed_subkg_concepts(sub, models)
+    matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), models)
     return SeededSubKG(sub, {}, matrix, embedded)
 
 
@@ -158,6 +155,24 @@ class TestKnowledgeEmbedding:
         m1 = np.array([1.0, 0.0])
         m2 = (np.array([0.0, 2.0]) + np.array([0.0, 4.0])) / 2
         expected = 1.0 * m1 + 0.5 * m2
+        expected /= np.linalg.norm(expected)
+        assert ke.pair_count == 2
+        np.testing.assert_allclose(ke.values, expected, atol=1e-15)
+
+    def test_cross_link_without_common_ancestor_weighs_half(self):
+        # Pair 1: self-triple, taxonomy distance 0 -> weight 1.
+        # Pair 2: ember and ice share no taxonomy ancestor; as the endpoints
+        # of one triple they are adjacent -> weight 1/(1 + 1) = 1/2.
+        kg = KnowledgeGraph.from_labeled_triples([
+            ("sun", "related", "sun"),
+            ("ember", "related", "ice"),
+        ])
+        model = make_model(
+            "m", {"sun": [1.0, 0.0], "ember": [0.0, 2.0], "ice": [0.0, 4.0]}, 2
+        )
+        seeded = seeded_from(kg, set(kg.concepts), 1, [model])
+        ke = knowledge_embedding(seeded, [model])
+        expected = np.array([1.0, 0.5 * 3.0])
         expected /= np.linalg.norm(expected)
         assert ke.pair_count == 2
         np.testing.assert_allclose(ke.values, expected, atol=1e-15)

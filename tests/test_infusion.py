@@ -11,7 +11,6 @@ from kginfuse.infusion import (
     fuse_step,
     kl_divergence,
     gate_gradient,
-    divergence_loss,
     knowledge_infusion,
     modulate,
     trace_csv,
@@ -82,43 +81,6 @@ class TestKlDivergence:
             kl_divergence([0.0, 1.0], [0.0, 1.0, 2.0])
 
 
-class TestKlfLoss:
-    def test_matching_target_is_zero_and_satisfied(self):
-        k = np.array([0.4, -0.2])
-        h_prev = np.array([2.0, -3.0])
-        loss, ok = divergence_loss(k.copy(), h_prev, k)
-        assert loss == 0.0
-        assert ok
-
-    def test_equal_hidden_vectors_fail_strict_constraint(self):
-        h = np.array([1.0, 0.5])
-        loss, ok = divergence_loss(h, h.copy(), np.array([0.3, 0.9]))
-        assert not ok
-        assert loss > 0
-
-    def test_loss_matches_divergence_value(self):
-        # Same simplex point as the closed-form divergence case ([0, 0]
-        # shifted to stay clear of the zero-embedding refusal).
-        h = np.array([math.log(2), 0.0])
-        k = np.array([1.0, 1.0])
-        loss, _ = divergence_loss(h, np.array([5.0, -5.0]), k)
-        assert loss == kl_divergence(h, k)
-        want = (2 / 3) * math.log(4 / 3) + (1 / 3) * math.log(2 / 3)
-        assert abs(loss - want) < 1e-15
-
-    def test_shift_of_target_leaves_loss_unchanged(self):
-        h = np.array([0.1, 0.9])
-        h_prev = np.array([1.0, -1.0])
-        k = np.array([0.7, 0.2])
-        base, _ = divergence_loss(h, h_prev, k)
-        shifted, _ = divergence_loss(h, h_prev, k + 3.0)
-        assert abs(base - shifted) <= 1e-12
-
-    def test_zero_knowledge_embedding_refused(self):
-        with pytest.raises(InfusionError):
-            divergence_loss(np.ones(2), np.ones(2), np.zeros(2))
-
-
 class TestFuseStep:
     def test_zero_parameters_give_half(self):
         params = make_params(d=3)
@@ -152,6 +114,25 @@ class TestFuseStep:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             fuse_step(np.ones(3), np.ones(2), make_params(d=2))
+        with pytest.raises(ValidationError):
+            fuse_step(np.ones((4, 3)), np.ones(2), make_params(d=2))
+
+    def test_batch_rows_match_single_vectors(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 3, 12):
+            params = make_params(d=d, seed=d)
+            hidden = rng.normal(scale=3, size=(40, d))
+            k = rng.normal(size=d)
+            batch = fuse_step(hidden, k, params)
+            assert batch.shape == hidden.shape
+            for row, h in zip(batch, hidden):
+                np.testing.assert_allclose(row, fuse_step(h, k, params), rtol=0, atol=1e-15)
+
+    def test_non_finite_batch_rejected(self):
+        hidden = np.ones((3, 2))
+        hidden[1, 0] = np.nan
+        with pytest.raises(InfusionError):
+            fuse_step(hidden, np.ones(2), make_params(d=2))
 
 
 class TestKlfGradient:

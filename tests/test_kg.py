@@ -1,5 +1,7 @@
 """Graph store: loading, taxonomy distances, hop neighborhoods."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from kginfuse.kg import (
     lcs_distance,
     load_graph,
     n_hop_neighborhood,
-    save_graph,
 )
 
 
@@ -90,17 +91,16 @@ class TestLoadGraph:
         assert len(kg.triples) == 1
         assert set(kg.concepts) == {"cat", "mammal"}
 
-    def test_unsupported_format_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            load_graph(write_kg(tmp_path, ""), fmt="ntriples")
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "kg.tsv"
+        path.write_bytes("a\tisa\tb\ncaf\u00e9\tisa\tb\n".encode("latin-1"))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2: not valid UTF-8")):
+            load_graph(path)
 
-    def test_round_trip(self, tmp_path):
-        kg = load_graph(write_kg(tmp_path, "cat\tisa\tmammal\ndog\tisa\tmammal\ncat\tchases\tdog\n"))
-        out = tmp_path / "out.tsv"
-        save_graph(kg, out)
-        again = load_graph(out)
-        assert again.triples == kg.triples
-        assert set(again.concepts) == set(kg.concepts)
+    def test_crlf_and_cr_line_ends_read_like_lf(self, tmp_path):
+        path = tmp_path / "kg.tsv"
+        path.write_bytes(b"a\tisa\tb\r\nb\tisa\tc\rc\tisa\td\n")
+        assert len(load_graph(path).triples) == 3
 
 
 class TestLcsDistance:

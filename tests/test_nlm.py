@@ -5,7 +5,7 @@ import pytest
 
 from kginfuse.errors import ValidationError
 from kginfuse.nlm import (
-    epoch_hidden_summary,
+    collect_hidden,
     forward,
     gradient_check,
     init_params,
@@ -183,30 +183,34 @@ class TestGradientCheck:
 
 
 class TestEpochHiddenSummary:
+    """collect_hidden rows, whose column means train hands to the infusion loop."""
+
     def test_single_example_is_its_own_summary(self):
         params = small_params(seed=8)
         seq = np.random.default_rng(2).normal(size=(4, 3))
-        h_final, h_prev = epoch_hidden_summary(params, [seq])
+        finals, penults = collect_hidden(params, [seq])
         states, _ = forward(params, seq)
-        np.testing.assert_array_equal(h_final, states.final)
-        np.testing.assert_array_equal(h_prev, states.penultimate)
+        np.testing.assert_array_equal(finals, [states.final])
+        np.testing.assert_array_equal(penults, [states.penultimate])
 
     def test_duplicates_do_not_move_the_mean(self):
         params = small_params(seed=8)
         seq = np.random.default_rng(2).normal(size=(4, 3))
-        once = epoch_hidden_summary(params, [seq])
-        thrice = epoch_hidden_summary(params, [seq, seq, seq])
-        np.testing.assert_allclose(once[0], thrice[0], atol=1e-15)
+        once, _ = collect_hidden(params, [seq])
+        thrice, _ = collect_hidden(params, [seq, seq, seq])
+        np.testing.assert_array_equal(thrice, np.repeat(once, 3, axis=0))
+        np.testing.assert_allclose(once.mean(axis=0), thrice.mean(axis=0), atol=1e-15)
 
     def test_mean_of_two_examples(self):
         params = small_params(seed=8)
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
-        got_final, got_prev = epoch_hidden_summary(params, [a, b])
+        finals, penults = collect_hidden(params, [a, b])
         sa, _ = forward(params, a)
         sb, _ = forward(params, b)
-        np.testing.assert_allclose(got_final, (sa.final + sb.final) / 2, atol=1e-15)
-        np.testing.assert_allclose(got_prev, (sa.penultimate + sb.penultimate) / 2, atol=1e-15)
+        np.testing.assert_array_equal(finals, [sa.final, sb.final])
+        np.testing.assert_array_equal(penults, [sa.penultimate, sb.penultimate])
+        np.testing.assert_allclose(finals.mean(axis=0), (sa.final + sb.final) / 2, atol=1e-15)
 
 
 def test_softmax_is_simplex_for_arbitrary_logits():

@@ -2,12 +2,14 @@
 
 import json
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
 from kginfuse.config import parse_config
+from kginfuse.datasets import read_labeled_tsv
 from kginfuse.errors import ConfigError, ValidationError
 from kginfuse.pipeline import (
     build,
@@ -93,6 +95,13 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build(cfg)
         assert not os.path.isdir(cfg.out_dir)
+
+    def test_non_utf8_corpus_names_path_and_line(self, tiny_project, tmp_path):
+        cfg = parse_config(tiny_project)
+        (tmp_path / "corpus.txt").write_bytes("jihad banner\nnaïve march\n".encode("latin-1"))
+        corpus = re.escape(f"{tmp_path / 'corpus.txt'}:2: not valid UTF-8")
+        with pytest.raises(ValidationError, match=corpus):
+            build(cfg)
 
     def test_round_trip_through_disk(self, tiny_project):
         cfg = parse_config(tiny_project)
@@ -281,3 +290,10 @@ def test_link_concepts_matches_multiword_labels():
     found = link_concepts(kg, "A Red Fox crossed the river!")
     assert found == {"red fox", "fox", "river"}
     assert link_concepts(kg, "nothing here") == set()
+
+
+def test_read_labeled_tsv_names_line_of_non_utf8_byte(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_bytes("pos\tjihad\nneg\tcafé\n".encode("latin-1"))
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:2: not valid UTF-8")):
+        read_labeled_tsv(path)

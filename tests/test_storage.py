@@ -1,12 +1,19 @@
-"""Binary containers: bit-exact round-trips and atomic writes."""
+"""Binary containers: bit-exact round-trips, atomic writes, corrupt files."""
+
+import os
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from kginfuse.errors import StorageError
+from kginfuse.config import parse_config
+from kginfuse.errors import StorageError, ValidationError
+from kginfuse.pipeline import build, load_trained, train
 from kginfuse.storage import (
     load_array,
     load_checkpoint,
+    read_text,
     save_array,
     save_checkpoint,
 )
@@ -72,3 +79,62 @@ class TestCheckpointFormat:
         path.write_bytes(b"KIGN" + b"\0" * 16)
         with pytest.raises(StorageError):
             load_checkpoint(path)
+
+
+@pytest.fixture
+def trained_project(tiny_project):
+    """The tiny project built and trained in vanilla mode: (cfg, checkpoint path)."""
+    cfg = parse_config(tiny_project)
+    return cfg, train(cfg, art=build(cfg)).checkpoint_path
+
+
+class TestCorruptArtifacts:
+    def test_every_truncation_of_a_real_checkpoint_rejected(self, trained_project, tmp_path):
+        _, checkpoint = trained_project
+        blob = open(checkpoint, "rb").read()
+        path = tmp_path / "cut.kicp"
+        for cut in list(range(len(blob))) + [len(blob) + 1]:
+            path.write_bytes(blob[:cut] if cut < len(blob) else blob + b"\0")
+            with pytest.raises(StorageError):
+                load_checkpoint(path)
+
+    def test_every_truncation_of_a_real_array_rejected(self, trained_project, tmp_path):
+        cfg, _ = trained_project
+        for name in ("knowledge/ke.kign", "models/main.vectors.kign"):
+            blob = open(os.path.join(cfg.out_dir, name), "rb").read()
+            path = tmp_path / "cut.kign"
+            for cut in list(range(len(blob))) + [len(blob) + 1]:
+                path.write_bytes(blob[:cut] if cut < len(blob) else blob + b"\0")
+                with pytest.raises(StorageError):
+                    load_array(path)
+
+    def test_undecodable_metadata_rejected(self, tmp_path):
+        path = tmp_path / "bad.kicp"
+        path.write_bytes(b"KICP" + struct.pack("<2I", 1, 2) + b"\xff{" + struct.pack("<I", 0))
+        with pytest.raises(StorageError):
+            load_checkpoint(path)
+
+    def test_missing_metadata_key_rejected_by_load_trained(self, trained_project, tmp_path):
+        _, checkpoint = trained_project
+        meta, arrays = load_checkpoint(checkpoint)
+        del meta["layers"]
+        path = tmp_path / "nometa.kicp"
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(StorageError, match="layers"):
+            load_trained(path)
+
+    def test_missing_array_rejected_by_load_trained(self, trained_project, tmp_path):
+        _, checkpoint = trained_project
+        meta, arrays = load_checkpoint(checkpoint)
+        del arrays["lstm.layer1.W"]
+        path = tmp_path / "noarray.kicp"
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(StorageError, match="lstm.layer1.W"):
+            load_trained(path)
+
+
+def test_read_text_names_line_of_bad_byte(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("one\ntwo\nnaïve\n".encode("latin-1"))
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:3: not valid UTF-8")):
+        read_text(path)
