@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import parse_config, with_overrides
+from .config import MODES, parse_config, with_overrides
 from .errors import KginfuseError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 
 def _add_common(parser, config_required=True):
     parser.add_argument("--config", required=config_required, help="pipeline config file")
-    parser.add_argument("--mode", choices=("vanilla", "infused"), default=None,
+    parser.add_argument("--mode", choices=MODES, default=None,
                         help="override the configured mode")
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
     parser.add_argument("--out", default=None, help="override the output directory")
@@ -129,7 +129,7 @@ def cmd_update_kg(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .infusion import InfusionParams, fuse_step, kl_divergence, gate_gradient
+    from . import infusion
     from .nlm import gradient_check, init_params
 
     rng = np.random.default_rng(args.seed)
@@ -141,24 +141,10 @@ def cmd_gradcheck(args) -> int:
     for name, err in report.by_group.items():
         print(f"  {name:12s} {err:.3e}")
 
-    fusion = InfusionParams.init(4, rng)
+    fusion = infusion.InfusionParams.init(4, rng)
     h = rng.normal(size=4)
     ke = rng.normal(size=4)
-    grad_w, grad_b = gate_gradient(h, ke, fusion)
-    eps = 1e-6
-    worst = 0.0
-    for arr, grad in ((fusion.gate_weights, grad_w), (fusion.gate_bias, grad_b)):
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = kl_divergence(fuse_step(h, ke, fusion), ke)
-            flat[i] = orig - eps
-            down = kl_divergence(fuse_step(h, ke, fusion), ke)
-            flat[i] = orig
-            numeric = (up - down) / (2 * eps)
-            denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
+    worst = infusion.gradient_check(h, ke, fusion)
     print(f"fusion gradient check: {worst:.3e}")
 
     ok = report.max_relative_error < 1e-4 and worst < 1e-6

@@ -4,10 +4,16 @@ The format is deliberately trivial to parse from any language: sections
 in brackets, one "key = value" per line, "#" comments. Unknown sections
 or keys are rejected. parse -> emit -> parse is the identity on the
 normalized configuration.
+
+Each key is declared once, as a _KEYS row (section, key, PipelineConfig
+field, parser); row order is the emitted order that config_hash hashes,
+and defaults are the dataclass defaults. Explicit code handles
+corpus.<name>, d_sub and d_sub.<name>, paths and the predicates allowlist.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -54,20 +60,94 @@ class PipelineConfig:
     out_dir: str = "runs/default"
     compare_seeds: int = 10
 
-    def content_width(self) -> int:
-        return sum(self.d_sub.values())
+
+def _integer(minimum=None):
+    def parse(key, raw):
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected integer, got {raw!r}") from exc
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{key}: must be >= {minimum}")
+        return value
+    return parse
 
 
-_SCHEMA = {
-    "paths": {"kg", "dataset", "eval_dataset"},
-    "subkg": {"target_class", "top_m", "hops", "predicates", "taxonomy_predicate"},
-    "embedding": {"window", "d_sub"},
-    "nlm": {"layers", "hidden", "epochs", "iters", "batch_size", "lr", "clip_norm"},
-    "infusion": {"epsilon", "gate_lr", "max_inner_iters"},
-    "dke": {"alpha", "ridge", "proximity_hops"},
-    "run": {"mode", "seed", "out", "compare_seeds"},
-}
-_PREFIX_KEYS = {("paths", "corpus"), ("embedding", "d_sub")}
+def _number(positive):
+    """Finite float parser; positive, or else nonnegative."""
+    def parse(key, raw):
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {raw!r}")
+        if positive and value <= 0:
+            raise ConfigError(f"{key}: must be positive")
+        if value < 0:
+            raise ConfigError(f"{key}: must be nonnegative")
+        return value
+    return parse
+
+
+def _text(key, raw):
+    return raw
+
+
+def _optional_text(key, raw):
+    return raw or None
+
+
+def _predicates(key, raw):
+    if raw.strip().lower() == "all":
+        return None
+    allowlist = tuple(sorted({p.strip() for p in raw.split(",") if p.strip()}))
+    if not allowlist:
+        raise ConfigError("predicates: empty allowlist (use 'all' or a comma list)")
+    return allowlist
+
+
+def _mode(key, raw):
+    if raw not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {raw!r}")
+    return raw
+
+
+# (section, key, PipelineConfig field, parser), in emitted order.
+_KEYS = (
+    ("paths", "kg", "kg_path", _text),
+    ("paths", "dataset", "dataset_path", _text),
+    ("paths", "eval_dataset", "eval_dataset_path", _optional_text),
+    ("subkg", "target_class", "target_class", _text),
+    ("subkg", "top_m", "top_m", _integer(1)),
+    ("subkg", "hops", "subkg_hops", _integer(0)),
+    ("subkg", "predicates", "predicates", _predicates),
+    ("subkg", "taxonomy_predicate", "taxonomy_predicate", _text),
+    ("embedding", "window", "window", _integer(1)),
+    ("nlm", "layers", "layers", _integer(2)),
+    ("nlm", "hidden", "hidden", _integer(1)),
+    ("nlm", "epochs", "epochs", _integer(1)),
+    ("nlm", "iters", "iters", _integer(1)),
+    ("nlm", "batch_size", "batch_size", _integer(1)),
+    ("nlm", "lr", "lr", _number(positive=True)),
+    ("nlm", "clip_norm", "clip_norm", _number(positive=True)),
+    ("infusion", "epsilon", "epsilon", _number(positive=True)),
+    ("infusion", "gate_lr", "gate_lr", _number(positive=True)),
+    ("infusion", "max_inner_iters", "max_inner_iters", _integer(1)),
+    ("dke", "alpha", "alpha", _number(positive=True)),
+    ("dke", "ridge", "ridge", _number(positive=False)),
+    ("dke", "proximity_hops", "proximity_hops", _integer(1)),
+    ("run", "mode", "mode", _mode),
+    ("run", "seed", "seed", _integer()),
+    ("run", "out", "out_dir", _text),
+    ("run", "compare_seeds", "compare_seeds", _integer(2)),
+)
+_REQUIRED = {"kg_path", "dataset_path", "target_class"}
+_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _KEYS))
+# Keys outside the table: the d_sub default, and the per-dimension
+# prefix.<name> keys with the dict field each fills.
+_KNOWN = {(section, key) for section, key, *_ in _KEYS} | {("embedding", "d_sub")}
+_PREFIX_KEYS = {("paths", "corpus"): "corpora", ("embedding", "d_sub"): "d_sub"}
 
 
 def _parse_sections(text: str, origin: str) -> dict:
@@ -79,7 +159,7 @@ def _parse_sections(text: str, origin: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SCHEMA:
+            if current not in _SECTIONS:
                 raise ConfigError(f"{origin}:{line_number}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -97,43 +177,8 @@ def _parse_sections(text: str, origin: str) -> dict:
 
 
 def _key_allowed(section: str, key: str) -> bool:
-    if key in _SCHEMA[section]:
-        return True
-    if "." in key:
-        prefix = key.split(".", 1)[0]
-        return (section, prefix) in _PREFIX_KEYS
-    return False
-
-
-def _want(sections, section, key, default=None, required=False):
-    value = sections.get(section, {}).get(key)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return default
-    return value
-
-
-def _as_int(name, value, minimum=None):
-    try:
-        out = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: expected integer, got {value!r}") from exc
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{name}: must be >= {minimum}")
-    return out
-
-
-def _as_float(name, value, positive=False, nonnegative=False):
-    try:
-        out = float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: expected number, got {value!r}") from exc
-    if positive and out <= 0:
-        raise ConfigError(f"{name}: must be positive")
-    if nonnegative and out < 0:
-        raise ConfigError(f"{name}: must be nonnegative")
-    return out
+    prefix, dot, _ = key.partition(".")
+    return (section, key) in _KNOWN or (bool(dot) and (section, prefix) in _PREFIX_KEYS)
 
 
 def parse_config(path) -> PipelineConfig:
@@ -157,119 +202,46 @@ def parse_config_text(text: str, origin: str = "<config>", base_dir: str = ".") 
     if not corpora:
         raise ConfigError("at least one corpus.<dimension> entry is required")
 
-    default_d_sub = sections.get("embedding", {}).get("d_sub")
+    embedding = sections.get("embedding", {})
     d_sub = {}
     for name in corpora:
-        override = sections.get("embedding", {}).get(f"d_sub.{name}")
-        value = override if override is not None else default_d_sub
+        value = embedding.get(f"d_sub.{name}", embedding.get("d_sub"))
         if value is None:
             raise ConfigError(f"no d_sub for dimension {name!r} (set d_sub or d_sub.{name})")
-        d_sub[name] = _as_int(f"d_sub.{name}", value, minimum=1)
-    for key in sections.get("embedding", {}):
+        d_sub[name] = _integer(1)(f"d_sub.{name}", value)
+    for key in embedding:
         if key.startswith("d_sub.") and key.split(".", 1)[1] not in corpora:
             raise ConfigError(f"d_sub for unknown dimension {key.split('.', 1)[1]!r}")
 
-    predicates_raw = _want(sections, "subkg", "predicates", default="all")
-    if predicates_raw.strip().lower() == "all":
-        predicates = None
-    else:
-        predicates = tuple(sorted({p.strip() for p in predicates_raw.split(",") if p.strip()}))
-        if not predicates:
-            raise ConfigError("predicates: empty allowlist (use 'all' or a comma list)")
-
-    mode = _want(sections, "run", "mode", default="infused")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-    eval_raw = _want(sections, "paths", "eval_dataset")
-    cfg = PipelineConfig(
-        kg_path=resolve(_want(sections, "paths", "kg", required=True)),
-        dataset_path=resolve(_want(sections, "paths", "dataset", required=True)),
-        eval_dataset_path=resolve(eval_raw) if eval_raw else None,
-        corpora=corpora,
-        target_class=_want(sections, "subkg", "target_class", required=True),
-        top_m=_as_int("top_m", _want(sections, "subkg", "top_m", "3"), minimum=1),
-        subkg_hops=_as_int("hops", _want(sections, "subkg", "hops", "2"), minimum=0),
-        predicates=predicates,
-        taxonomy_predicate=_want(sections, "subkg", "taxonomy_predicate", "isa"),
-        window=_as_int("window", _want(sections, "embedding", "window", "4"), minimum=1),
-        d_sub=d_sub,
-        layers=_as_int("layers", _want(sections, "nlm", "layers", "2"), minimum=2),
-        hidden=_as_int("hidden", _want(sections, "nlm", "hidden", "8"), minimum=1),
-        epochs=_as_int("epochs", _want(sections, "nlm", "epochs", "3"), minimum=1),
-        iters=_as_int("iters", _want(sections, "nlm", "iters", "8"), minimum=1),
-        batch_size=_as_int("batch_size", _want(sections, "nlm", "batch_size", "8"), minimum=1),
-        lr=_as_float("lr", _want(sections, "nlm", "lr", "0.1"), positive=True),
-        clip_norm=_as_float("clip_norm", _want(sections, "nlm", "clip_norm", "5.0"), positive=True),
-        epsilon=_as_float("epsilon", _want(sections, "infusion", "epsilon", "1e-4"), positive=True),
-        gate_lr=_as_float("gate_lr", _want(sections, "infusion", "gate_lr", "0.1"), positive=True),
-        max_inner_iters=_as_int(
-            "max_inner_iters", _want(sections, "infusion", "max_inner_iters", "50"), minimum=1
-        ),
-        alpha=_as_float("alpha", _want(sections, "dke", "alpha", "1.0"), positive=True),
-        ridge=_as_float("ridge", _want(sections, "dke", "ridge", "0.1"), nonnegative=True),
-        proximity_hops=_as_int(
-            "proximity_hops", _want(sections, "dke", "proximity_hops", "2"), minimum=1
-        ),
-        mode=mode,
-        seed=_as_int("seed", _want(sections, "run", "seed", "0")),
-        out_dir=resolve(_want(sections, "run", "out", "runs/default")),
-        compare_seeds=_as_int(
-            "compare_seeds", _want(sections, "run", "compare_seeds", "10"), minimum=2
-        ),
-    )
-    return cfg
+    values = {"out_dir": PipelineConfig.out_dir}
+    for section, key, name, parse in _KEYS:
+        raw = sections.get(section, {}).get(key)
+        if raw is not None:
+            values[name] = parse(key, raw)
+        elif name in _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in [{section}]")
+    for name in ("kg_path", "dataset_path", "eval_dataset_path", "out_dir"):
+        if values.get(name) is not None:
+            values[name] = resolve(values[name])
+    return PipelineConfig(corpora=corpora, d_sub=d_sub, **values)
 
 
 def emit_config(cfg: PipelineConfig) -> str:
     """Canonical text form; parsing it reproduces the same configuration."""
-    lines = ["[paths]", f"kg = {cfg.kg_path}", f"dataset = {cfg.dataset_path}"]
-    if cfg.eval_dataset_path:
-        lines.append(f"eval_dataset = {cfg.eval_dataset_path}")
-    for name in sorted(cfg.corpora):
-        lines.append(f"corpus.{name} = {cfg.corpora[name]}")
-    lines += [
-        "",
-        "[subkg]",
-        f"target_class = {cfg.target_class}",
-        f"top_m = {cfg.top_m}",
-        f"hops = {cfg.subkg_hops}",
-        "predicates = " + ("all" if cfg.predicates is None else ",".join(cfg.predicates)),
-        f"taxonomy_predicate = {cfg.taxonomy_predicate}",
-        "",
-        "[embedding]",
-        f"window = {cfg.window}",
-    ]
-    for name in sorted(cfg.d_sub):
-        lines.append(f"d_sub.{name} = {cfg.d_sub[name]}")
-    lines += [
-        "",
-        "[nlm]",
-        f"layers = {cfg.layers}",
-        f"hidden = {cfg.hidden}",
-        f"epochs = {cfg.epochs}",
-        f"iters = {cfg.iters}",
-        f"batch_size = {cfg.batch_size}",
-        f"lr = {cfg.lr!r}",
-        f"clip_norm = {cfg.clip_norm!r}",
-        "",
-        "[infusion]",
-        f"epsilon = {cfg.epsilon!r}",
-        f"gate_lr = {cfg.gate_lr!r}",
-        f"max_inner_iters = {cfg.max_inner_iters}",
-        "",
-        "[dke]",
-        f"alpha = {cfg.alpha!r}",
-        f"ridge = {cfg.ridge!r}",
-        f"proximity_hops = {cfg.proximity_hops}",
-        "",
-        "[run]",
-        f"mode = {cfg.mode}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out_dir}",
-        f"compare_seeds = {cfg.compare_seeds}",
-    ]
-    return "\n".join(lines) + "\n"
+    lines = []
+    for section in _SECTIONS:
+        lines += ["", f"[{section}]"]
+        for row_section, key, name, _ in _KEYS:
+            value = getattr(cfg, name)
+            if name == "predicates":
+                value = "all" if value is None else ",".join(value)
+            if row_section == section and value is not None:
+                lines.append(f"{key} = {value}")
+        for (row_section, prefix), name in _PREFIX_KEYS.items():
+            if row_section == section:
+                entries = getattr(cfg, name)
+                lines += [f"{prefix}.{k} = {entries[k]}" for k in sorted(entries)]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def config_hash(cfg: PipelineConfig) -> str:
@@ -293,9 +265,7 @@ def with_overrides(cfg: PipelineConfig, mode=None, seed=None, out_dir=None) -> P
     """CLI flags override the [run] section."""
     updates = {}
     if mode is not None:
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        updates["mode"] = mode
+        updates["mode"] = _mode("mode", mode)
     if seed is not None:
         updates["seed"] = seed
     if out_dir is not None:

@@ -138,6 +138,28 @@ def gate_gradient(h, knowledge, params: InfusionParams):
     return np.outer(dz, u), dz
 
 
+def gradient_check(h, k, params: InfusionParams) -> float:
+    """Worst relative error |a - n| / max(|a| + |n|, 1e-8) of gate_gradient
+    against central differences (step 1e-6) over every gate parameter."""
+    work = params.copy()
+    grad_w, grad_b = gate_gradient(h, k, work)
+    eps = 1e-6
+    worst = 0.0
+    for arr, grad in ((work.gate_weights, grad_w), (work.gate_bias, grad_b)):
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = kl_divergence(fuse_step(h, k, work), k)
+            flat[i] = orig - eps
+            down = kl_divergence(fuse_step(h, k, work), k)
+            flat[i] = orig
+            numeric = (up - down) / (2 * eps)
+            denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
+            worst = max(worst, abs(gflat[i] - numeric) / denom)
+    return worst
+
+
 def modulate(h, gate) -> np.ndarray:
     """Elementwise product of a hidden vector with a gate."""
     h = _check_vector("h", h)

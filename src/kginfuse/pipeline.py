@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dke as dke_mod
-from .config import PipelineConfig, config_hash, emit_config, require_input_files
+from .config import MODES, PipelineConfig, config_hash, emit_config, require_input_files
 from .datasets import encode_dataset, read_labeled_tsv, token_sequence
 from .embedding import (
     DimensionModel,
@@ -34,7 +34,7 @@ from .infusion import (
     modulate,
     trace_csv,
 )
-from .kg import KnowledgeGraph, SubKG, format_stats, load_graph
+from .kg import KnowledgeGraph, SubKG, Triple, format_stats, load_graph
 from .metrics import EvalReport, evaluate_predictions, report_csv, report_text
 from .nlm import (
     LSTMParams,
@@ -56,7 +56,7 @@ from .storage import (
     save_checkpoint,
     sha256_file,
 )
-from .text import tokenize
+from .text import normalize_label, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -92,11 +92,12 @@ def _input_hashes(cfg: PipelineConfig) -> dict:
     return hashes
 
 
-def _artifact_paths(out_dir: str) -> dict:
-    return {
+def _artifact_paths(cfg: PipelineConfig) -> dict:
+    """Every file a build writes, the per-dimension model files included."""
+    out_dir = cfg.out_dir
+    paths = {
         "config": os.path.join(out_dir, "config.cfg"),
         "stats": os.path.join(out_dir, "graph_stats.txt"),
-        "models_dir": os.path.join(out_dir, "models"),
         "subkg_triples": os.path.join(out_dir, "subkg", "triples.tsv"),
         "subkg_scores": os.path.join(out_dir, "subkg", "scores.tsv"),
         "subkg_depths": os.path.join(out_dir, "subkg", "depths.tsv"),
@@ -105,6 +106,10 @@ def _artifact_paths(out_dir: str) -> dict:
         "ke": os.path.join(out_dir, "knowledge", "ke.kign"),
         "ke_meta": os.path.join(out_dir, "knowledge", "ke.json"),
     }
+    for name in sorted(cfg.corpora):
+        paths[f"{name}.vocab"] = os.path.join(out_dir, "models", f"{name}.vocab.tsv")
+        paths[f"{name}.vectors"] = os.path.join(out_dir, "models", f"{name}.vectors.kign")
+    return paths
 
 
 def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
@@ -112,18 +117,17 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     knowledge embedding under the config's output directory."""
     require_input_files(cfg)
     out_dir = cfg.out_dir
-    paths = _artifact_paths(out_dir)
+    paths = _artifact_paths(cfg)
     cfg_sha = config_hash(cfg)
     inputs = _input_hashes(cfg)
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     if not force and os.path.isfile(manifest_path):
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = _read_json(manifest_path)
         if (
             manifest.get("config_sha256") == cfg_sha
             and manifest.get("inputs") == inputs
-            and _artifacts_present(cfg, paths)
+            and all(map(os.path.isfile, paths.values()))
         ):
             log.info("build artifacts up to date in %s", out_dir)
             art = load_build(cfg)
@@ -159,36 +163,64 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     atomic_write_text(paths["config"], emit_config(cfg))
     atomic_write_text(paths["stats"], format_stats(kg))
     for model in models:
-        _save_model(paths["models_dir"], model)
+        _save_model(paths, model)
     _save_seeded(paths, kg, seeded)
     ke = _write_knowledge_embedding(cfg, paths, seeded, models)
-
-    manifest = {
-        "format": 1,
-        "config_sha256": cfg_sha,
-        "inputs": inputs,
-        "artifacts": _hash_artifacts(cfg, paths),
-    }
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(cfg, paths, {"format": 1, "config_sha256": cfg_sha, "inputs": inputs})
     return BuildArtifacts(kg, models, seeded, ke.values, ke.pair_count, cfg_sha)
 
 
-def _artifact_files(cfg: PipelineConfig, paths: dict) -> list:
-    """Every file a build writes, the per-dimension model files included."""
-    files = [path for key, path in paths.items() if key != "models_dir"]
-    for name in sorted(cfg.corpora):
-        for suffix in ("vocab.tsv", "vectors.kign"):
-            files.append(os.path.join(paths["models_dir"], f"{name}.{suffix}"))
-    return files
+def _write_manifest(cfg: PipelineConfig, paths: dict, manifest: dict) -> None:
+    """Store manifest plus the sha256 of every artifact file."""
+    artifacts = {os.path.relpath(p, cfg.out_dir): sha256_file(p) for p in paths.values()}
+    atomic_write_text(os.path.join(cfg.out_dir, MANIFEST_NAME),
+                      json.dumps({**manifest, "artifacts": artifacts}, indent=2, sort_keys=True)
+                      + "\n")
 
 
-def _artifacts_present(cfg: PipelineConfig, paths: dict) -> bool:
-    return all(os.path.isfile(p) for p in _artifact_files(cfg, paths))
+def _read_json(path) -> dict:
+    try:
+        value = json.loads(read_text(path))
+    except (ValidationError, ValueError, RecursionError) as exc:
+        raise StorageError(f"{path}: unreadable JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise StorageError(f"{path}: not a JSON object")
+    return value
 
 
-def _hash_artifacts(cfg: PipelineConfig, paths: dict) -> dict:
-    return {os.path.relpath(p, cfg.out_dir): sha256_file(p)
-            for p in _artifact_files(cfg, paths)}
+def _load_shaped(path, shape) -> np.ndarray:
+    """load_array for an array whose shape the other artifacts fix."""
+    array = load_array(path)
+    if array.shape != shape:
+        raise StorageError(f"{path}: shape {array.shape}, expected {shape}")
+    return array
+
+
+def _write_rows(path, rows) -> None:
+    """One line per row, its fields joined by tabs."""
+    atomic_write_text(path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
+
+
+def _read_rows(path, *types) -> list:
+    """The rows _write_rows wrote, each field converted by its type. A wrong
+    field count, a ValueError from a type, a cut last line or bytes that
+    are not UTF-8 raise StorageError naming path:line."""
+    try:
+        lines = read_text(path).split("\n")
+    except ValidationError as exc:
+        raise StorageError(str(exc)) from exc
+    if lines[-1]:
+        raise StorageError(f"{path}:{len(lines)}: line not terminated (truncated file?)")
+    rows = []
+    for number, line in enumerate(lines[:-1], start=1):
+        fields = line.split("\t")
+        if len(fields) != len(types):
+            raise StorageError(f"{path}:{number}: expected {len(types)} fields, got {len(fields)}")
+        try:
+            rows.append(tuple(kind(value) for kind, value in zip(types, fields)))
+        except ValueError as exc:
+            raise StorageError(f"{path}:{number}: {exc}") from exc
+    return rows
 
 
 def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededSubKG,
@@ -203,97 +235,67 @@ def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededS
     return ke
 
 
-def _save_model(models_dir: str, model: DimensionModel) -> None:
-    lines = [
-        f"{tok}\t{idx}"
-        for tok, idx in sorted(model.vocab.items(), key=lambda kv: kv[1])
-    ]
-    atomic_write_text(
-        os.path.join(models_dir, f"{model.dimension_name}.vocab.tsv"),
-        "\n".join(lines) + "\n",
-    )
-    save_array(os.path.join(models_dir, f"{model.dimension_name}.vectors.kign"),
-               model.vectors)
+def _save_model(paths: dict, model: DimensionModel) -> None:
+    name = model.dimension_name
+    _write_rows(paths[f"{name}.vocab"], sorted(model.vocab.items(), key=lambda kv: kv[1]))
+    save_array(paths[f"{name}.vectors"], model.vectors)
 
 
-def _load_model(models_dir: str, name: str, cfg: PipelineConfig) -> DimensionModel:
-    vocab = {}
-    with open(os.path.join(models_dir, f"{name}.vocab.tsv"), encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                tok, idx = line.rstrip("\n").split("\t")
-                vocab[tok] = int(idx)
-    vectors = load_array(os.path.join(models_dir, f"{name}.vectors.kign"))
-    return DimensionModel(name, vocab, vectors, d_sub=vectors.shape[1],
+def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
+    vocab_path = paths[f"{name}.vocab"]
+    rows = _read_rows(vocab_path, str, int)
+    if [idx for _, idx in rows] != list(range(len(rows))):
+        raise StorageError(f"{vocab_path}: indices are not 0..{len(rows) - 1} in order")
+    vocab = dict(rows)
+    vectors = _load_shaped(paths[f"{name}.vectors"], (len(vocab), cfg.d_sub[name]))
+    return DimensionModel(name, vocab, vectors, d_sub=cfg.d_sub[name],
                           window=cfg.window, seed=derive_seed(cfg.seed, f"embedding.{name}"))
 
 
 def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
-    triples = sorted(seeded.subkg.triples)
-    atomic_write_text(
-        paths["subkg_triples"],
-        "".join(
-            f"{kg.concepts[t.subject].label}\t{t.predicate}\t{kg.concepts[t.object].label}\n"
-            for t in triples
-        ),
-    )
-    atomic_write_text(
-        paths["subkg_scores"],
-        "".join(f"{cid}\t{score!r}\n" for cid, score in sorted(seeded.relevance.items())),
-    )
-    atomic_write_text(
-        paths["subkg_depths"],
-        "".join(f"{cid}\t{depth}\n" for cid, depth in sorted(seeded.subkg.frontier_depth.items())),
-    )
-    atomic_write_text(
-        paths["subkg_concepts"],
-        "".join(f"{cid}\n" for cid in seeded.embedded_concepts),
-    )
+    label = {cid: concept.label for cid, concept in kg.concepts.items()}
+    _write_rows(paths["subkg_triples"], ((label[t.subject], t.predicate, label[t.object])
+                                         for t in sorted(seeded.subkg.triples)))
+    _write_rows(paths["subkg_scores"], sorted(seeded.relevance.items()))
+    _write_rows(paths["subkg_depths"], sorted(seeded.subkg.frontier_depth.items()))
+    _write_rows(paths["subkg_concepts"], ((cid,) for cid in seeded.embedded_concepts))
     save_array(paths["subkg_matrix"], seeded.embedding_matrix)
 
 
-def _load_seeded(paths: dict, kg: KnowledgeGraph) -> SeededSubKG:
-    from .kg import Triple
-    from .text import normalize_label
+def _load_seeded(paths: dict, kg: KnowledgeGraph, width: int) -> SeededSubKG:
+    def concept(cid):
+        if cid not in kg.concepts:
+            raise ValueError(f"{cid!r} is not a concept of the graph")
+        return cid
 
-    triples = set()
-    with open(paths["subkg_triples"], encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                s, p, o = line.rstrip("\n").split("\t")
-                triples.add(Triple(normalize_label(s), normalize_label(p), normalize_label(o)))
-    depths = {}
-    with open(paths["subkg_depths"], encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                cid, depth = line.rstrip("\n").split("\t")
-                depths[cid] = int(depth)
-    relevance = {}
-    with open(paths["subkg_scores"], encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                cid, score = line.rstrip("\n").split("\t")
-                relevance[cid] = float(score)
-    with open(paths["subkg_concepts"], encoding="utf-8") as handle:
-        embedded = tuple(line.strip() for line in handle if line.strip())
-    matrix = load_array(paths["subkg_matrix"])
-    subkg = SubKG(parent=kg, triples=frozenset(triples), frontier_depth=depths)
-    return SeededSubKG(subkg, relevance, matrix, embedded)
+    def label(text):
+        return concept(normalize_label(text))
+
+    triples = _read_rows(paths["subkg_triples"], label, normalize_label, label)
+    depths = _read_rows(paths["subkg_depths"], concept, int)
+    relevance = _read_rows(paths["subkg_scores"], concept, float)
+    embedded = tuple(cid for cid, in _read_rows(paths["subkg_concepts"], concept))
+    matrix = _load_shaped(paths["subkg_matrix"], (width, len(embedded)))
+    subkg = SubKG(parent=kg, triples=frozenset(Triple(*t) for t in triples),
+                  frontier_depth=dict(depths))
+    return SeededSubKG(subkg, dict(relevance), matrix, embedded)
 
 
 def load_build(cfg: PipelineConfig) -> BuildArtifacts:
     """Load previously built artifacts from the output directory."""
-    paths = _artifact_paths(cfg.out_dir)
-    if not _artifacts_present(cfg, paths):
+    paths = _artifact_paths(cfg)
+    if not all(map(os.path.isfile, paths.values())):
         raise ValidationError(
             f"build artifacts missing under {cfg.out_dir}; run the build command first"
         )
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
-    models = [_load_model(paths["models_dir"], name, cfg) for name in sorted(cfg.corpora)]
-    seeded = _load_seeded(paths, kg)
-    ke_values = load_array(paths["ke"])
-    with open(paths["ke_meta"], encoding="utf-8") as handle:
-        pair_count = json.load(handle)["pair_count"]
+    models = [_load_model(paths, name, cfg) for name in sorted(cfg.corpora)]
+    width = content_width(models)
+    seeded = _load_seeded(paths, kg, width)
+    ke_values = _load_shaped(paths["ke"], (width,))
+    pair_count = _read_json(paths["ke_meta"]).get("pair_count")
+    if type(pair_count) is not int or pair_count < 0:
+        raise StorageError(f"{paths['ke_meta']}: pair_count is not a count")
     return BuildArtifacts(kg, models, seeded, ke_values, pair_count, config_hash(cfg))
 
 
@@ -486,43 +488,60 @@ _INFUSED_META = ("gate_lr", "epsilon", "max_inner_iters")
 
 
 def load_trained(path) -> Checkpoint:
-    """Read a checkpoint; a missing metadata key or array raises StorageError."""
+    """Read a checkpoint; a missing or invalid metadata key, or a missing
+    array or one whose shape the metadata does not give, raises StorageError."""
     meta, arrays = load_checkpoint(path)
     infused = meta.get("mode") == "infused"
     missing = [k for k in _CHECKPOINT_META + (_INFUSED_META if infused else ()) if k not in meta]
     if missing:
         raise StorageError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
-    try:
-        layers = meta["layers"]
-        params = LSTMParams(
-            layer_weights=[arrays[f"lstm.layer{l}.W"] for l in range(layers)],
-            layer_biases=[arrays[f"lstm.layer{l}.b"] for l in range(layers)],
-            w_out=arrays["lstm.head.W"],
-            b_out=arrays["lstm.head.b"],
-            d=meta["hidden"],
-            input_width=meta["input_width"],
-            n_classes=meta["n_classes"],
+    layers, d, width, n = (meta[k] for k in ("layers", "hidden", "input_width", "n_classes"))
+    if not all(type(v) is int and v >= 1 for v in (layers, d, width, n)):
+        raise StorageError(f"{path}: layers, hidden, input_width, n_classes must be positive")
+    if infused and d != width:
+        raise StorageError(f"{path}: an infused checkpoint needs hidden == input_width")
+    labels = meta["labels"]
+    if meta["mode"] not in MODES or not isinstance(labels, list) or len(labels) != n:
+        raise StorageError(f"{path}: mode not in {MODES} or labels not n_classes long")
+    shapes = {"lstm.head.W": (n, d), "lstm.head.b": (n,), "ke": (width,)}
+    for l in range(layers):
+        shapes[f"lstm.layer{l}.W"] = (4 * d, (width if l == 0 else d) + d)
+        shapes[f"lstm.layer{l}.b"] = (4 * d,)
+    if infused:
+        shapes.update({"fusion.gate_weights": (d, d + width), "fusion.gate_bias": (d,),
+                       "fusion.head.W": (n, d), "fusion.head.b": (n,)})
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise StorageError(f"{path}: checkpoint has no array {name!r}")
+        if arrays[name].shape != shape:
+            raise StorageError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                               f"expected {shape}")
+    params = LSTMParams(
+        layer_weights=[arrays[f"lstm.layer{l}.W"] for l in range(layers)],
+        layer_biases=[arrays[f"lstm.layer{l}.b"] for l in range(layers)],
+        w_out=arrays["lstm.head.W"],
+        b_out=arrays["lstm.head.b"],
+        d=d,
+        input_width=width,
+        n_classes=n,
+    )
+    fusion = None
+    head_w = head_b = None
+    if infused:
+        fusion = InfusionParams(
+            gate_weights=arrays["fusion.gate_weights"],
+            gate_bias=arrays["fusion.gate_bias"],
+            gate_lr=meta["gate_lr"],
+            epsilon=meta["epsilon"],
+            max_inner_iters=meta["max_inner_iters"],
         )
-        fusion = None
-        head_w = head_b = None
-        if infused:
-            fusion = InfusionParams(
-                gate_weights=arrays["fusion.gate_weights"],
-                gate_bias=arrays["fusion.gate_bias"],
-                gate_lr=meta["gate_lr"],
-                epsilon=meta["epsilon"],
-                max_inner_iters=meta["max_inner_iters"],
-            )
-            head_w = arrays["fusion.head.W"]
-            head_b = arrays["fusion.head.b"]
-        ke_values = arrays["ke"]
-    except KeyError as exc:
-        raise StorageError(f"{path}: checkpoint has no array {exc.args[0]!r}") from exc
+        head_w = arrays["fusion.head.W"]
+        head_b = arrays["fusion.head.b"]
     return Checkpoint(
         mode=meta["mode"],
-        labels=tuple(meta["labels"]),
+        labels=tuple(labels),
         params=params,
-        ke_values=ke_values,
+        ke_values=arrays["ke"],
         fusion=fusion,
         head_w=head_w,
         head_b=head_b,
@@ -760,16 +779,12 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         )
     updated = dke_mod.update_seeded(art.seeded, diff, solution)
 
-    paths = _artifact_paths(cfg.out_dir)
+    paths = _artifact_paths(cfg)
     _save_seeded(paths, art.kg, updated)
     _write_knowledge_embedding(cfg, paths, updated, art.models)
     manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
     if os.path.isfile(manifest_path):
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        manifest["artifacts"] = _hash_artifacts(cfg, paths)
-        manifest["evolved"] = True
-        atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_manifest(cfg, paths, {**_read_json(manifest_path), "evolved": True})
 
     outcome = UpdateOutcome(
         misclassified=misclassified,

@@ -98,7 +98,11 @@ def _u32s(path, blob: bytes, offset: int, count: int):
 
 def _payload(path, blob: bytes, offset: int, shape):
     raw, end = _take(path, blob, offset, 8 * math.prod(shape))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64), end
+    try:
+        array = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    except ValueError as exc:  # more axes than numpy supports
+        raise StorageError(f"{path}: unusable shape ({exc})") from exc
+    return array.astype(np.float64), end
 
 
 def _header(path, blob: bytes, magic: bytes, kind: str):
@@ -157,7 +161,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     raw, offset = _take(path, blob, offset, meta_len)
     try:
         meta = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise StorageError(f"{path}: unreadable metadata block ({exc})") from exc
     if not isinstance(meta, dict):
         raise StorageError(f"{path}: metadata block is not a JSON object")

@@ -1,6 +1,15 @@
 import os
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Hypothesis caches what it learns about the source under its home
+# directory, by default .hypothesis/ in the working tree. Point it at a
+# directory removed at exit; the property tests also pass database=None,
+# so no example database is kept either.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="kginfuse-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 TINY_KG = """\
 jihad\tisa\tdoctrine

@@ -2,7 +2,10 @@
 
 import os
 
+import numpy as np
+
 from kginfuse.cli import main
+from kginfuse.storage import load_checkpoint, save_checkpoint
 
 
 def test_build_then_train_then_eval(tiny_project, capsys):
@@ -97,4 +100,59 @@ def test_non_utf8_dataset_exits_one(tiny_project, capsys):
     assert main(["build", "--config", str(tiny_project)]) == 1
     err = capsys.readouterr().err
     assert f"error: {dataset}:9: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def _train_vanilla(tiny_project, capsys):
+    assert main(["train", "--config", str(tiny_project)]) == 0
+    return capsys.readouterr().out.split("checkpoint: ", 1)[1].splitlines()[0]
+
+
+def test_vocabulary_cut_mid_line_exits_two(tiny_project, capsys):
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    vocab = os.path.join(os.path.dirname(str(tiny_project)), "out", "models", "main.vocab.tsv")
+    with open(vocab, "rb") as handle:
+        cut = handle.read()
+    cut = cut[:cut.index(b"\n", 20) + 3]  # two bytes into a line
+    with open(vocab, "wb") as handle:
+        handle.write(cut)
+    assert main(["eval", "--config", str(tiny_project), "--checkpoint", checkpoint]) == 2
+    err = capsys.readouterr().err
+    line = cut.count(b"\n") + 1
+    assert f"runtime error: {vocab}:{line}: line not terminated" in err
+    assert "Traceback" not in err
+
+
+def test_truncated_manifest_exits_two(tiny_project, capsys):
+    assert main(["build", "--config", str(tiny_project)]) == 0
+    manifest = os.path.join(os.path.dirname(str(tiny_project)), "out", "manifest.json")
+    with open(manifest, "rb") as handle:
+        blob = handle.read()
+    with open(manifest, "wb") as handle:
+        handle.write(blob[:len(blob) // 2])
+    capsys.readouterr()
+    assert main(["build", "--config", str(tiny_project)]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime error: {manifest}: unreadable JSON" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_config_value_exits_one(tiny_project, capsys):
+    text = tiny_project.read_text(encoding="utf-8").replace("clip_norm = 5.0", "clip_norm = nan")
+    tiny_project.write_text(text, encoding="utf-8")
+    assert main(["train", "--config", str(tiny_project)]) == 1
+    err = capsys.readouterr().err
+    assert "error: clip_norm: must be finite, got 'nan'" in err
+    assert "Traceback" not in err
+
+
+def test_misshapen_checkpoint_array_exits_two(tiny_project, tmp_path, capsys):
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    meta, arrays = load_checkpoint(checkpoint)
+    arrays["lstm.head.W"] = np.zeros((3, 3))
+    bad = str(tmp_path / "bad.kicp")
+    save_checkpoint(bad, meta, arrays)
+    assert main(["eval", "--config", str(tiny_project), "--checkpoint", bad]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error:" in err and "'lstm.head.W' has shape (3, 3)" in err
     assert "Traceback" not in err

@@ -3,8 +3,12 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kginfuse.config import (
+    MODES,
+    PipelineConfig,
     config_hash,
     emit_config,
     parse_config,
@@ -77,7 +81,6 @@ def test_d_sub_default_and_override():
     )
     cfg = parse_config_text(text)
     assert cfg.d_sub == {"x": 3, "y": 5}
-    assert cfg.content_width() == 8
 
 
 def test_d_sub_for_unknown_dimension_rejected():
@@ -100,15 +103,17 @@ def test_predicate_allowlist_parsed_and_sorted():
     assert cfg.predicates == ("isa", "related_to")
 
 
+_BASE = (
+    "[paths]\nkg = a\ndataset = b\ncorpus.x = c\n"
+    "[subkg]\ntarget_class = pos\n[embedding]\nd_sub = 2\n"
+)
+
+
 def test_bad_numeric_values_rejected():
-    base = (
-        "[paths]\nkg = a\ndataset = b\ncorpus.x = c\n"
-        "[subkg]\ntarget_class = pos\n[embedding]\nd_sub = 2\n"
-    )
     for bad in ("[nlm]\nlayers = 1\n", "[nlm]\nlr = 0\n", "[nlm]\nepochs = zero\n",
                 "[run]\nmode = hybrid\n", "[dke]\nalpha = -1\n"):
         with pytest.raises(ConfigError):
-            parse_config_text(base + bad)
+            parse_config_text(_BASE + bad)
 
 
 def test_missing_input_file_detected(tiny_project, tmp_path):
@@ -133,3 +138,127 @@ def test_non_utf8_config_names_path_and_line(tmp_path):
     path.write_bytes("[run]\nseed = 1\n# café\n".encode("latin-1"))
     with pytest.raises(ValidationError, match=re.escape(f"{path}:3: not valid UTF-8")):
         parse_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("nlm", "lr"), ("nlm", "clip_norm"), ("infusion", "epsilon"),
+    ("infusion", "gate_lr"), ("dke", "alpha"), ("dke", "ridge"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+        parse_config_text(_BASE + f"[{section}]\n{key} = {value}\n")
+
+
+GOLDEN_CONFIG = """\
+[paths]
+kg = /p/kg.tsv
+dataset = /p/train.tsv
+eval_dataset = /p/test.tsv
+corpus.a = /p/a.txt
+corpus.b = /p/b.txt
+
+[subkg]
+target_class = pos
+top_m = 5
+hops = 1
+predicates = isa,part_of
+taxonomy_predicate = isa
+
+[embedding]
+window = 3
+d_sub.a = 4
+d_sub.b = 2
+
+[nlm]
+layers = 3
+hidden = 6
+epochs = 2
+iters = 9
+batch_size = 4
+lr = 0.25
+clip_norm = 5.0
+
+[infusion]
+epsilon = 1e-06
+gate_lr = 0.1
+max_inner_iters = 7
+
+[dke]
+alpha = 1.5
+ridge = 0.0
+proximity_hops = 1
+
+[run]
+mode = vanilla
+seed = -3
+out = /p/runs
+compare_seeds = 4
+"""
+
+
+def test_emitted_text_is_pinned():
+    # config_hash keys the build cache and every checkpoint's
+    # config_sha256, so the emitted bytes must not drift.
+    cfg = PipelineConfig(
+        kg_path="/p/kg.tsv", dataset_path="/p/train.tsv", eval_dataset_path="/p/test.tsv",
+        corpora={"b": "/p/b.txt", "a": "/p/a.txt"}, target_class="pos", top_m=5,
+        subkg_hops=1, predicates=("isa", "part_of"), window=3, d_sub={"b": 2, "a": 4},
+        layers=3, hidden=6, epochs=2, iters=9, batch_size=4, lr=0.25, clip_norm=5.0,
+        epsilon=1e-6, gate_lr=0.1, max_inner_iters=7, alpha=1.5, ridge=0.0,
+        proximity_hops=1, mode="vanilla", seed=-3, out_dir="/p/runs", compare_seeds=4,
+    )
+    assert emit_config(cfg) == GOLDEN_CONFIG
+    assert parse_config_text(GOLDEN_CONFIG, base_dir="/") == cfg
+
+
+_CONFIG_LINES = st.sampled_from([
+    "[paths]", "[subkg]", "[embedding]", "[nlm]", "[run]", "[dke]", "[mystery]",
+    "kg = kg.tsv", "dataset = d.tsv", "eval_dataset =", "corpus.x = c.txt", "corpus. = c",
+    "target_class = pos", "top_m = 0", "hops = -1", "predicates = all", "predicates = ,",
+    "d_sub = 2", "d_sub.x = 3", "d_sub.y = 1", "window = 1e3", "layers = 2", "lr = nan",
+    "ridge = -0.0", "mode = hybrid", "seed = 99999999999999999999", "out =", "= 3",
+    "# comment", "",
+])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_CONFIG_LINES, st.text(max_size=20)), max_size=14))
+def test_any_text_parses_or_raises_validation_error(lines):
+    try:
+        parse_config_text("\n".join(lines), base_dir="/")
+    except ValidationError:
+        pass
+
+
+_NAMES = st.text("abcxyz_09", min_size=1, max_size=6)
+_PATHS = st.lists(_NAMES, min_size=1, max_size=3).map(lambda parts: "/" + "/".join(parts))
+_VALUES = st.text("abc xyz-_.=:", min_size=1, max_size=8).map(str.strip).filter(bool)
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def _configs(draw):
+    corpora = draw(st.dictionaries(_NAMES, _PATHS, min_size=1, max_size=3))
+    predicates = draw(st.none() | st.sets(_NAMES.filter(lambda p: p.lower() != "all"),
+                                          min_size=1, max_size=3).map(lambda p: tuple(sorted(p))))
+    ints = st.integers(min_value=2, max_value=10**6)
+    return PipelineConfig(
+        kg_path=draw(_PATHS), dataset_path=draw(_PATHS), corpora=corpora,
+        eval_dataset_path=draw(st.none() | _PATHS), target_class=draw(_VALUES),
+        top_m=draw(ints), subkg_hops=draw(st.integers(0, 5)), predicates=predicates,
+        taxonomy_predicate=draw(_VALUES), window=draw(ints),
+        d_sub={name: draw(ints) for name in corpora}, layers=draw(ints), hidden=draw(ints),
+        epochs=draw(ints), iters=draw(ints), batch_size=draw(ints), lr=draw(_POSITIVE),
+        clip_norm=draw(_POSITIVE), epsilon=draw(_POSITIVE), gate_lr=draw(_POSITIVE),
+        max_inner_iters=draw(ints), alpha=draw(_POSITIVE),
+        ridge=draw(st.floats(min_value=0.0, max_value=1e300)), proximity_hops=draw(ints),
+        mode=draw(st.sampled_from(MODES)), seed=draw(st.integers(-10**9, 10**9)),
+        out_dir=draw(_PATHS), compare_seeds=draw(ints),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_configs())
+def test_parse_of_emit_is_identity(cfg):
+    assert parse_config_text(emit_config(cfg), base_dir="/") == cfg

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from kginfuse.errors import InfusionError, ValidationError
+from kginfuse import infusion
 from kginfuse.infusion import (
     InfusionParams,
     fuse_step,
     kl_divergence,
     gate_gradient,
+    gradient_check,
     knowledge_infusion,
     modulate,
     trace_csv,
@@ -20,26 +22,6 @@ from kginfuse.infusion import (
 def make_params(d=2, seed=0, **kw):
     return InfusionParams.init(d, np.random.default_rng(seed), **kw)
 
-
-def fused_divergence(h, k, params):
-    """The composite the gradient is taken through, via public pieces."""
-    return kl_divergence(fuse_step(h, k, params), k)
-
-
-def numeric_gradient(h, k, params, eps=1e-6):
-    gw = np.zeros_like(params.gate_weights)
-    gb = np.zeros_like(params.gate_bias)
-    for arr, out in ((params.gate_weights, gw), (params.gate_bias, gb)):
-        flat, gflat = arr.reshape(-1), out.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = fused_divergence(h, k, params)
-            flat[i] = orig - eps
-            down = fused_divergence(h, k, params)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * eps)
-    return gw, gb
 
 
 class TestKlDivergence:
@@ -151,13 +133,18 @@ class TestKlfGradient:
         rng = np.random.default_rng(8)
         for seed in range(5):
             params = make_params(d=3, seed=seed)
+            weights = params.gate_weights.copy()
             h = rng.normal(size=3)
             k = rng.normal(size=3)
-            gw, gb = gate_gradient(h, k, params)
-            nw, nb = numeric_gradient(h, k, params)
-            for a, n in ((gw, nw), (gb, nb)):
-                denom = np.maximum(np.abs(a) + np.abs(n), 1e-8)
-                assert np.max(np.abs(a - n) / denom) < 1e-6
+            assert gradient_check(h, k, params) < 1e-6
+            assert np.array_equal(params.gate_weights, weights)
+
+    def test_gradient_check_flags_a_wrong_gradient(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        h, k = rng.normal(size=3), rng.normal(size=3)
+        monkeypatch.setattr(infusion, "gate_gradient",
+                            lambda *a: tuple(2.0 * g for g in gate_gradient(*a)))
+        assert gradient_check(h, k, make_params(d=3)) > 0.3
 
 
 class TestModulate:

@@ -10,7 +10,7 @@ import pytest
 
 from kginfuse.config import parse_config
 from kginfuse.datasets import read_labeled_tsv
-from kginfuse.errors import ConfigError, ValidationError
+from kginfuse.errors import ConfigError, StorageError, ValidationError
 from kginfuse.pipeline import (
     build,
     compare,
@@ -277,6 +277,98 @@ class TestUpdateKg:
         after = load_build(cfg)
         norms = np.linalg.norm(after.seeded.embedding_matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def _rewrite(path, transform):
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(transform(blob))
+
+
+def _replace_line(number, new):
+    """Transform that replaces line `number` (1-based) of a file."""
+    def transform(blob):
+        lines = blob.split(b"\n")
+        lines[number - 1] = new
+        return b"\n".join(lines)
+    return transform
+
+
+class TestCorruptBuildArtifacts:
+    @pytest.fixture
+    def built(self, tiny_project):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        return cfg
+
+    @pytest.mark.parametrize("transform, message", [
+        (lambda b: b"\n".join(b.split(b"\n")[:3])[:-2], ":3: line not terminated"),
+        (_replace_line(2, "caf\u00e9\t1".encode("latin-1")), ":2: not valid UTF-8"),
+        (_replace_line(2, b"token"), ":2: expected 2 fields, got 1"),
+        (_replace_line(2, b"token\tone"), ":2: invalid literal for int()"),
+        (_replace_line(2, b"token\t7"), ": indices are not 0.."),
+        (lambda b: b[:b.rindex(b"\n", 0, -1) + 1], "vectors.kign: shape"),
+        (lambda b: b + b"zzz\t" + str(b.count(b"\n")).encode() + b"\n", "vectors.kign: shape"),
+    ], ids=["cut-mid-line", "latin-1", "one-field", "text-index", "index-out-of-order",
+            "row-dropped", "row-added"])
+    def test_bad_vocabulary_rejected(self, built, transform, message):
+        path = os.path.join(built.out_dir, "models", "main.vocab.tsv")
+        _rewrite(path, transform)
+        with pytest.raises(StorageError, match=re.escape(message)):
+            load_build(built)
+
+    def test_truncated_triple_label_rejected_before_update(self, built, tmp_path):
+        # A cut label must fail at load, not later inside update_kg.
+        path = os.path.join(built.out_dir, "subkg", "triples.tsv")
+        line = open(path, encoding="utf-8").readline().rstrip("\n")
+        _rewrite(path, _replace_line(1, line[:-1].encode()))
+        cut = line.split("\t")[2][:-1]
+        ckpt = constant_checkpoint(str(tmp_path / "const.kicp"))
+        with pytest.raises(StorageError, match=re.escape(f"{path}:1: {cut!r} is not a concept")):
+            update_kg(built, ckpt)
+
+    @pytest.mark.parametrize("name, transform, message", [
+        ("concepts.tsv", lambda b: b + b"place\n", "embeddings.kign: shape"),
+        ("concepts.tsv", lambda b: b + b"nowhere\n", "is not a concept"),
+        ("depths.tsv", _replace_line(1, b"jihad\t1.5"), ":1: invalid literal for int()"),
+        ("scores.tsv", _replace_line(1, b"jihad"), ":1: expected 2 fields, got 1"),
+    ], ids=["extra-concept", "unknown-concept", "float-depth", "one-field"])
+    def test_bad_subgraph_file_rejected(self, built, name, transform, message):
+        _rewrite(os.path.join(built.out_dir, "subkg", name), transform)
+        with pytest.raises(StorageError, match=re.escape(message)):
+            load_build(built)
+
+    @pytest.mark.parametrize("text", [b'{"pair_count": "3"}\n', b"[3]\n", b"{\xff}",
+                                      b"[" * 100_000],
+                             ids=["text-count", "array", "latin-1", "deep-nesting"])
+    def test_bad_knowledge_metadata_rejected(self, built, text):
+        _rewrite(os.path.join(built.out_dir, "knowledge", "ke.json"), lambda b: text)
+        with pytest.raises(StorageError, match="ke.json"):
+            load_build(built)
+
+    def test_every_truncation_of_each_text_artifact_loads_or_is_rejected(self, built):
+        for name in ("models/main.vocab.tsv", "subkg/triples.tsv", "subkg/scores.tsv",
+                     "subkg/depths.tsv", "subkg/concepts.tsv", "knowledge/ke.json"):
+            path = os.path.join(built.out_dir, name)
+            blob = open(path, "rb").read()
+            for cut in range(len(blob)):
+                _rewrite(path, lambda b: blob[:cut])
+                try:
+                    load_build(built)
+                except StorageError:
+                    pass
+            _rewrite(path, lambda b: blob)
+
+    def test_every_truncation_of_the_manifest_builds_or_is_rejected(self, built):
+        path = os.path.join(built.out_dir, "manifest.json")
+        blob = open(path, "rb").read()
+        for cut in range(len(blob)):
+            _rewrite(path, lambda b: blob[:cut])
+            try:
+                build(built)
+            except StorageError:
+                pass
 
 
 def test_link_concepts_matches_multiword_labels():

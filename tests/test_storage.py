@@ -3,14 +3,21 @@
 import os
 import re
 import struct
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kginfuse.config import parse_config
 from kginfuse.errors import StorageError, ValidationError
 from kginfuse.pipeline import build, load_trained, train
 from kginfuse.storage import (
+    ARRAY_MAGIC,
+    CHECKPOINT_MAGIC,
+    FORMAT_VERSION,
     load_array,
     load_checkpoint,
     read_text,
@@ -131,6 +138,109 @@ class TestCorruptArtifacts:
         save_checkpoint(path, meta, arrays)
         with pytest.raises(StorageError, match="lstm.layer1.W"):
             load_trained(path)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("lstm.head.W", (3, 3)), ("lstm.layer0.W", (16, 7)), ("lstm.layer1.b", (15,)),
+        ("ke", (4, 1)),
+    ])
+    def test_misshapen_array_rejected_by_load_trained(self, trained_project, tmp_path,
+                                                       name, shape):
+        _, checkpoint = trained_project
+        meta, arrays = load_checkpoint(checkpoint)
+        arrays[name] = np.zeros(shape)
+        path = tmp_path / "shape.kicp"
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(StorageError, match=re.escape(f"{name!r} has shape {shape}")):
+            load_trained(path)
+
+    def test_misshapen_fusion_array_rejected_by_load_trained(self, tiny_project, tmp_path):
+        cfg = replace(parse_config(tiny_project), mode="infused")
+        checkpoint = train(cfg, art=build(cfg)).checkpoint_path
+        assert load_trained(checkpoint).fusion is not None
+        meta, arrays = load_checkpoint(checkpoint)
+        for name in ("fusion.gate_weights", "fusion.gate_bias", "fusion.head.W"):
+            bad = dict(arrays, **{name: np.zeros((2, 2))})
+            save_checkpoint(tmp_path / "fusion.kicp", meta, bad)
+            with pytest.raises(StorageError, match=re.escape(name)):
+                load_trained(tmp_path / "fusion.kicp")
+
+    @pytest.mark.parametrize("key, value", [
+        ("layers", "2"), ("hidden", 0), ("n_classes", 2.0), ("labels", ["neg"]),
+        ("mode", "hybrid"),
+    ])
+    def test_invalid_metadata_rejected_by_load_trained(self, trained_project, tmp_path,
+                                                       key, value):
+        _, checkpoint = trained_project
+        meta, arrays = load_checkpoint(checkpoint)
+        meta[key] = value
+        path = tmp_path / "meta.kicp"
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(StorageError):
+            load_trained(path)
+
+    def test_infused_hidden_unequal_to_input_width_rejected(self, trained_project, tmp_path):
+        # Every array matches the metadata, but fusion needs hidden == input_width.
+        _, checkpoint = trained_project
+        meta, arrays = load_checkpoint(checkpoint)
+        d, width, n = 4, 3, meta["n_classes"]
+        meta.update(mode="infused", hidden=d, input_width=width, gate_lr=0.1, epsilon=1e-6,
+                    max_inner_iters=20)
+        arrays.update({"lstm.layer0.W": np.zeros((4 * d, width + d)), "ke": np.zeros(width),
+                       "fusion.gate_weights": np.zeros((d, d + width)),
+                       "fusion.gate_bias": np.zeros(d), "fusion.head.W": np.zeros((n, d)),
+                       "fusion.head.b": np.zeros(n)})
+        path = tmp_path / "width.kicp"
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(StorageError, match="hidden == input_width"):
+            load_trained(path)
+
+    def test_deeply_nested_metadata_rejected(self, tmp_path):
+        path = tmp_path / "deep.kicp"
+        meta = b"[" * 100_000
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<2I", 1, len(meta)) + meta
+                         + struct.pack("<I", 0))
+        with pytest.raises(StorageError, match="unreadable metadata"):
+            load_checkpoint(path)
+
+    def test_more_axes_than_numpy_supports_rejected(self, tmp_path):
+        path = tmp_path / "rank65.kign"
+        path.write_bytes(ARRAY_MAGIC + struct.pack("<67I", 1, 65, *[1] * 65) + bytes(8))
+        with pytest.raises(StorageError, match="unusable shape"):
+            load_array(path)
+
+
+def _valid_checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "small.kicp")
+        save_checkpoint(path, {"mode": "vanilla", "n": [1, 2]},
+                        {"a": np.arange(3.0), "b": np.ones((2, 1))})
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+_CHECKPOINT = _valid_checkpoint_bytes()
+_HEADER = struct.pack("<I", FORMAT_VERSION)
+_BLOBS = st.one_of(
+    st.binary(max_size=80),
+    st.binary(max_size=80).map(lambda b: ARRAY_MAGIC + _HEADER + b),
+    st.binary(max_size=80).map(lambda b: CHECKPOINT_MAGIC + _HEADER + b),
+    st.tuples(st.integers(0, len(_CHECKPOINT) - 1), st.integers(0, 255)).map(
+        lambda iv: _CHECKPOINT[:iv[0]] + bytes([iv[1]]) + _CHECKPOINT[iv[0] + 1:]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_BLOBS)
+def test_any_bytes_load_or_raise_storage_error(blob):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "blob")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        for load in (load_array, load_checkpoint):
+            try:
+                load(path)
+            except StorageError:
+                pass
 
 
 def test_read_text_names_line_of_bad_byte(tmp_path):
