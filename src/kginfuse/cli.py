@@ -123,7 +123,7 @@ def cmd_update_kg(args) -> int:
     print(f"misclassified: {outcome.misclassified}")
     print(f"new triples: {outcome.new_triples} (new concepts: {outcome.new_concepts})")
     if outcome.residual is not None:
-        print(f"mapping residual: {outcome.residual:.3e}")
+        print(f"mapping residual: {outcome.residual:.3e} imbalance: {outcome.imbalance:.3e}")
     print(f"outcome: {outcome.reason}")
     return 0
 

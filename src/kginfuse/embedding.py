@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kg import Concept, lcs_distance
-from .text import normalize_label, tokenize
+from .text import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +132,7 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed_text(models, text: str) -> ContentVector:
+def embed_tokens(models, tokens) -> ContentVector:
     """Bag-of-words mean per dimension, concatenated in model order.
 
     In-vocab tokens are summed in sorted order, so the result is exactly
@@ -140,7 +140,6 @@ def embed_text(models, text: str) -> ContentVector:
     """
     if not models:
         raise ValidationError("at least one dimension model is required")
-    tokens = tokenize(text)
     pieces = []
     hits = 0
     for model in models:
@@ -155,12 +154,12 @@ def embed_text(models, text: str) -> ContentVector:
 
 
 def concept_embedding(models, concept: Concept) -> ContentVector:
-    """Embedding of a concept's normalized label.
+    """Embedding of a concept's label tokens.
 
     A hit_count of zero marks the concept unresolvable; such concepts
     are excluded from subgraph embedding matrices.
     """
-    return embed_text(models, normalize_label(concept.label))
+    return embed_tokens(models, concept.tokens)
 
 
 def embed_concepts(kg, concept_ids, models) -> tuple[np.ndarray, tuple[str, ...]]:

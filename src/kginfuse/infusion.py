@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfusionError, ValidationError
-from .nlm import _sigmoid, log_softmax
+from .nlm import _sigmoid, finite_difference_errors, log_softmax
 
 _BACKTRACK_LIMIT = 20
 _ACCEPT_TOL = 1e-12
@@ -139,25 +139,14 @@ def gate_gradient(h, knowledge, params: InfusionParams):
 
 
 def gradient_check(h, k, params: InfusionParams) -> float:
-    """Worst relative error |a - n| / max(|a| + |n|, 1e-8) of gate_gradient
-    against central differences (step 1e-6) over every gate parameter."""
+    """Worst relative error of gate_gradient against finite differences
+    (nlm.finite_difference_errors) over every gate parameter."""
     work = params.copy()
     grad_w, grad_b = gate_gradient(h, k, work)
-    eps = 1e-6
-    worst = 0.0
-    for arr, grad in ((work.gate_weights, grad_w), (work.gate_bias, grad_b)):
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = kl_divergence(fuse_step(h, k, work), k)
-            flat[i] = orig - eps
-            down = kl_divergence(fuse_step(h, k, work), k)
-            flat[i] = orig
-            numeric = (up - down) / (2 * eps)
-            denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst
+    errors = finite_difference_errors(
+        lambda: kl_divergence(fuse_step(h, k, work), k),
+        {"W": (work.gate_weights, grad_w), "b": (work.gate_bias, grad_b)})
+    return max(errors.values())
 
 
 def modulate(h, gate) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     GraphFormatError,
@@ -18,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .storage import read_text
-from .text import normalize_label
+from .text import normalize_label, tokenize
 
 DEFAULT_TAXONOMY_PREDICATE = "isa"
 
@@ -27,6 +28,11 @@ DEFAULT_TAXONOMY_PREDICATE = "isa"
 class Concept:
     id: str
     label: str
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The label's tokens; every match of the concept against text uses these."""
+        return tuple(tokenize(self.label))
 
 
 @dataclass(frozen=True, order=True)
@@ -84,9 +90,6 @@ class KnowledgeGraph:
 
     def has_concept(self, concept_id: str) -> bool:
         return concept_id in self.concepts
-
-    def neighbors(self, concept_id: str) -> set[str]:
-        return self._neighbors[concept_id]
 
     def predicates(self) -> set[str]:
         return {t.predicate for t in self.triples}

@@ -55,9 +55,6 @@ class LSTMParams:
             n_classes=self.n_classes,
         )
 
-    def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.named_groups())
-
 
 @dataclass
 class HiddenStates:
@@ -305,25 +302,35 @@ class GradCheckReport:
 
 def gradient_check(params: LSTMParams, batch, epsilon: float = 1e-5,
                    groups=None) -> GradCheckReport:
-    """Compare analytic gradients to central finite differences.
-
-    The numeric side is Richardson-extrapolated from two central
-    differences (steps epsilon and epsilon/2), cancelling the leading
-    truncation term. Relative error per component is
-    |a - n| / max(|a| + |n|, 1e-6); the floor sits orders of magnitude
-    below any real gradient signal, so directions where both sides
-    vanish report ~0 instead of amplifying float rounding. Intended for
-    small models (a few thousand parameters).
-    """
+    """finite_difference_errors of the batch loss over the named groups (all
+    by default); intended for small models (a few thousand parameters)."""
     _, analytic = batch_gradients(params, batch)
     work = params.copy()
     arrays = dict(work.named_groups())
     selected = list(arrays) if groups is None else list(groups)
-    by_group = {}
-    count = 0
-    for name in selected:
-        arr = arrays[name]
-        grad = analytic[name]
+    by_group = finite_difference_errors(
+        lambda: _batch_loss_only(work, batch),
+        {name: (arrays[name], analytic[name]) for name in selected}, epsilon)
+    overall = max(by_group.values()) if by_group else 0.0
+    return GradCheckReport(overall, by_group, sum(arrays[name].size for name in selected))
+
+
+def finite_difference_errors(loss, pairs: dict, epsilon: float = 1e-5) -> dict:
+    """Worst relative error per name of an analytic gradient against
+    central finite differences of loss().
+
+    pairs maps a name to (parameter array, analytic gradient); loss()
+    must read the parameter arrays, which are perturbed in place one
+    entry at a time and restored. The numeric side is
+    Richardson-extrapolated from two central differences (steps epsilon
+    and epsilon/2), cancelling the leading truncation term. Relative
+    error per component is |a - n| / max(|a| + |n|, 1e-6); the floor
+    sits orders of magnitude below any real gradient signal, so
+    directions where both sides vanish report ~0 instead of amplifying
+    float rounding.
+    """
+    errors = {}
+    for name, (arr, grad) in pairs.items():
         worst = 0.0
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
@@ -332,9 +339,9 @@ def gradient_check(params: LSTMParams, batch, epsilon: float = 1e-5,
 
             def central(step):
                 flat[idx] = original + step
-                up = _batch_loss_only(work, batch)
+                up = loss()
                 flat[idx] = original - step
-                down = _batch_loss_only(work, batch)
+                down = loss()
                 flat[idx] = original
                 return (up - down) / (2.0 * step)
 
@@ -343,10 +350,8 @@ def gradient_check(params: LSTMParams, batch, epsilon: float = 1e-5,
             numeric = (4.0 * fine - coarse) / 3.0
             denom = max(abs(gflat[idx]) + abs(numeric), 1e-6)
             worst = max(worst, abs(gflat[idx] - numeric) / denom)
-        by_group[name] = worst
-        count += flat.size
-    overall = max(by_group.values()) if by_group else 0.0
-    return GradCheckReport(overall, by_group, count)
+        errors[name] = worst
+    return errors
 
 
 def _batch_loss_only(params: LSTMParams, batch) -> float:

@@ -124,15 +124,17 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     if not force and os.path.isfile(manifest_path):
         manifest = _read_json(manifest_path)
-        if (
-            manifest.get("config_sha256") == cfg_sha
-            and manifest.get("inputs") == inputs
-            and all(map(os.path.isfile, paths.values()))
-        ):
-            log.info("build artifacts up to date in %s", out_dir)
-            art = load_build(cfg)
-            art.up_to_date = True
-            return art
+        if manifest.get("config_sha256") == cfg_sha and manifest.get("inputs") == inputs:
+            recorded = manifest.get("artifacts")
+            recorded = recorded if isinstance(recorded, dict) else {}
+            stale = sorted(rel for rel, sha in _artifact_hashes(cfg, paths).items()
+                           if sha is None or recorded.get(rel) != sha)
+            if not stale:
+                log.info("build artifacts up to date in %s", out_dir)
+                art = load_build(cfg)
+                art.up_to_date = True
+                return art
+            log.info("rebuilding: missing or changed since the manifest: %s", ", ".join(stale))
 
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
     rows = read_labeled_tsv(cfg.dataset_path)
@@ -170,9 +172,16 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     return BuildArtifacts(kg, models, seeded, ke.values, ke.pair_count, cfg_sha)
 
 
+def _artifact_hashes(cfg: PipelineConfig, paths: dict) -> dict:
+    """{path relative to the output directory: sha256, or None if missing}."""
+    base = os.path.join(cfg.out_dir, "")  # every artifact path is joined onto it
+    return {p[len(base):]: sha256_file(p) if os.path.isfile(p) else None
+            for p in paths.values()}
+
+
 def _write_manifest(cfg: PipelineConfig, paths: dict, manifest: dict) -> None:
     """Store manifest plus the sha256 of every artifact file."""
-    artifacts = {os.path.relpath(p, cfg.out_dir): sha256_file(p) for p in paths.values()}
+    artifacts = _artifact_hashes(cfg, paths)
     atomic_write_text(os.path.join(cfg.out_dir, MANIFEST_NAME),
                       json.dumps({**manifest, "artifacts": artifacts}, indent=2, sort_keys=True)
                       + "\n")
@@ -708,19 +717,12 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def link_concepts(kg: KnowledgeGraph, text: str) -> set:
-    """Concepts whose normalized label occurs as a contiguous token run."""
+    """Concepts whose label tokens occur in the text as a contiguous token run."""
     tokens = tokenize(text)
-    found = set()
-    for cid, concept in kg.concepts.items():
-        label_tokens = tokenize(concept.label)
-        if not label_tokens or len(label_tokens) > len(tokens):
-            continue
-        width = len(label_tokens)
-        for start in range(len(tokens) - width + 1):
-            if tokens[start:start + width] == label_tokens:
-                found.add(cid)
-                break
-    return found
+    longest = max((len(c.tokens) for c in kg.concepts.values()), default=0)
+    runs = {tuple(tokens[i:j]) for i in range(len(tokens))
+            for j in range(i + 1, min(i + longest, len(tokens)) + 1)}
+    return {cid for cid, concept in kg.concepts.items() if concept.tokens in runs}
 
 
 @dataclass
@@ -728,8 +730,9 @@ class UpdateOutcome:
     misclassified: int
     new_triples: int
     new_concepts: int
-    residual: float | None
     reason: str
+    residual: float | None = None
+    imbalance: float | None = None
 
 
 def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> UpdateOutcome:
@@ -752,17 +755,17 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
             missed_concepts |= link_concepts(art.kg, text)
 
     if misclassified == 0:
-        return _finish_update(cfg, UpdateOutcome(0, 0, 0, None, "no misclassifications"))
+        return _finish_update(cfg, UpdateOutcome(0, 0, 0, "no misclassifications"))
     if not missed_concepts:
         return _finish_update(
-            cfg, UpdateOutcome(misclassified, 0, 0, None, "no linked concepts")
+            cfg, UpdateOutcome(misclassified, 0, 0, "no linked concepts")
         )
 
     retrieved = dke_mod.knowledge_proximity(art.kg, missed_concepts, cfg.proximity_hops)
     diff = dke_mod.differential_subkg(retrieved, art.seeded, art.models)
     if not diff.triples:
         return _finish_update(
-            cfg, UpdateOutcome(misclassified, 0, 0, None, "difference already absorbed")
+            cfg, UpdateOutcome(misclassified, 0, 0, "difference already absorbed")
         )
 
     solution = None
@@ -770,7 +773,7 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         if art.seeded.embedding_matrix.shape[1] == 0:
             return _finish_update(
                 cfg,
-                UpdateOutcome(misclassified, 0, len(diff.new_concepts), None,
+                UpdateOutcome(misclassified, 0, len(diff.new_concepts),
                               "seeded subgraph has no embedded concepts to map against"),
             )
         solution = dke_mod.solve_mapping(
@@ -790,8 +793,9 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         misclassified=misclassified,
         new_triples=len(diff.triples),
         new_concepts=len(diff.new_concepts),
-        residual=solution.residual if solution else None,
         reason="updated",
+        residual=solution.residual if solution else None,
+        imbalance=solution.imbalance if solution else None,
     )
     return _finish_update(cfg, outcome)
 
@@ -802,11 +806,12 @@ def _finish_update(cfg: PipelineConfig, outcome: UpdateOutcome) -> UpdateOutcome
     if os.path.isfile(audit_path):
         with open(audit_path, encoding="utf-8") as handle:
             cycle = sum(1 for line in handle if line.strip())
-    residual = "%.3e" % outcome.residual if outcome.residual is not None else "-"
+    residual, imbalance = ("-" if value is None else "%.3e" % value
+                           for value in (outcome.residual, outcome.imbalance))
     line = (
         f"cycle={cycle + 1} misclassified={outcome.misclassified} "
         f"new_triples={outcome.new_triples} new_concepts={outcome.new_concepts} "
-        f"residual={residual} reason={outcome.reason}\n"
+        f"residual={residual} imbalance={imbalance} reason={outcome.reason}\n"
     )
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(audit_path, "a", encoding="utf-8") as handle:

@@ -83,14 +83,13 @@ def relevance_score(concept, stats: CorpusStats, target_class: str) -> float:
         raise ValidationError(f"unknown target class: {target_class!r}")
     if stats.total_tokens == 0:
         raise ValidationError("corpus has no tokens")
-    tokens = tokenize(concept.label)
-    if not tokens:
+    if not concept.tokens:
         raise ValidationError(f"concept label has no tokens: {concept.label!r}")
     vocab_size = len(stats.vocab)
     target_counts = stats.class_token_counts[target_class]
     target_total = stats.class_totals[target_class]
     score = 0.0
-    for token in tokens:
+    for token in concept.tokens:
         p = (target_counts[token] + 1.0) / (target_total + vocab_size)
         q = (stats.overall_count(token) + 1.0) / (stats.total_tokens + vocab_size)
         score += p * math.log(p / q)
@@ -112,10 +111,8 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
     if hops < 0:
         raise ValidationError("hops must be >= 0")
     scores: dict[str, float] = {}
-    for cid in sorted(kg.concepts):
-        concept = kg.concepts[cid]
-        tokens = tokenize(concept.label)
-        if tokens and all(t in stats.vocab for t in tokens):
+    for cid, concept in sorted(kg.concepts.items()):
+        if concept.tokens and all(t in stats.vocab for t in concept.tokens):
             scores[cid] = relevance_score(concept, stats, target_class)
     if not scores:
         raise ValidationError("no concept label matches the corpus vocabulary")

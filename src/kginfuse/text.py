@@ -1,7 +1,8 @@
 """Text normalization shared by the corpus, graph, and embedding layers.
 
-All label matching in the toolkit is exact token match after this
-normalization; there is no fuzzy entity linking.
+tokenize splits documents, corpora and concept labels (kg.Concept.tokens)
+alike; all label matching is exact token match, with no fuzzy entity
+linking. normalize_label only forms concept ids and predicates.
 """
 
 import re
@@ -18,6 +19,6 @@ def normalize_label(label: str) -> str:
     """Canonical concept label: case-folded, whitespace collapsed.
 
     Used as the stable concept id, so identical input files always
-    produce identical ids.
+    produce identical ids. Never used to match a label against text.
     """
     return " ".join(label.casefold().split())

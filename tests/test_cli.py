@@ -1,6 +1,7 @@
 """Command-line driver: verbs, flags, and exit codes."""
 
 import os
+import re
 
 import numpy as np
 
@@ -64,7 +65,9 @@ def test_update_kg_via_cli(tiny_project, capsys):
     checkpoint = out.split("checkpoint: ", 1)[1].splitlines()[0]
     assert main(["update-kg", "--config", str(tiny_project),
                  "--checkpoint", checkpoint]) == 0
-    assert "misclassified:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "misclassified:" in out
+    assert re.search(r"mapping residual: \S+ imbalance: \S+\n", out)
 
 
 def test_gradcheck_passes(capsys):

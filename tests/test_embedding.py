@@ -11,7 +11,7 @@ from kginfuse.embedding import (
     concept_embedding,
     content_width,
     embed_concepts,
-    embed_text,
+    embed_tokens,
     knowledge_embedding,
     train_dimension_model,
 )
@@ -69,24 +69,26 @@ class TestTrainDimensionModel:
 
 
 class TestEmbedText:
+    """embed_tokens: the per-dimension token mean behind concept_embedding."""
+
     def setup_method(self):
         self.m1 = make_model("one", {"sun": [1.0, 2.0], "moon": [3.0, -1.0]}, 2)
         self.m2 = make_model("two", {"sun": [5.0]}, 1)
 
     def test_out_of_vocab_gives_zero_vector(self):
-        cv = embed_text([self.m1, self.m2], "nothing known here")
+        cv = embed_tokens([self.m1, self.m2], ["nothing", "known", "here"])
         assert cv.values.shape == (3,)
         assert not cv.values.any()
         assert cv.hit_count == 0
 
     def test_single_token_fills_only_its_slices(self):
-        cv1 = embed_text([self.m1], "moon")
+        cv1 = embed_tokens([self.m1], ["moon"])
         np.testing.assert_array_equal(cv1.values, [3.0, -1.0])
-        cv2 = embed_text([self.m1, self.m2], "moon")
+        cv2 = embed_tokens([self.m1, self.m2], ["moon"])
         np.testing.assert_array_equal(cv2.values, [3.0, -1.0, 0.0])
 
     def test_mean_of_two_tokens_by_hand(self):
-        cv = embed_text([self.m1], "sun moon")
+        cv = embed_tokens([self.m1], ["sun", "moon"])
         np.testing.assert_allclose(cv.values, [(1 + 3) / 2, (2 - 1) / 2])
 
     def test_permutation_invariance_is_exact(self):
@@ -96,13 +98,13 @@ class TestEmbedText:
         words = list(toks) + ["t0", "t3"]
         for _ in range(10):
             rng.shuffle(words)
-            base = embed_text([model], " ".join(words)).values
+            base = embed_tokens([model], words).values
             rng.shuffle(words)
-            other = embed_text([model], " ".join(words)).values
+            other = embed_tokens([model], words).values
             assert np.array_equal(base, other)
 
     def test_offsets_partition_total_width(self):
-        cv = embed_text([self.m1, self.m2], "sun")
+        cv = embed_tokens([self.m1, self.m2], ["sun"])
         assert cv.values.shape[0] == content_width([self.m1, self.m2])
         np.testing.assert_array_equal(cv.values, [1.0, 2.0, 5.0])
 
@@ -111,7 +113,7 @@ class TestConceptEmbedding:
     def test_unigram_label_equals_embed_text(self):
         model = make_model("m", {"sun": [1.0, 0.0]}, 2)
         cv = concept_embedding([model], Concept("sun", "Sun"))
-        np.testing.assert_array_equal(cv.values, embed_text([model], "sun").values)
+        np.testing.assert_array_equal(cv.values, embed_tokens([model], ["sun"]).values)
 
     def test_multiword_label_is_token_mean(self):
         model = make_model("m", {"red": [2.0], "fox": [4.0]}, 1)

@@ -1,12 +1,15 @@
 """Pipeline integration: build, train, evaluate, compare, update cycle."""
 
 import json
+import logging
 import os
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kginfuse.config import parse_config
 from kginfuse.datasets import read_labeled_tsv
@@ -21,7 +24,8 @@ from kginfuse.pipeline import (
     train,
     update_kg,
 )
-from kginfuse.storage import save_checkpoint
+from kginfuse.storage import save_checkpoint, sha256_file
+from kginfuse.text import normalize_label, tokenize
 from dataclasses import replace
 
 
@@ -68,6 +72,25 @@ class TestBuild:
         again = build(cfg)
         assert again.up_to_date
         assert os.path.getmtime(marker) == stamp
+
+    @pytest.mark.parametrize("damage", ["flip a payload byte", "delete"])
+    def test_damaged_artifact_triggers_rebuild(self, tiny_project, damage, caplog):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        path = os.path.join(cfg.out_dir, "knowledge", "ke.kign")
+        original = sha256_file(path)
+        if damage == "delete":
+            os.remove(path)
+        else:
+            blob = bytearray(open(path, "rb").read())
+            blob[-1] ^= 0x01
+            open(path, "wb").write(bytes(blob))
+        with caplog.at_level(logging.INFO, logger="kginfuse.pipeline"):
+            again = build(cfg)
+        assert not again.up_to_date
+        assert os.path.join("knowledge", "ke.kign") in caplog.text
+        assert sha256_file(path) == original
+        assert build(cfg).up_to_date
 
     def test_input_change_triggers_rebuild(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
@@ -245,10 +268,12 @@ class TestUpdateKg:
         assert outcome.misclassified == 1
         assert outcome.new_triples == 2
         assert outcome.residual is not None
+        assert outcome.imbalance is not None
         after = load_build(cfg)
         assert len(after.seeded.subkg.triples) == len(before.seeded.subkg.triples) + 2
         audit = open(os.path.join(cfg.out_dir, "update_audit.log")).read()
         assert "new_triples=2" in audit
+        assert f"imbalance={outcome.imbalance:.3e} reason=updated" in audit
 
     def test_second_update_is_absorbed(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
@@ -382,6 +407,33 @@ def test_link_concepts_matches_multiword_labels():
     found = link_concepts(kg, "A Red Fox crossed the river!")
     assert found == {"red fox", "fox", "river"}
     assert link_concepts(kg, "nothing here") == set()
+
+
+def _scan_links(kg, text):
+    """Reference: every label's tokens tried at every offset of the text."""
+    tokens = tokenize(text)
+    found = set()
+    for cid, concept in kg.concepts.items():
+        label = tokenize(concept.label)
+        width = len(label)
+        if label and any(tokens[i:i + width] == label for i in range(len(tokens) - width + 1)):
+            found.add(cid)
+    return found
+
+
+_WORDS = st.one_of(st.sampled_from(["red", "Red", "fox", "river", "x-y", "Straße", "ΟΔΟΣ", "!"]),
+                   st.text(alphabet="abAB -ßΣς", min_size=1, max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(labels=st.lists(st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
+                       .filter(normalize_label), min_size=1, max_size=8),
+       text=st.lists(_WORDS, max_size=12).map(" ".join))
+def test_link_concepts_equals_the_scan(labels, text):
+    from kginfuse.kg import KnowledgeGraph
+
+    kg = KnowledgeGraph.from_labeled_triples([(label, "isa", "zroot") for label in labels])
+    assert link_concepts(kg, text) == _scan_links(kg, text)
 
 
 def test_read_labeled_tsv_names_line_of_non_utf8_byte(tmp_path):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kginfuse.embedding import DimensionModel
+from kginfuse.embedding import DimensionModel, concept_embedding
 from kginfuse.errors import ValidationError
 from kginfuse.kg import Concept, KnowledgeGraph, n_hop_neighborhood
+from kginfuse.pipeline import link_concepts
 from kginfuse.seeding import corpus_stats, extract_seeded_subkg, relevance_score
 from kginfuse.text import tokenize
 
@@ -176,6 +177,22 @@ class TestExtractSeededSubkg:
             again = extract_seeded_subkg(kg, corpus_stats(shuffled), "pos", 1, 2, [model])
             assert again.seeds == base.seeds
             assert again.subkg.triples == base.subkg.triples
+
+    def test_non_ascii_labels_are_linked_seeded_and_embedded(self):
+        # casefold and lower disagree on these labels (ids "strasse" and
+        # "οδοσ", tokens "straße" and "οδος"); every consumer matches the
+        # label's tokens, so none of them loses the concept.
+        kg = KnowledgeGraph.from_labeled_triples([("Straße", "isa", "Weg"),
+                                                  ("ΟΔΟΣ", "isa", "Weg")])
+        text = "die straße und οδος"
+        stats = corpus_stats([("pos", text), ("neg", "ein weg")])
+        model = zero_model(stats.vocab)
+        assert link_concepts(kg, text) == {"strasse", "οδοσ"}
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=2, models=[model])
+        assert seeded.seeds == {"strasse", "οδοσ"}
+        assert seeded.embedded_concepts == ("strasse", "οδοσ")
+        for cid in seeded.embedded_concepts:
+            assert concept_embedding([model], kg.concepts[cid]).hit_count > 0
 
     def test_no_vocabulary_overlap_rejected(self):
         kg = KnowledgeGraph.from_labeled_triples([("qqq", "related", "www")])
