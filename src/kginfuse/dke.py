@@ -99,8 +99,9 @@ def solve_mapping(seeded_matrix: np.ndarray, diff_matrix: np.ndarray,
     columns by cosine, giving conformable d x k' matrices S and D. W then
     satisfies W (alpha S S^T - D D^T + ridge I) = alpha D S^T - S D^T,
     and the reported residual is the Frobenius norm of that equation's
-    defect. The unregularized two-sided imbalance is reported as a
-    diagnostic, not enforced.
+    defect. The unregularized two-sided imbalance, the absolute value of
+    |S - W D|^2 - alpha |W S - D|^2, is reported as a diagnostic, not
+    enforced: 0 when both sides balance, larger the further apart they are.
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
@@ -119,9 +120,9 @@ def solve_mapping(seeded_matrix: np.ndarray, diff_matrix: np.ndarray,
     if not np.all(np.isfinite(w)):
         raise SolverError("non-finite mapping solution; raise the ridge regularizer")
     residual = float(np.linalg.norm(w @ lhs - rhs))
-    imbalance = float(
+    imbalance = float(abs(
         np.linalg.norm(s - w @ d) ** 2 - alpha * np.linalg.norm(w @ s - d) ** 2
-    )
+    ))
     return MappingSolution(w=w, alpha=alpha, ridge=ridge,
                            residual=residual, imbalance=imbalance)
 

@@ -100,8 +100,8 @@ def fuse_step(h, k, params: InfusionParams) -> np.ndarray:
     """Gate: logistic sigmoid of the affine map of h ++ k.
 
     h is one hidden vector or an (n, d) batch of them, one per row. The
-    gate has h's shape; row i equals the gate of h[i] alone up to float
-    summation order.
+    gate has h's shape; row i is bit-identical to the gate of h[i] alone,
+    since the affine map is an einsum, which sums each row on its own.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim not in (1, 2):
@@ -115,7 +115,7 @@ def fuse_step(h, k, params: InfusionParams) -> np.ndarray:
             f"fuse_step widths ({h.shape[-1]}, {k.shape[0]}) != gate width {d}"
         )
     joint = np.concatenate([h, np.broadcast_to(k, h.shape)], axis=-1)
-    return _sigmoid(joint @ params.gate_weights.T + params.gate_bias)
+    return _sigmoid(np.einsum("...k,gk->...g", joint, params.gate_weights) + params.gate_bias)
 
 
 def gate_gradient(h, knowledge, params: InfusionParams):

@@ -4,6 +4,10 @@ Pure-numpy, float64, deterministic. The last time step's hidden vector
 of every layer is exposed so the infusion layer can read the final and
 penultimate representations. Gradients are computed analytically and can
 be verified against central finite differences.
+
+One kernel serves training, hidden-state collection, the gradient
+check's loss and prediction: the recurrence runs over a time-major
+zero-padded batch with a length mask; one sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class LSTMParams:
 
 @dataclass
 class HiddenStates:
-    """Per-layer hidden vectors at the final time step."""
+    """Per-layer hidden vectors at the final time step: one (d,) vector per
+    layer for one sequence, one (B, d) array of rows for a batch."""
 
     h: list
 
@@ -108,17 +113,14 @@ def init_params(input_width: int, d: int, layers: int, n_classes: int,
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid as 0.5 * (1 + tanh(x / 2)): branch-free, cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    """Log-softmax along the last axis (each row of a batch on its own)."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -138,109 +140,135 @@ def _as_sequence(params: LSTMParams, sequence) -> np.ndarray:
     return seq
 
 
-def _forward_cached(params: LSTMParams, seq: np.ndarray):
-    """Run the recurrence, keeping everything the backward pass needs."""
+def _padded(params: LSTMParams, sequences):
+    """Time-major zero-padded batch (T, B, input_width) and its (T, B) mask,
+    True where step t lies inside sequence b."""
+    seqs = [_as_sequence(params, s) for s in sequences]
+    if not seqs:
+        raise ValidationError("batch is empty")
+    lengths = np.array([len(s) for s in seqs])
+    mask = np.arange(lengths.max())[:, None] < lengths
+    x = np.zeros(mask.shape + (params.input_width,))
+    x.transpose(1, 0, 2)[mask.T] = np.concatenate(seqs)
+    return x, mask
+
+
+def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
+    """The batched recurrence over a padded batch; returns each layer's final
+    hidden rows (B, d) and the head logits (B, n_classes).
+
+    Past a sequence's end (mask False) its h and c carry forward unchanged,
+    so its final row is its state at its last step. Every product is an
+    einsum, whose sums run over one row at a time: a row's values do not
+    depend on what else is in the batch (a BLAS matmul's do). Given a list
+    as cache, each layer appends what backpropagation needs; without one
+    only the running state and one layer's outputs are kept.
+    """
     d = params.d
-    steps = seq.shape[0]
-    cache = []
-    inputs = seq
-    for l in range(params.layers):
-        W, b = params.layer_weights[l], params.layer_biases[l]
-        h = np.zeros(d)
-        c = np.zeros(d)
-        layer = {"x": inputs, "i": [], "f": [], "o": [], "g": [],
-                 "c": [], "tanh_c": [], "h": [], "h_prev": [], "c_prev": []}
-        outs = np.empty((steps, d))
+    steps, rows = mask.shape
+    finals = []
+    inputs = x
+    for l, (W, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+        h = np.zeros((rows, d))
+        c = np.zeros((rows, d))
+        outs = np.empty((steps, rows, d)) if l + 1 < params.layers else None
+        if cache is not None:
+            cache.append([])
         for t in range(steps):
-            joint = np.concatenate([inputs[t], h])
-            z = W @ joint + b
-            gi = _sigmoid(z[:d])
-            gf = _sigmoid(z[d:2 * d])
-            go = _sigmoid(z[2 * d:3 * d])
-            gg = np.tanh(z[3 * d:])
-            layer["h_prev"].append(h)
-            layer["c_prev"].append(c)
-            c = gf * c + gi * gg
-            tc = np.tanh(c)
-            h = go * tc
-            layer["i"].append(gi)
-            layer["f"].append(gf)
-            layer["o"].append(go)
-            layer["g"].append(gg)
-            layer["c"].append(c)
-            layer["tanh_c"].append(tc)
-            layer["h"].append(h)
-            outs[t] = h
-        cache.append(layer)
+            joint = np.concatenate([inputs[t], h], axis=1)
+            z = np.einsum("bk,gk->bg", joint, W) + b
+            sig = _sigmoid(z[:, :3 * d])
+            gg = np.tanh(z[:, 3 * d:])
+            c_new = sig[:, d:2 * d] * c + sig[:, :d] * gg
+            tc = np.tanh(c_new)
+            if cache is not None:
+                cache[-1].append((joint, sig, gg, c, tc))
+            live = mask[t][:, None]
+            c = np.where(live, c_new, c)
+            h = np.where(live, sig[:, 2 * d:] * tc, h)
+            if outs is not None:
+                outs[t] = h
+        finals.append(h)
         inputs = outs
-    logits = params.w_out @ cache[-1]["h"][-1] + params.b_out
-    return cache, logits
+    logits = np.einsum("bd,nd->bn", finals[-1], params.w_out) + params.b_out
+    return finals, logits
+
+
+def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndarray,
+              dlogits: np.ndarray) -> dict:
+    """Summed gradients of the batch loss, given its gradient w.r.t. the logits.
+
+    dz is 0 at masked steps, and dh and dc pass back through them
+    unchanged, mirroring the forward carry. Each step adds its
+    contribution to the weight gradient in reverse time order.
+    """
+    d = params.d
+    steps, rows = mask.shape
+    grads = {"head.W": np.einsum("bn,bd->nd", dlogits, h_last),
+             "head.b": dlogits.sum(axis=0)}
+    dh_above = np.zeros((steps, rows, d))
+    dh_above[-1] = np.einsum("bn,nd->bd", dlogits, params.w_out)
+    for l in range(params.layers - 1, -1, -1):
+        W = params.layer_weights[l]
+        in_l = W.shape[1] - d
+        dx = np.zeros((steps, rows, in_l))
+        dh_next = np.zeros((rows, d))
+        dc_next = np.zeros((rows, d))
+        gW = grads[f"layer{l}.W"] = np.zeros_like(W)
+        gb = grads[f"layer{l}.b"] = np.zeros(4 * d)
+        for t in range(steps - 1, -1, -1):
+            joint, sig, gg, c_prev, tc = cache[l][t]
+            gi, gf, go = sig[:, :d], sig[:, d:2 * d], sig[:, 2 * d:]
+            dh = dh_above[t] + dh_next
+            dc = dc_next + dh * go * (1.0 - tc * tc)
+            dz = np.concatenate([
+                dc * gg * gi * (1.0 - gi),
+                dc * c_prev * gf * (1.0 - gf),
+                dh * tc * go * (1.0 - go),
+                dc * gi * (1.0 - gg * gg),
+            ], axis=1)
+            live = mask[t][:, None]
+            dz = np.where(live, dz, 0.0)
+            gW += np.einsum("bg,bk->gk", dz, joint)
+            gb += dz.sum(axis=0)
+            djoint = np.einsum("bg,gk->bk", dz, W)
+            dx[t] = djoint[:, :in_l]
+            dh_next = np.where(live, djoint[:, in_l:], dh)
+            dc_next = np.where(live, dc * gf, dc_next)
+        dh_above = dx
+    return grads
+
+
+def forward_batch(params: LSTMParams, sequences):
+    """Full forward pass of a batch of sequences: every layer's final-step
+    hidden rows (B, d) and the class probabilities (B, n_classes). Row i is
+    bit-identical to forward(params, sequences[i])."""
+    finals, logits = _recur(params, *_padded(params, sequences))
+    probs = softmax(logits)
+    if not np.all(np.isfinite(probs)):
+        raise KginfuseError("non-finite values in forward pass")
+    return HiddenStates(h=finals), probs
 
 
 def forward(params: LSTMParams, sequence):
     """Full forward pass; returns final-step hidden states and class probabilities."""
-    seq = _as_sequence(params, sequence)
-    cache, logits = _forward_cached(params, seq)
-    states = HiddenStates(h=[layer["h"][-1].copy() for layer in cache])
-    probs = softmax(logits)
-    if not np.all(np.isfinite(probs)):
-        raise KginfuseError("non-finite values in forward pass")
-    return states, probs
+    states, probs = forward_batch(params, [sequence])
+    return HiddenStates(h=[h[0] for h in states.h]), probs[0]
 
 
-def _zero_grads(params: LSTMParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.named_groups()}
+def _labelled(params: LSTMParams, batch):
+    """The padded batch, its mask and the class index array of (sequence,
+    class_index) pairs."""
+    x, mask = _padded(params, [sequence for sequence, _ in batch])
+    labels = np.array([label for _, label in batch])
+    bad = labels[(labels < 0) | (labels >= params.n_classes)]
+    if bad.size:
+        raise ValidationError(f"label index {bad[0]} out of range")
+    return x, mask, labels
 
 
-def _example_backward(params: LSTMParams, seq: np.ndarray, label: int, grads: dict):
-    """Accumulate one example's loss gradient into grads; returns the loss."""
-    d = params.d
-    steps = seq.shape[0]
-    cache, logits = _forward_cached(params, seq)
-    logp = log_softmax(logits)
-    loss = -logp[label]
-    dlogits = np.exp(logp)
-    dlogits[label] -= 1.0
-
-    h_last = cache[-1]["h"][-1]
-    grads["head.W"] += np.outer(dlogits, h_last)
-    grads["head.b"] += dlogits
-
-    dh_above = np.zeros((steps, d))
-    dh_above[-1] = params.w_out.T @ dlogits
-    for l in range(params.layers - 1, -1, -1):
-        layer = cache[l]
-        W = params.layer_weights[l]
-        in_l = layer["x"].shape[1]
-        dx = np.zeros((steps, in_l))
-        dh_next = np.zeros(d)
-        dc_next = np.zeros(d)
-        gW = grads[f"layer{l}.W"]
-        gb = grads[f"layer{l}.b"]
-        for t in range(steps - 1, -1, -1):
-            gi, gf, go, gg = layer["i"][t], layer["f"][t], layer["o"][t], layer["g"][t]
-            tc = layer["tanh_c"][t]
-            dh = dh_above[t] + dh_next
-            do = dh * tc
-            dc = dc_next + dh * go * (1.0 - tc * tc)
-            di = dc * gg
-            dg = dc * gi
-            df = dc * layer["c_prev"][t]
-            dz = np.concatenate([
-                di * gi * (1.0 - gi),
-                df * gf * (1.0 - gf),
-                do * go * (1.0 - go),
-                dg * (1.0 - gg * gg),
-            ])
-            joint = np.concatenate([layer["x"][t], layer["h_prev"][t]])
-            gW += np.outer(dz, joint)
-            gb += dz
-            djoint = W.T @ dz
-            dx[t] = djoint[:in_l]
-            dh_next = djoint[in_l:]
-            dc_next = dc * gf
-        dh_above = dx if l > 0 else dh_above
-    return float(loss)
+def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float(-np.mean(log_softmax(logits)[np.arange(len(labels)), labels]))
 
 
 def batch_gradients(params: LSTMParams, batch):
@@ -249,27 +277,17 @@ def batch_gradients(params: LSTMParams, batch):
     batch is a list of (sequence, class_index) pairs. No clipping here;
     train_step applies the clip.
     """
-    if not batch:
-        raise ValidationError("batch is empty")
-    grads = _zero_grads(params)
-    total = 0.0
-    for sequence, label in batch:
-        seq = _as_sequence(params, sequence)
-        if not 0 <= label < params.n_classes:
-            raise ValidationError(f"label index {label} out of range")
-        # Fresh buffer per example, reduced afterwards: batch members are
-        # independent (parallelizable) and the mean is exactly linear.
-        example_grads = _zero_grads(params)
-        total += _example_backward(params, seq, label, example_grads)
-        for name in grads:
-            grads[name] += example_grads[name]
-    scale = 1.0 / len(batch)
-    for name in grads:
-        grads[name] *= scale
-    loss = total * scale
+    x, mask, labels = _labelled(params, batch)
+    cache = []
+    finals, logits = _recur(params, x, mask, cache)
+    loss = _mean_loss(logits, labels)
     if not np.isfinite(loss):
         raise KginfuseError(f"non-finite training loss: {loss!r}")
-    return loss, grads
+    dlogits = softmax(logits)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    summed = _backprop(params, cache, mask, finals[-1], dlogits)
+    scale = 1.0 / len(labels)
+    return loss, {name: summed[name] * scale for name, _ in params.named_groups()}
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
@@ -305,11 +323,12 @@ def gradient_check(params: LSTMParams, batch, epsilon: float = 1e-5,
     """finite_difference_errors of the batch loss over the named groups (all
     by default); intended for small models (a few thousand parameters)."""
     _, analytic = batch_gradients(params, batch)
+    x, mask, labels = _labelled(params, batch)
     work = params.copy()
     arrays = dict(work.named_groups())
     selected = list(arrays) if groups is None else list(groups)
     by_group = finite_difference_errors(
-        lambda: _batch_loss_only(work, batch),
+        lambda: _mean_loss(_recur(work, x, mask)[1], labels),
         {name: (arrays[name], analytic[name]) for name in selected}, epsilon)
     overall = max(by_group.values()) if by_group else 0.0
     return GradCheckReport(overall, by_group, sum(arrays[name].size for name in selected))
@@ -354,21 +373,7 @@ def finite_difference_errors(loss, pairs: dict, epsilon: float = 1e-5) -> dict:
     return errors
 
 
-def _batch_loss_only(params: LSTMParams, batch) -> float:
-    total = 0.0
-    for sequence, label in batch:
-        seq = _as_sequence(params, sequence)
-        _, logits = _forward_cached(params, seq)
-        total += -log_softmax(logits)[label]
-    return total / len(batch)
-
-
 def collect_hidden(params: LSTMParams, sequences):
-    """Final and penultimate layer hidden vectors for every sequence."""
-    finals = np.empty((len(sequences), params.d))
-    penults = np.empty((len(sequences), params.d))
-    for i, sequence in enumerate(sequences):
-        states, _ = forward(params, sequence)
-        finals[i] = states.final
-        penults[i] = states.penultimate
-    return finals, penults
+    """Final and penultimate layer hidden rows for every sequence."""
+    states, _ = forward_batch(params, sequences)
+    return states.final, states.penultimate

@@ -31,7 +31,6 @@ from .infusion import (
     InfusionResult,
     fuse_step,
     knowledge_infusion,
-    modulate,
     trace_csv,
 )
 from .kg import KnowledgeGraph, SubKG, Triple, format_stats, load_graph
@@ -40,9 +39,9 @@ from .nlm import (
     LSTMParams,
     TrainConfig,
     collect_hidden,
-    forward,
+    forward_batch as forward,  # the one LSTM pass of every prediction; traced by perfbench
     init_params,
-    log_softmax,
+    softmax,
     train_step,
 )
 from .rng import derive_seed, stream_rng
@@ -325,18 +324,21 @@ class Checkpoint:
     head_b: np.ndarray | None
     meta: dict
 
-    def predict_proba(self, sequence) -> np.ndarray:
-        states, probs = forward(self.params, sequence)
+    def predict_proba_batch(self, sequences) -> np.ndarray:
+        """Class probabilities, one row per sequence, from one batched LSTM
+        pass and, when infused, one batched gate and head. Each row depends
+        only on its own sequence."""
+        states, probs = forward(self.params, sequences)
         if self.mode == "vanilla":
             return probs
-        gate = fuse_step(states.final, self.ke_values, self.fusion)
-        modulated = modulate(states.final, gate)
-        logits = self.head_w @ modulated + self.head_b
-        return np.exp(log_softmax(logits))
+        gated = states.final * fuse_step(states.final, self.ke_values, self.fusion)
+        return softmax(np.einsum("bd,nd->bn", gated, self.head_w) + self.head_b)
 
-    def predict_label(self, sequence) -> str:
-        probs = self.predict_proba(sequence)
-        return self.labels[int(np.argmax(probs))]
+    def predict_proba(self, sequence) -> np.ndarray:
+        return self.predict_proba_batch([sequence])[0]
+
+    def predict_labels(self, sequences) -> list:
+        return [self.labels[i] for i in np.argmax(self.predict_proba_batch(sequences), axis=1)]
 
 
 @dataclass
@@ -370,11 +372,7 @@ def _calibrate_head(features: np.ndarray, targets, n_classes: int,
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), targets] = 1.0
     for _ in range(steps):
-        logits = features @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        g = (p - onehot) / n
+        g = (softmax(features @ w.T + b) - onehot) / n
         w -= lr * (g.T @ features + HEAD_CALIBRATION_L2 * w)
         b -= lr * g.sum(axis=0)
     return w, b
@@ -577,9 +575,7 @@ def evaluate(cfg: PipelineConfig, checkpoint_path, dataset_path=None,
             + ", ".join(sorted(unknown))
         )
     y_true = [label for label, _ in rows]
-    y_pred = [
-        ckpt.predict_label(token_sequence(art.models, text)) for _, text in rows
-    ]
+    y_pred = ckpt.predict_labels([token_sequence(art.models, text) for _, text in rows])
     positive = cfg.target_class if cfg.target_class in ckpt.labels else ckpt.labels[-1]
     report = evaluate_predictions(
         y_true, y_pred, ckpt.labels, positive,
@@ -746,13 +742,10 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
     rows = read_labeled_tsv(path)
 
-    missed_concepts: set[str] = set()
-    misclassified = 0
-    for label, text in rows:
-        predicted = ckpt.predict_label(token_sequence(art.models, text))
-        if predicted != label:
-            misclassified += 1
-            missed_concepts |= link_concepts(art.kg, text)
+    predicted = ckpt.predict_labels([token_sequence(art.models, text) for _, text in rows])
+    missed = [text for (label, text), guess in zip(rows, predicted) if guess != label]
+    misclassified = len(missed)
+    missed_concepts = set().union(*(link_concepts(art.kg, text) for text in missed))
 
     if misclassified == 0:
         return _finish_update(cfg, UpdateOutcome(0, 0, 0, "no misclassifications"))

@@ -134,6 +134,16 @@ class TestSolveMapping:
         np.testing.assert_allclose(sol.w, expected, atol=1e-10)
         assert sol.residual < 1e-10
 
+    def test_imbalance_is_the_size_of_a_negative_difference(self):
+        s = np.array([[1.0], [0.0]])
+        d = np.array([[0.0], [3.0]])
+        sol = solve_mapping(s, d, alpha=1.0, ridge=0.1)
+        signed = (np.linalg.norm(s - sol.w @ d) ** 2
+                  - np.linalg.norm(sol.w @ s - d) ** 2)
+        assert signed < 0
+        assert sol.imbalance >= 0
+        assert sol.imbalance == pytest.approx(-signed, rel=1e-12)
+
     def test_large_ridge_shrinks_the_map(self):
         rng = np.random.default_rng(9)
         s = rng.normal(size=(3, 4))

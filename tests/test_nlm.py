@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kginfuse.errors import ValidationError
 from kginfuse.nlm import (
+    _sigmoid,
+    batch_gradients,
     collect_hidden,
     forward,
+    forward_batch,
     gradient_check,
     init_params,
     softmax,
@@ -224,3 +229,55 @@ def test_softmax_is_simplex_for_arbitrary_logits():
 def test_minimum_layer_count_enforced():
     with pytest.raises(ValidationError):
         init_params(3, 4, 1, 2, np.random.default_rng(0))
+
+
+@st.composite
+def ragged_batches(draw):
+    """1 to 40 labelled sequences of 1 to 6 steps, one of them 1 step long."""
+    lengths = draw(st.lists(st.integers(1, 6), max_size=39))
+    lengths.insert(draw(st.integers(0, len(lengths))), 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [(rng.normal(size=(n, 3)), int(rng.integers(3))) for n in lengths]
+
+
+class TestBatchedKernel:
+    """One padded, masked batch gives each sequence what it gets alone."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(ragged_batches())
+    def test_rows_are_bit_identical_to_the_batch_of_one(self, batch):
+        params = small_params(seed=11)
+        sequences = [seq for seq, _ in batch]
+        states, probs = forward_batch(params, sequences)
+        for i, seq in enumerate(sequences):
+            alone, p = forward(params, seq)
+            for rows, h in zip(states.h, alone.h):
+                assert np.array_equal(rows[i], h)
+            assert np.array_equal(probs[i], p)
+            ref_hidden, ref_probs = reference_forward(params, seq)
+            np.testing.assert_allclose(alone.final, ref_hidden[-1], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(p, ref_probs, rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(ragged_batches())
+    def test_gradient_is_the_mean_of_the_batches_of_one(self, batch):
+        params = small_params(seed=12)
+        loss, grads = batch_gradients(params, batch)
+        alone = [batch_gradients(params, [example]) for example in batch]
+        assert abs(loss - np.mean([l for l, _ in alone])) <= 1e-12
+        for name, grad in grads.items():
+            mean = np.mean([g[name] for _, g in alone], axis=0)
+            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(ragged_batches())
+    def test_gradient_check_on_a_ragged_batch(self, batch):
+        assert gradient_check(small_params(seed=13), batch).max_relative_error < 1e-4
+
+
+def test_sigmoid_is_finite_bounded_and_symmetric():
+    x = np.array([1e308, -1e308, 800.0, -800.0, 40.0, -40.0, 0.0])
+    with np.errstate(all="raise"):
+        up, down = _sigmoid(x), _sigmoid(-x)
+    assert np.all(np.isfinite(up)) and np.all((up >= 0.0) & (up <= 1.0))
+    np.testing.assert_allclose(up + down, 1.0, rtol=0, atol=1e-16)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kginfuse.config import parse_config
-from kginfuse.datasets import read_labeled_tsv
+from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
 from kginfuse.pipeline import (
     build,
@@ -212,6 +212,31 @@ class TestEvaluate:
         report = evaluate(cfg, path, write_reports=False)
         assert report.recall["pos"] == 0.0
         assert report.false_alarm == 0.0
+
+    @pytest.mark.parametrize("mode", ["vanilla", "infused"])
+    def test_one_document_prediction_is_its_row_of_the_batch(self, tiny_project, tmp_path,
+                                                            mode):
+        cfg = replace(parse_config(tiny_project), mode=mode)
+        art = build(cfg)
+        path = train(cfg, art=art).checkpoint_path
+        ckpt = load_trained(path)
+        ragged = tmp_path / "ragged.tsv"
+        ragged.write_text("pos\tjihad\n"
+                          "pos\tjihad march cause banner rally\n"
+                          "neg\tgarden water\n"
+                          "neg\tunknown words only\n"
+                          "neg\tmeadow river walk calm water garden meadow\n"
+                          "pos\tbanner jihad rally\n", encoding="utf-8")
+        rows = read_labeled_tsv(str(ragged))
+        sequences = [token_sequence(art.models, text) for _, text in rows]
+        batch = ckpt.predict_proba_batch(sequences)
+        confusion = np.zeros((2, 2), dtype=int)
+        for (label, _), sequence, row in zip(rows, sequences, batch):
+            probs = ckpt.predict_proba(sequence)
+            assert np.array_equal(probs, row)
+            confusion[ckpt.labels.index(label), int(np.argmax(probs))] += 1
+        report = evaluate(cfg, path, dataset_path=str(ragged), art=art, write_reports=False)
+        np.testing.assert_array_equal(report.confusion, confusion)
 
     def test_label_set_mismatch_rejected(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
