@@ -1,11 +1,15 @@
 """Distributional embeddings and the knowledge-embedding construction.
 
-Per contextual dimension, a model is trained on its own corpus (PPMI
-co-occurrence counts factorized by truncated SVD); a piece of content is
-embedded per dimension and the sub-vectors are concatenated. The
-knowledge embedding summarizes a seeded subgraph as one vector in the
-same concatenated space: a distance-weighted sum over concept pairs,
-L2-normalized.
+Per contextual dimension, a model is trained on its own corpus: the
+symmetric positive-PMI (PPMI) matrix of its co-occurrence counts is
+factorized by a symmetric eigendecomposition that keeps the d_sub
+eigenpairs of largest |eigenvalue| (the positive one first on a tie),
+which is the truncated SVD of that matrix. An eigenvalue of multiplicity
+> 1 has no unique basis, but the basis returned is the same from run to
+run. A piece of content is embedded per dimension and the sub-vectors
+are concatenated. The knowledge embedding summarizes a seeded subgraph
+as one vector in the same concatenated space: a distance-weighted sum
+over concept pairs, L2-normalized.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ class DimensionModel:
     vocab: dict[str, int]
     vectors: np.ndarray
     d_sub: int
-    window: int = 0
-    seed: int = 0
 
     def token_vector(self, token: str):
         idx = self.vocab.get(token)
@@ -61,14 +63,20 @@ def content_width(models) -> int:
     return sum(m.d_sub for m in models)
 
 
-def train_dimension_model(corpus, d_sub: int, window: int, seed: int,
+def train_dimension_model(corpus, d_sub: int, window: int,
                           dimension_name: str = "default") -> DimensionModel:
     """Train one dimension model on a corpus of documents.
 
     Symmetric co-occurrence counts within +/-window, positive PMI, then
-    truncated SVD down to d_sub columns (scaled by sqrt of the singular
-    values, with a fixed sign convention). Deterministic for a fixed
-    corpus and seed.
+    the d_sub eigenpairs of the symmetric PPMI matrix with the largest
+    |eigenvalue|, each eigenvector scaled by sqrt(|eigenvalue|) and given
+    a fixed sign convention. A symmetric matrix's singular values are its
+    |eigenvalues| and its singular vectors its eigenvectors, so this is
+    the truncated SVD, computed exactly. Of two eigenvalues of equal
+    magnitude the positive one is kept first. An eigenvalue of
+    multiplicity > 1 has no unique basis of eigenvectors; which basis is
+    returned depends on the LAPACK build, but it is the same from run to
+    run. Nothing is random, so the model is a function of the corpus.
     """
     if d_sub < 1:
         raise ValidationError("d_sub must be >= 1")
@@ -83,28 +91,38 @@ def train_dimension_model(corpus, d_sub: int, window: int, seed: int,
             f"d_sub={d_sub} exceeds vocabulary size {len(vocab_list)}"
         )
     vocab = {tok: i for i, tok in enumerate(vocab_list)}
-    counts = np.zeros((len(vocab), len(vocab)))
-    for doc in docs:
-        ids = [vocab[tok] for tok in doc]
-        for i, center in enumerate(ids):
-            lo = max(0, i - window)
-            hi = min(len(ids), i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    counts[center, ids[j]] += 1.0
+    counts = _cooccurrence_counts([[vocab[tok] for tok in doc] for doc in docs],
+                                  len(vocab), window)
 
-    ppmi = _positive_pmi(counts)
-    u, s, _ = np.linalg.svd(ppmi)
-    u = _fix_signs(u[:, :d_sub])
-    vectors = u * np.sqrt(s[:d_sub])
+    w, v = np.linalg.eigh(_positive_pmi(counts))
+    top = np.lexsort((-w, -np.abs(w)))[:d_sub]
+    vectors = _fix_signs(v[:, top]) * np.sqrt(np.abs(w[top]))
     return DimensionModel(
         dimension_name=dimension_name,
         vocab=vocab,
         vectors=vectors,
         d_sub=d_sub,
-        window=window,
-        seed=seed,
     )
+
+
+def _cooccurrence_counts(docs, n: int, window: int) -> np.ndarray:
+    """n x n float counts of token-id pairs at most window apart in one document.
+
+    Each pair of positions i != j with |i - j| <= window adds 1 to both
+    [id_i, id_j] and [id_j, id_i]. All documents are laid end to end;
+    for each offset, the pairs whose two positions lie in the same
+    document are counted at once by one bincount over flat pair ids.
+    """
+    ids = np.array([t for doc in docs for t in doc], dtype=np.int64)
+    doc_of = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+    longest = max((len(doc) for doc in docs), default=0)
+    pair_ids = [np.empty(0, dtype=np.int64)]
+    for k in range(1, min(window, longest - 1) + 1):
+        same = doc_of[k:] == doc_of[:-k]
+        a, b = ids[:-k][same], ids[k:][same]
+        pair_ids += [a * n + b, b * n + a]
+    flat = np.bincount(np.concatenate(pair_ids), minlength=n * n)
+    return flat.reshape(n, n).astype(float)
 
 
 def _positive_pmi(counts: np.ndarray) -> np.ndarray:

@@ -151,7 +151,6 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
                 corpus,
                 d_sub=cfg.d_sub[name],
                 window=cfg.window,
-                seed=derive_seed(cfg.seed, f"embedding.{name}"),
                 dimension_name=name,
             )
         )
@@ -256,8 +255,7 @@ def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
         raise StorageError(f"{vocab_path}: indices are not 0..{len(rows) - 1} in order")
     vocab = dict(rows)
     vectors = _load_shaped(paths[f"{name}.vectors"], (len(vocab), cfg.d_sub[name]))
-    return DimensionModel(name, vocab, vectors, d_sub=cfg.d_sub[name],
-                          window=cfg.window, seed=derive_seed(cfg.seed, f"embedding.{name}"))
+    return DimensionModel(name, vocab, vectors, d_sub=cfg.d_sub[name])
 
 
 def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:

@@ -1,12 +1,19 @@
 """Dimension models, content concatenation, and the knowledge embedding."""
 
+import importlib
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kginfuse.config import parse_config
 from kginfuse.embedding import (
     DimensionModel,
+    _cooccurrence_counts,
+    _fix_signs,
     _positive_pmi,
     concept_embedding,
     content_width,
@@ -18,6 +25,10 @@ from kginfuse.embedding import (
 from kginfuse.errors import ValidationError
 from kginfuse.kg import Concept, KnowledgeGraph, n_hop_neighborhood
 from kginfuse.seeding import SeededSubKG
+from kginfuse.synth import generate_benchmark
+from kginfuse.text import tokenize
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def make_model(name, vectors_by_token, d_sub):
@@ -31,17 +42,17 @@ def make_model(name, vectors_by_token, d_sub):
 
 class TestTrainDimensionModel:
     def test_single_repeated_token(self):
-        model = train_dimension_model(["echo echo echo"], d_sub=1, window=2, seed=0)
+        model = train_dimension_model(["echo echo echo"], d_sub=1, window=2)
         assert len(model.vocab) == 1
         assert model.vectors.shape == (1, 1)
 
     def test_d_sub_larger_than_vocab_rejected(self):
         with pytest.raises(ValidationError):
-            train_dimension_model(["echo echo"], d_sub=2, window=1, seed=0)
+            train_dimension_model(["echo echo"], d_sub=2, window=1)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            train_dimension_model(["...", "!"], d_sub=1, window=1, seed=0)
+            train_dimension_model(["...", "!"], d_sub=1, window=1)
 
     def test_ppmi_of_two_token_corpus_by_hand(self):
         # Five documents "alpha beta": counts [[0,5],[5,0]], total 10,
@@ -54,18 +65,88 @@ class TestTrainDimensionModel:
         # alpha and beta co-occur in every document they appear in; the
         # third document keeps the factorization non-degenerate.
         corpus = ["alpha beta gamma", "beta alpha gamma", "gamma delta epsilon"] * 3
-        model = train_dimension_model(corpus, d_sub=2, window=2, seed=0)
+        model = train_dimension_model(corpus, d_sub=2, window=2)
         va = model.vectors[model.vocab["alpha"]]
         vb = model.vectors[model.vocab["beta"]]
         cos = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
         assert cos > 0.99
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         corpus = ["north wind rises", "wind over water", "north water cold"]
-        a = train_dimension_model(corpus, d_sub=2, window=2, seed=9)
-        b = train_dimension_model(corpus, d_sub=2, window=2, seed=9)
+        a = train_dimension_model(corpus, d_sub=2, window=2)
+        b = train_dimension_model(corpus, d_sub=2, window=2)
         assert a.vocab == b.vocab
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_equal_magnitudes_keep_the_positive_eigenvalue(self):
+        # The PPMI matrix [[0, ln 2], [ln 2, 0]] has eigenvalues +-ln 2,
+        # with eigenvectors (1, 1) and (1, -1) over sqrt(2).
+        model = train_dimension_model(["alpha beta"] * 5, d_sub=1, window=1)
+        a, b = model.vectors[:, 0]
+        assert a == b
+        assert a > 0
+
+    @pytest.mark.parametrize("dimension", ["general", "signal"])
+    def test_matches_truncated_svd_on_synth_corpora(self, tmp_path, dimension):
+        cfg = parse_config(generate_benchmark(tmp_path, seed=0).config)
+        corpus = _corpus_lines(cfg.corpora[dimension])
+        model = train_dimension_model(corpus, d_sub=cfg.d_sub[dimension], window=cfg.window)
+        want = svd_oracle(corpus, cfg.d_sub[dimension], cfg.window)
+        np.testing.assert_allclose(model.vectors, want, rtol=0, atol=1e-10)
+
+    def test_matches_truncated_svd_on_a_wide_graph_corpus(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(BENCH)
+        workloads = importlib.import_module("workloads")
+        cfg = parse_config(workloads.generate("wide-graph", str(tmp_path), 0))
+        corpus = _corpus_lines(cfg.corpora["topical"])
+        model = train_dimension_model(corpus, d_sub=cfg.d_sub["topical"], window=cfg.window)
+        want = svd_oracle(corpus, cfg.d_sub["topical"], cfg.window)
+        np.testing.assert_allclose(model.vectors, want, rtol=0, atol=1e-10)
+
+
+@st.composite
+def id_corpora(draw):
+    """(documents of token ids, vocabulary size), empty and 1-token documents included."""
+    n = draw(st.integers(1, 8))
+    docs = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=12), max_size=8))
+    return docs, n
+
+
+class TestCooccurrenceCounts:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(id_corpora(), st.integers(1, 6))
+    def test_equal_to_the_loop(self, corpus, window):
+        docs, n = corpus
+        got = _cooccurrence_counts(docs, n, window)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, loop_counts(docs, n, window))
+
+
+def _corpus_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in fh.read().split("\n") if line.strip()]
+
+
+def loop_counts(docs, n, window):
+    """Reference: every ordered pair of positions at most window apart."""
+    counts = np.zeros((n, n))
+    for ids in docs:
+        for i, center in enumerate(ids):
+            lo = max(0, i - window)
+            hi = min(len(ids), i + window + 1)
+            for j in range(lo, hi):
+                if j != i:
+                    counts[center, ids[j]] += 1.0
+    return counts
+
+
+def svd_oracle(corpus, d_sub, window):
+    """Reference: loop counts, PPMI, then the full SVD truncated to d_sub columns."""
+    docs = [tokenize(doc) for doc in corpus]
+    vocab = {tok: i for i, tok in enumerate(sorted({tok for doc in docs for tok in doc}))}
+    counts = loop_counts([[vocab[tok] for tok in doc] for doc in docs], len(vocab), window)
+    u, s, _ = np.linalg.svd(_positive_pmi(counts))
+    return _fix_signs(u[:, :d_sub]) * np.sqrt(s[:d_sub])
 
 
 class TestEmbedText:
