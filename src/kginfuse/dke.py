@@ -43,8 +43,6 @@ class MappingSolution:
     """Solution of the two-space stationarity system."""
 
     w: np.ndarray
-    alpha: float
-    ridge: float
     residual: float
     imbalance: float
 
@@ -92,7 +90,7 @@ def differential_subkg(retrieved: SubKG, seeded: SeededSubKG, models) -> Differe
 
 
 def solve_mapping(seeded_matrix: np.ndarray, diff_matrix: np.ndarray,
-                  alpha: float = 1.0, ridge: float = 0.1) -> MappingSolution:
+                  alpha: float, ridge: float) -> MappingSolution:
     """Solve the ridge-stabilized two-space stationarity system.
 
     The differential columns are first aligned to their nearest seeded
@@ -123,8 +121,7 @@ def solve_mapping(seeded_matrix: np.ndarray, diff_matrix: np.ndarray,
     imbalance = float(abs(
         np.linalg.norm(s - w @ d) ** 2 - alpha * np.linalg.norm(w @ s - d) ** 2
     ))
-    return MappingSolution(w=w, alpha=alpha, ridge=ridge,
-                           residual=residual, imbalance=imbalance)
+    return MappingSolution(w=w, residual=residual, imbalance=imbalance)
 
 
 def _align_columns(seeded_matrix: np.ndarray, diff_matrix: np.ndarray):
@@ -135,8 +132,6 @@ def _align_columns(seeded_matrix: np.ndarray, diff_matrix: np.ndarray):
         raise ValidationError("embedding widths differ")
     if seeded_matrix.shape[1] == 0 or diff_matrix.shape[1] == 0:
         raise ValidationError("embedding matrices must be nonempty")
-    if seeded_matrix.shape[1] == diff_matrix.shape[1]:
-        return seeded_matrix, diff_matrix
     s_norms = np.linalg.norm(seeded_matrix, axis=0)
     d_norms = np.linalg.norm(diff_matrix, axis=0)
     sims = (seeded_matrix.T @ diff_matrix) / np.outer(

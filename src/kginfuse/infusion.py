@@ -11,7 +11,7 @@ the recorded divergence trace is monotone non-increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +24,12 @@ _ACCEPT_TOL = 1e-12
 
 @dataclass
 class InfusionParams:
-    """Fusion gate weights plus the inner-loop hyperparameters."""
+    """The fusion gate: weights (d, 2d) over hidden ++ knowledge and a (d,)
+    bias. The inner loop's settings come from the [infusion] config section
+    and are passed to knowledge_infusion; the gate holds none of them."""
 
     gate_weights: np.ndarray
     gate_bias: np.ndarray
-    gate_lr: float = 0.1
-    epsilon: float = 1e-4
-    max_inner_iters: int = 50
 
     def validate(self) -> None:
         d = self.gate_bias.shape[0]
@@ -38,38 +37,29 @@ class InfusionParams:
             raise ValidationError(
                 f"fusion weight shape {self.gate_weights.shape} != ({d}, {2 * d})"
             )
-        if self.gate_lr <= 0 or self.epsilon <= 0 or self.max_inner_iters < 1:
-            raise ValidationError("gate_lr, epsilon must be positive; max_inner_iters >= 1")
         if not (np.all(np.isfinite(self.gate_weights)) and np.all(np.isfinite(self.gate_bias))):
             raise ValidationError("non-finite fusion parameters")
 
     def copy(self) -> "InfusionParams":
-        return InfusionParams(self.gate_weights.copy(), self.gate_bias.copy(),
-                              self.gate_lr, self.epsilon, self.max_inner_iters)
+        return InfusionParams(self.gate_weights.copy(), self.gate_bias.copy())
 
     @classmethod
-    def init(cls, d: int, rng: np.random.Generator, gate_lr: float = 0.1,
-             epsilon: float = 1e-4, max_inner_iters: int = 50) -> "InfusionParams":
+    def init(cls, d: int, rng: np.random.Generator) -> "InfusionParams":
         bound = 1.0 / np.sqrt(2 * d)
         return cls(
             gate_weights=rng.uniform(-bound, bound, size=(d, 2 * d)),
             gate_bias=np.zeros(d),
-            gate_lr=gate_lr,
-            epsilon=epsilon,
-            max_inner_iters=max_inner_iters,
         )
 
 
 @dataclass
 class InfusionResult:
-    """Outcome of one infusion run."""
+    """Outcome of one infusion run: the trained gate and how the loop ran."""
 
-    modulated: np.ndarray
     inner_iterations: int
     divergence_trace: list
     exit_reason: str
     params: InfusionParams
-    gate: np.ndarray = field(default=None)
 
 
 def _check_vector(name: str, v) -> np.ndarray:
@@ -149,24 +139,20 @@ def gradient_check(h, k, params: InfusionParams) -> float:
     return max(errors.values())
 
 
-def modulate(h, gate) -> np.ndarray:
-    """Elementwise product of a hidden vector with a gate."""
-    h = _check_vector("h", h)
-    gate = _check_vector("gate", gate)
-    if h.shape != gate.shape:
-        raise ValidationError("width mismatch")
-    return h * gate
-
-
-def knowledge_infusion(h_final, h_prev, knowledge, params: InfusionParams) -> InfusionResult:
-    """Inner infusion loop; returns the knowledge-modulated representation.
+def knowledge_infusion(h_final, h_prev, knowledge, params: InfusionParams, *,
+                       gate_lr: float, epsilon: float, max_inner_iters: int) -> InfusionResult:
+    """Inner infusion loop; returns the trained gate and the loop's trace.
 
     While the penultimate layer's divergence from the knowledge embedding
-    exceeds the current one by more than epsilon, the gate parameters take
-    a backtracked gradient step on the fused divergence. The modulated
-    output gates the original hidden vector with the final fused gate.
+    exceeds the current one by more than epsilon, and fewer than
+    max_inner_iters steps have run, the gate parameters take a gradient
+    step of size gate_lr on the fused divergence, halved until it does
+    not increase the divergence. The caller applies the returned gate
+    with fuse_step.
     """
     params.validate()
+    if gate_lr <= 0 or epsilon <= 0 or max_inner_iters < 1:
+        raise ValidationError("gate_lr, epsilon must be positive; max_inner_iters >= 1")
     h0 = _check_vector("h_final", h_final)
     h_prev = _check_vector("h_prev", h_prev)
     knowledge = _check_vector("knowledge", knowledge)
@@ -185,10 +171,10 @@ def knowledge_infusion(h_final, h_prev, knowledge, params: InfusionParams) -> In
     iterations = 0
     exit_reason = "iteration_bound"
     while True:
-        if d_prev - kl_divergence(h_cur, knowledge) <= work.epsilon:
+        if d_prev - kl_divergence(h_cur, knowledge) <= epsilon:
             exit_reason = "epsilon"
             break
-        if iterations >= work.max_inner_iters:
+        if iterations >= max_inner_iters:
             exit_reason = "iteration_bound"
             break
         h_cur = fuse_step(h0, knowledge, work)
@@ -199,7 +185,7 @@ def knowledge_infusion(h_final, h_prev, knowledge, params: InfusionParams) -> In
         iterations += 1
 
         grad_w, grad_b = gate_gradient(h0, knowledge, work)
-        step = work.gate_lr
+        step = gate_lr
         for _ in range(_BACKTRACK_LIMIT):
             cand = work.copy()
             cand.gate_weights -= step * grad_w
@@ -212,17 +198,11 @@ def knowledge_infusion(h_final, h_prev, knowledge, params: InfusionParams) -> In
         # idles at a fixed divergence until the epsilon test or the
         # iteration bound fires.
 
-    gate = fuse_step(h0, knowledge, work)
-    modulated = modulate(h0, gate)
-    if not np.all(np.isfinite(modulated)):
-        raise InfusionError(f"non-finite modulated output; trace={trace}")
     return InfusionResult(
-        modulated=modulated,
         inner_iterations=iterations,
         divergence_trace=trace,
         exit_reason=exit_reason,
         params=work,
-        gate=gate,
     )
 
 

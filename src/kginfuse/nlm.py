@@ -76,22 +76,6 @@ class HiddenStates:
         return self.h[-2]
 
 
-@dataclass
-class TrainConfig:
-    epochs: int
-    iters: int
-    batch_size: int
-    lr: float
-    clip_norm: float = 5.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        if min(self.epochs, self.iters, self.batch_size) < 1:
-            raise ValidationError("epochs, iters, and batch size must be >= 1")
-        if self.lr <= 0 or self.clip_norm <= 0:
-            raise ValidationError("learning rate and clip norm must be positive")
-
-
 def init_params(input_width: int, d: int, layers: int, n_classes: int,
                 rng: np.random.Generator) -> LSTMParams:
     """Uniform(-1/sqrt(d), 1/sqrt(d)) weights, +1 forget-gate bias."""
@@ -300,7 +284,7 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     return total
 
 
-def train_step(params: LSTMParams, batch, lr: float, clip_norm: float = 5.0):
+def train_step(params: LSTMParams, batch, lr: float, clip_norm: float):
     """One SGD step on the mean cross-entropy; returns (new params, loss)."""
     loss, grads = batch_gradients(params, batch)
     clip_gradients(grads, clip_norm)

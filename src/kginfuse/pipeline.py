@@ -37,7 +37,6 @@ from .kg import KnowledgeGraph, SubKG, Triple, format_stats, load_graph
 from .metrics import EvalReport, evaluate_predictions, report_csv, report_text
 from .nlm import (
     LSTMParams,
-    TrainConfig,
     collect_hidden,
     forward_batch as forward,  # the one LSTM pass of every prediction; traced by perfbench
     init_params,
@@ -111,7 +110,7 @@ def _artifact_paths(cfg: PipelineConfig) -> dict:
     return paths
 
 
-def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
+def build(cfg: PipelineConfig) -> BuildArtifacts:
     """Build (or reuse) the KG, dimension models, seeded subgraph, and
     knowledge embedding under the config's output directory."""
     require_input_files(cfg)
@@ -121,7 +120,7 @@ def build(cfg: PipelineConfig, force: bool = False) -> BuildArtifacts:
     inputs = _input_hashes(cfg)
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    if not force and os.path.isfile(manifest_path):
+    if os.path.isfile(manifest_path):
         manifest = _read_json(manifest_path)
         if manifest.get("config_sha256") == cfg_sha and manifest.get("inputs") == inputs:
             recorded = manifest.get("artifacts")
@@ -403,44 +402,39 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
                 f"({cfg.hidden} != {width}); set [nlm] hidden = {width}"
             )
 
-    schedule = TrainConfig(cfg.epochs, cfg.iters, cfg.batch_size, cfg.lr,
-                           cfg.clip_norm, cfg.seed)
-    schedule.validate()
     params = init_params(width, cfg.hidden, cfg.layers, len(labels),
-                         stream_rng(schedule.seed, "nlm.init"))
-    batch_rng = stream_rng(schedule.seed, "nlm.batches")
-    batches = _batch_stream(batch_rng, len(sequences), schedule.batch_size)
+                         stream_rng(cfg.seed, "nlm.init"))
+    batches = _batch_stream(stream_rng(cfg.seed, "nlm.batches"), len(sequences),
+                            cfg.batch_size)
 
     fusion = None
     head_w = head_b = None
     if infused:
-        fusion = InfusionParams.init(
-            cfg.hidden, stream_rng(cfg.seed, "infusion.init"),
-            gate_lr=cfg.gate_lr, epsilon=cfg.epsilon, max_inner_iters=cfg.max_inner_iters,
-        )
+        fusion = InfusionParams.init(cfg.hidden, stream_rng(cfg.seed, "infusion.init"))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     log_rows = ["epoch,mean_loss,inner_iterations,exit_reason"]
     infusion_results: list[InfusionResult] = []
     epoch_loss = float("nan")
-    for epoch in range(1, schedule.epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         losses = []
-        for _ in range(schedule.iters):
+        for _ in range(cfg.iters):
             batch = [(sequences[i], targets[i]) for i in next(batches)]
-            params, loss = train_step(params, batch, schedule.lr, schedule.clip_norm)
+            params, loss = train_step(params, batch, cfg.lr, cfg.clip_norm)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         if infused:
             finals, penults = collect_hidden(params, sequences)
             result = knowledge_infusion(
-                finals.mean(axis=0), penults.mean(axis=0), art.ke_values, fusion
+                finals.mean(axis=0), penults.mean(axis=0), art.ke_values, fusion,
+                gate_lr=cfg.gate_lr, epsilon=cfg.epsilon, max_inner_iters=cfg.max_inner_iters,
             )
             fusion = result.params
             infusion_results.append(result)
             gates = fuse_step(finals, art.ke_values, fusion)
             head_w, head_b = _calibrate_head(
                 finals * gates, targets, len(labels),
-                params.w_out, params.b_out, schedule.lr, HEAD_CALIBRATION_STEPS,
+                params.w_out, params.b_out, cfg.lr, HEAD_CALIBRATION_STEPS,
             )
             trace_path = os.path.join(
                 cfg.out_dir, f"traces_{cfg.mode}", f"epoch_{epoch:03d}.csv"
@@ -468,10 +462,6 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
         "hidden": cfg.hidden,
         "input_width": width,
         "n_classes": len(labels),
-        "target_class": cfg.target_class,
-        "gate_lr": cfg.gate_lr,
-        "epsilon": cfg.epsilon,
-        "max_inner_iters": cfg.max_inner_iters,
     }
     arrays = {}
     for name, arr in params.named_groups():
@@ -486,10 +476,10 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
     return TrainResult(checkpoint_path, epoch_loss, infusion_results)
 
 
-# Metadata keys of every checkpoint, and the extra ones of an infused one.
+# Metadata keys every checkpoint must have; load_trained ignores any others,
+# such as the infusion settings that older checkpoints also stored.
 _CHECKPOINT_META = ("mode", "labels", "seed", "config_sha256", "layers", "hidden",
                     "input_width", "n_classes")
-_INFUSED_META = ("gate_lr", "epsilon", "max_inner_iters")
 
 
 def load_trained(path) -> Checkpoint:
@@ -497,7 +487,7 @@ def load_trained(path) -> Checkpoint:
     array or one whose shape the metadata does not give, raises StorageError."""
     meta, arrays = load_checkpoint(path)
     infused = meta.get("mode") == "infused"
-    missing = [k for k in _CHECKPOINT_META + (_INFUSED_META if infused else ()) if k not in meta]
+    missing = [k for k in _CHECKPOINT_META if k not in meta]
     if missing:
         raise StorageError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
     layers, d, width, n = (meta[k] for k in ("layers", "hidden", "input_width", "n_classes"))
@@ -533,13 +523,7 @@ def load_trained(path) -> Checkpoint:
     fusion = None
     head_w = head_b = None
     if infused:
-        fusion = InfusionParams(
-            gate_weights=arrays["fusion.gate_weights"],
-            gate_bias=arrays["fusion.gate_bias"],
-            gate_lr=meta["gate_lr"],
-            epsilon=meta["epsilon"],
-            max_inner_iters=meta["max_inner_iters"],
-        )
+        fusion = InfusionParams(arrays["fusion.gate_weights"], arrays["fusion.gate_bias"])
         head_w = arrays["fusion.head.W"]
         head_b = arrays["fusion.head.b"]
     return Checkpoint(
@@ -795,7 +779,7 @@ def _finish_update(cfg: PipelineConfig, outcome: UpdateOutcome) -> UpdateOutcome
     audit_path = os.path.join(cfg.out_dir, "update_audit.log")
     cycle = 0
     if os.path.isfile(audit_path):
-        with open(audit_path, encoding="utf-8") as handle:
+        with open(audit_path, "rb") as handle:  # counted, never decoded
             cycle = sum(1 for line in handle if line.strip())
     residual, imbalance = ("-" if value is None else "%.3e" % value
                            for value in (outcome.residual, outcome.imbalance))

@@ -26,7 +26,6 @@ class CorpusStats:
 
     class_token_counts: dict[str, Counter]
     class_totals: dict[str, int]
-    doc_frequency: Counter
     vocab: frozenset[str]
 
     @property
@@ -61,15 +60,11 @@ def corpus_stats(dataset) -> CorpusStats:
     if not dataset:
         raise ValidationError("dataset is empty")
     class_counts: dict[str, Counter] = {}
-    doc_frequency: Counter = Counter()
     for label, text in dataset:
-        tokens = tokenize(text)
-        counts = class_counts.setdefault(label, Counter())
-        counts.update(tokens)
-        doc_frequency.update(set(tokens))
+        class_counts.setdefault(label, Counter()).update(tokenize(text))
     totals = {label: sum(c.values()) for label, c in class_counts.items()}
-    vocab = frozenset(doc_frequency)
-    return CorpusStats(class_counts, totals, doc_frequency, vocab)
+    vocab = frozenset().union(*class_counts.values())
+    return CorpusStats(class_counts, totals, vocab)
 
 
 def relevance_score(concept, stats: CorpusStats, target_class: str) -> float:

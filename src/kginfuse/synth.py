@@ -74,11 +74,15 @@ def generate_benchmark(out_dir, seed: int = 0, train_docs: int = 400,
         test_path, _test_documents(stream_rng(seed, "synth.test"), test_docs)
     )
 
+    def rel(path):
+        # parse_config resolves config paths against the config's directory.
+        return os.path.relpath(path, out_dir)
+
     cfg = PipelineConfig(
-        kg_path=kg_path,
-        dataset_path=train_path,
-        eval_dataset_path=test_path,
-        corpora=corpora,
+        kg_path=rel(kg_path),
+        dataset_path=rel(train_path),
+        eval_dataset_path=rel(test_path),
+        corpora={name: rel(path) for name, path in corpora.items()},
         target_class="pos",
         top_m=len(DIAGNOSTIC_TOKENS),
         subkg_hops=2,
@@ -100,7 +104,7 @@ def generate_benchmark(out_dir, seed: int = 0, train_docs: int = 400,
         proximity_hops=2,
         mode="infused",
         seed=seed,
-        out_dir=os.path.join(out_dir, "runs"),
+        out_dir="runs",
         compare_seeds=10,
     )
     config_path = os.path.join(out_dir, "benchmark.cfg")

@@ -21,6 +21,7 @@ from kginfuse.embedding import (
 )
 from kginfuse.infusion import (
     InfusionParams,
+    fuse_step,
     kl_divergence,
     knowledge_infusion,
 )
@@ -96,22 +97,18 @@ def test_criterion_3_infusion_loop_contract():
     ok = True
     for _ in range(120):
         d = int(rng.integers(2, 7))
-        params = InfusionParams.init(
-            d, np.random.default_rng(int(rng.integers(1 << 30))),
-            gate_lr=float(rng.uniform(0.02, 0.5)),
-            epsilon=float(rng.uniform(1e-6, 1e-3)),
-            max_inner_iters=int(rng.integers(1, 60)),
-        )
-        result = knowledge_infusion(
-            rng.normal(scale=2, size=d), rng.normal(scale=2, size=d),
-            rng.normal(scale=2, size=d), params,
-        )
+        params = InfusionParams.init(d, np.random.default_rng(int(rng.integers(1 << 30))))
+        settings = dict(gate_lr=float(rng.uniform(0.02, 0.5)),
+                        epsilon=float(rng.uniform(1e-6, 1e-3)),
+                        max_inner_iters=int(rng.integers(1, 60)))
+        h, h_prev, k = (rng.normal(scale=2, size=d) for _ in range(3))
+        result = knowledge_infusion(h, h_prev, k, params, **settings)
         ok &= result.exit_reason in ("epsilon", "iteration_bound")
-        ok &= result.inner_iterations <= params.max_inner_iters
+        ok &= result.inner_iterations <= settings["max_inner_iters"]
         ok &= len(result.divergence_trace) == result.inner_iterations
         trace = [cur for _, cur in result.divergence_trace]
         ok &= all(later <= earlier + 1e-9 for earlier, later in zip(trace, trace[1:]))
-        ok &= bool(np.all(np.isfinite(result.modulated)))
+        ok &= bool(np.all(np.isfinite(h * fuse_step(h, k, result.params))))
     elapsed = time.monotonic() - started
     _report(3, f"infusion loop terminates with monotone traces "
                f"(120 instances, {elapsed:.1f}s)", ok and elapsed < 60.0)

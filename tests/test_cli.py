@@ -7,6 +7,7 @@ import numpy as np
 
 from kginfuse.cli import main
 from kginfuse.storage import load_checkpoint, save_checkpoint
+from kginfuse.synth import generate_benchmark
 
 
 def test_build_then_train_then_eval(tiny_project, capsys):
@@ -68,6 +69,24 @@ def test_update_kg_via_cli(tiny_project, capsys):
     out = capsys.readouterr().out
     assert "misclassified:" in out
     assert re.search(r"mapping residual: \S+ imbalance: \S+\n", out)
+
+
+def test_update_kg_counts_an_undecodable_audit_log(tiny_project, capsys):
+    assert main(["build", "--config", str(tiny_project)]) == 0
+    assert main(["train", "--config", str(tiny_project)]) == 0
+    checkpoint = capsys.readouterr().out.split("checkpoint: ", 1)[1].splitlines()[0]
+    audit = tiny_project.parent / "out" / "update_audit.log"
+    audit.write_bytes(b"\xff\n")
+    assert main(["update-kg", "--config", str(tiny_project),
+                 "--checkpoint", checkpoint]) == 0
+    assert audit.read_bytes().splitlines()[-1].startswith(b"cycle=2 ")
+
+
+def test_generated_benchmark_runs_from_a_relative_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = generate_benchmark("bench", seed=0, epochs=1, iters=1).config
+    assert main(["build", "--config", config]) == 0
+    assert os.path.isfile(tmp_path / "bench" / "runs" / "manifest.json")
 
 
 def test_gradcheck_passes(capsys):

@@ -126,6 +126,13 @@ class TestSolveMapping:
         assert np.linalg.norm(sol.w) < 1e-10
         assert sol.residual < 1e-10
 
+    def test_permuted_columns_are_aligned_before_solving(self):
+        # Equal column counts are aligned by cosine too, so listing the same
+        # columns in another order gives the same (zero) map.
+        s = np.random.default_rng(3).normal(size=(4, 3))
+        sol = solve_mapping(s, s[:, [1, 2, 0]], alpha=1.0, ridge=0.1)
+        assert np.linalg.norm(sol.w) < 1e-10
+
     def test_small_case_matches_kronecker_oracle(self):
         s = np.array([[1.0], [2.0]])
         d = np.array([[0.5], [-1.0]])
@@ -209,7 +216,7 @@ class TestUpdateSeeded:
         from kginfuse.dke import MappingSolution
 
         _, models, seeded, _, diff = self.setup_case()
-        identity = MappingSolution(np.eye(2), 1.0, 0.1, 0.0, 0.0)
+        identity = MappingSolution(np.eye(2), 0.0, 0.0)
         updated = update_seeded(seeded, diff, identity)
         col = updated.embedded_concepts.index("d")
         np.testing.assert_allclose(

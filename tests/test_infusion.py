@@ -14,14 +14,16 @@ from kginfuse.infusion import (
     gate_gradient,
     gradient_check,
     knowledge_infusion,
-    modulate,
     trace_csv,
 )
 
 
-def make_params(d=2, seed=0, **kw):
-    return InfusionParams.init(d, np.random.default_rng(seed), **kw)
+def make_params(d=2, seed=0):
+    return InfusionParams.init(d, np.random.default_rng(seed))
 
+
+# The inner loop's settings at the [infusion] section's defaults.
+SETTINGS = dict(gate_lr=0.1, epsilon=1e-4, max_inner_iters=50)
 
 
 class TestKlDivergence:
@@ -147,52 +149,26 @@ class TestKlfGradient:
         assert gradient_check(h, k, make_params(d=3)) > 0.3
 
 
-class TestModulate:
-    def test_identity_gate(self):
-        h = np.array([1.5, -2.0])
-        np.testing.assert_array_equal(modulate(h, np.ones(2)), h)
-
-    def test_zero_gate_annihilates(self):
-        assert not modulate(np.array([1.5, -2.0]), np.zeros(2)).any()
-
-    def test_hand_values(self):
-        np.testing.assert_allclose(
-            modulate(np.array([1.0, -2.0]), np.array([0.5, 0.25])), [0.5, -0.5]
-        )
-
-    def test_commutative_and_distributive(self):
-        rng = np.random.default_rng(5)
-        a, b, c = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(modulate(a, b), modulate(b, a))
-        np.testing.assert_allclose(
-            modulate(a + c, b), modulate(a, b) + modulate(c, b), atol=1e-15
-        )
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            modulate(np.ones(2), np.ones(3))
-
-
 class TestKnowledgeInfusion:
     def test_zero_iterations_when_gap_already_small(self):
         params = make_params(d=2, seed=1)
         k = np.array([0.2, 0.7])
         h = k + 0.001      # essentially aligned with the target
         h_prev = k + 0.002  # so the divergence gap is far below epsilon
-        result = knowledge_infusion(h, h_prev, k, params)
+        result = knowledge_infusion(h, h_prev, k, params, **SETTINGS)
         assert result.inner_iterations == 0
         assert result.exit_reason == "epsilon"
         assert result.divergence_trace == []
-        expected = modulate(h, fuse_step(h, k, params))
-        np.testing.assert_array_equal(result.modulated, expected)
         assert np.array_equal(result.params.gate_weights, params.gate_weights)
+        assert np.array_equal(result.params.gate_bias, params.gate_bias)
 
     def test_trace_is_monotone_and_final_no_worse(self):
-        params = make_params(d=2, seed=2, epsilon=1e-9, max_inner_iters=40)
+        params = make_params(d=2, seed=2)
         h = np.array([2.0, -1.0])
         h_prev = np.array([-3.0, 3.0])
         k = np.array([0.5, 0.1])
-        result = knowledge_infusion(h, h_prev, k, params)
+        result = knowledge_infusion(h, h_prev, k, params,
+                                    gate_lr=0.1, epsilon=1e-9, max_inner_iters=40)
         assert result.inner_iterations > 0
         trace = [cur for _, cur in result.divergence_trace]
         for earlier, later in zip(trace, trace[1:]):
@@ -200,11 +176,12 @@ class TestKnowledgeInfusion:
         assert trace[-1] <= trace[0] + 1e-9
 
     def test_iteration_bound_of_one_applies_one_update(self):
-        params = make_params(d=2, seed=3, max_inner_iters=1, epsilon=1e-12)
+        params = make_params(d=2, seed=3)
         h = np.array([4.0, -4.0])
         h_prev = np.array([-4.0, 4.0])
         k = np.array([1.0, 0.0])
-        result = knowledge_infusion(h, h_prev, k, params)
+        result = knowledge_infusion(h, h_prev, k, params,
+                                    gate_lr=0.1, epsilon=1e-12, max_inner_iters=1)
         if result.inner_iterations:  # gap was above epsilon
             assert result.inner_iterations == 1
             assert len(result.divergence_trace) == 1
@@ -214,15 +191,24 @@ class TestKnowledgeInfusion:
         for _ in range(25):
             params = make_params(d=3, seed=int(rng.integers(1 << 30)))
             result = knowledge_infusion(
-                rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), params
+                rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), params,
+                **SETTINGS,
             )
             assert result.exit_reason in ("epsilon", "iteration_bound")
-            assert result.inner_iterations <= params.max_inner_iters
+            assert result.inner_iterations <= SETTINGS["max_inner_iters"]
             assert len(result.divergence_trace) == result.inner_iterations
 
     def test_zero_knowledge_embedding_refused(self):
         with pytest.raises(InfusionError):
-            knowledge_infusion(np.ones(2), np.ones(2), np.zeros(2), make_params(d=2))
+            knowledge_infusion(np.ones(2), np.ones(2), np.zeros(2), make_params(d=2),
+                               **SETTINGS)
+
+    @pytest.mark.parametrize("bad", [dict(gate_lr=0.0), dict(epsilon=-1e-4),
+                                     dict(max_inner_iters=0)])
+    def test_bad_settings_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            knowledge_infusion(np.ones(2), np.ones(2), np.ones(2), make_params(d=2),
+                               **{**SETTINGS, **bad})
 
     def test_trace_csv_shape(self):
         text = trace_csv([(0.5, 0.4), (0.5, 0.3)])

@@ -125,15 +125,15 @@ class TestTrainStep:
     def test_zero_learning_rate_is_identity(self):
         params = small_params()
         batch = small_batch()
-        updated, _ = train_step(params, batch, lr=0.0)
+        updated, _ = train_step(params, batch, lr=0.0, clip_norm=5.0)
         for (_, a), (_, b) in zip(params.named_groups(), updated.named_groups()):
             assert np.array_equal(a, b)
 
     def test_duplicated_example_equals_single(self):
         params = small_params()
         example = small_batch()[0]
-        once, loss1 = train_step(params, [example], lr=0.05)
-        twice, loss2 = train_step(params, [example, example], lr=0.05)
+        once, loss1 = train_step(params, [example], lr=0.05, clip_norm=5.0)
+        twice, loss2 = train_step(params, [example, example], lr=0.05, clip_norm=5.0)
         assert loss1 == loss2
         for (_, a), (_, b) in zip(once.named_groups(), twice.named_groups()):
             assert np.array_equal(a, b)
@@ -144,7 +144,7 @@ class TestTrainStep:
         batch = [(rng.normal(size=(4, 3)), 1)]
         loss = None
         for _ in range(200):
-            params, loss = train_step(params, batch, lr=0.2)
+            params, loss = train_step(params, batch, lr=0.2, clip_norm=5.0)
         assert loss < 0.1
 
     def test_loss_mostly_non_increasing_at_small_lr(self):
@@ -152,9 +152,9 @@ class TestTrainStep:
         for seed in range(10):
             params = small_params(seed=seed)
             batch = small_batch(seed=seed)
-            losses = [train_step(params, batch, lr=1e-3)[1]]
+            losses = [train_step(params, batch, lr=1e-3, clip_norm=5.0)[1]]
             for _ in range(10):
-                params, loss = train_step(params, batch, lr=1e-3)
+                params, loss = train_step(params, batch, lr=1e-3, clip_norm=5.0)
                 losses.append(loss)
             if all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])):
                 wins += 1
@@ -162,7 +162,7 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
-            train_step(small_params(), [], lr=0.1)
+            train_step(small_params(), [], lr=0.1, clip_norm=5.0)
 
 
 class TestGradientCheck:

@@ -44,8 +44,7 @@ def constant_checkpoint(path, labels=("neg", "pos"), width=4):
     meta = {
         "format": 1, "mode": "vanilla", "labels": list(labels), "seed": 0,
         "config_sha256": "none", "layers": 2, "hidden": d, "input_width": width,
-        "n_classes": len(labels), "target_class": labels[-1],
-        "gate_lr": 0.1, "epsilon": 1e-4, "max_inner_iters": 50,
+        "n_classes": len(labels),
     }
     save_checkpoint(path, meta, arrays)
     return path

@@ -130,6 +130,18 @@ class TestCorruptArtifacts:
         with pytest.raises(StorageError, match="layers"):
             load_trained(path)
 
+    def test_older_checkpoint_keys_are_ignored(self, tiny_project, tmp_path):
+        # Older checkpoints also stored the target class and the infusion
+        # settings; they load and predict exactly as before.
+        cfg = replace(parse_config(tiny_project), mode="infused")
+        checkpoint = train(cfg, art=build(cfg)).checkpoint_path
+        meta, arrays = load_checkpoint(checkpoint)
+        meta.update(target_class="pos", gate_lr=0.1, epsilon=1e-6, max_inner_iters=20)
+        save_checkpoint(tmp_path / "older.kicp", meta, arrays)
+        sequences = [np.random.default_rng(i).normal(size=(i + 1, 4)) for i in range(5)]
+        assert np.array_equal(load_trained(tmp_path / "older.kicp").predict_proba_batch(sequences),
+                              load_trained(checkpoint).predict_proba_batch(sequences))
+
     def test_missing_array_rejected_by_load_trained(self, trained_project, tmp_path):
         _, checkpoint = trained_project
         meta, arrays = load_checkpoint(checkpoint)
@@ -183,8 +195,7 @@ class TestCorruptArtifacts:
         _, checkpoint = trained_project
         meta, arrays = load_checkpoint(checkpoint)
         d, width, n = 4, 3, meta["n_classes"]
-        meta.update(mode="infused", hidden=d, input_width=width, gate_lr=0.1, epsilon=1e-6,
-                    max_inner_iters=20)
+        meta.update(mode="infused", hidden=d, input_width=width)
         arrays.update({"lstm.layer0.W": np.zeros((4 * d, width + d)), "ke": np.zeros(width),
                        "fusion.gate_weights": np.zeros((d, d + width)),
                        "fusion.gate_bias": np.zeros(d), "fusion.head.W": np.zeros((n, d)),
