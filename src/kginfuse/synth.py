@@ -83,29 +83,16 @@ def generate_benchmark(out_dir, seed: int = 0, train_docs: int = 400,
         dataset_path=rel(train_path),
         eval_dataset_path=rel(test_path),
         corpora={name: rel(path) for name, path in corpora.items()},
-        target_class="pos",
         top_m=len(DIAGNOSTIC_TOKENS),
-        subkg_hops=2,
-        predicates=None,
-        window=4,
         d_sub={"signal": 6, "general": 6},
-        layers=2,
         hidden=12,
         epochs=epochs,
         iters=iters,
         batch_size=16,
         lr=0.3,
-        clip_norm=5.0,
         epsilon=1e-6,
-        gate_lr=0.1,
-        max_inner_iters=50,
-        alpha=1.0,
-        ridge=0.1,
-        proximity_hops=2,
-        mode="infused",
         seed=seed,
         out_dir="runs",
-        compare_seeds=10,
     )
     config_path = os.path.join(out_dir, "benchmark.cfg")
     atomic_write_text(config_path, emit_config(cfg))

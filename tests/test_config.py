@@ -1,5 +1,6 @@
 """Configuration parsing, validation, and round-tripping."""
 
+import hashlib
 import re
 
 import pytest
@@ -17,6 +18,7 @@ from kginfuse.config import (
     with_overrides,
 )
 from kginfuse.errors import ConfigError, ValidationError
+from kginfuse.synth import generate_benchmark
 
 
 def test_parse_tiny_project(tiny_project):
@@ -210,6 +212,17 @@ def test_emitted_text_is_pinned():
     )
     assert emit_config(cfg) == GOLDEN_CONFIG
     assert parse_config_text(GOLDEN_CONFIG, base_dir="/") == cfg
+
+
+def test_synth_benchmark_config_is_pinned(tmp_path):
+    # generate_benchmark passes only the settings that differ from the
+    # PipelineConfig defaults; emit_config writes every key, so the
+    # benchmark's config text, and with it every cached build and
+    # checkpoint hash, stays the same.
+    config = generate_benchmark(str(tmp_path), seed=0).config
+    with open(config, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert digest == "9498916c52ebed65a0b0c8236e808e94a521efd36b0684e6aba95cffb2acd493"
 
 
 _CONFIG_LINES = st.sampled_from([

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from kginfuse.config import parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
+from kginfuse.nlm import log_softmax
 from kginfuse.pipeline import (
+    HEAD_CALIBRATION_L2,
+    _calibrate_head,
     build,
     compare,
     evaluate,
@@ -178,6 +181,23 @@ class TestTrain:
         assert r2.final_epoch_loss == loss1
         assert open(r2.checkpoint_path, "rb").read() == bytes1
 
+    def test_training_log_records_a_converged_head_refit_per_infused_epoch(self, tiny_project):
+        base = parse_config(tiny_project)
+        art = build(base)
+        logs = {}
+        for mode in ("vanilla", "infused"):
+            cfg = replace(base, mode=mode)
+            train(cfg, art=art)
+            with open(os.path.join(cfg.out_dir, f"training_log_{mode}.csv")) as handle:
+                logs[mode] = [line.split(",") for line in handle.read().splitlines()]
+        for rows in logs.values():
+            assert rows[0][-2:] == ["head_iterations", "head_grad_norm"]
+            assert len(rows) == base.epochs + 1
+        assert all(row[-2:] == ["", ""] for row in logs["vanilla"][1:])
+        for row in logs["infused"][1:]:
+            assert int(row[-2]) >= 1
+            assert float(row[-1]) <= 1e-9
+
     def test_infused_refused_when_ke_is_empty(self, tiny_project):
         cfg = replace(parse_config(tiny_project), mode="infused")
         art = build(cfg)
@@ -192,6 +212,75 @@ class TestTrain:
         with pytest.raises(ConfigError) as err:
             train(cfg, art=art)
         assert "hidden" in str(err.value)
+
+
+def _head_objective(features, targets, w, b):
+    """What _calibrate_head minimizes."""
+    logp = log_softmax(features @ w.T + b)
+    return -logp[np.arange(len(targets)), targets].mean() + 0.5 * HEAD_CALIBRATION_L2 * np.sum(w * w)
+
+
+def _head_gradient_descent(features, targets, w0, b0, lr, steps):
+    """Plain full-batch gradient descent on the same objective (the refit
+    used before the Newton solve, with lr=0.3 and 400 steps)."""
+    w, b = w0.copy(), b0.copy()
+    n = len(targets)
+    onehot = np.eye(w.shape[0])[targets]
+    for _ in range(steps):
+        g = (np.exp(log_softmax(features @ w.T + b)) - onehot) / n
+        w -= lr * (g.T @ features + HEAD_CALIBRATION_L2 * w)
+        b -= lr * g.sum(axis=0)
+    return w, b
+
+
+def _head_problem(seed, n=400, d=12, n_classes=2):
+    """Gated-hidden-like features in (-1, 1) with labels a noisy linear rule
+    of them, and a start head like the LSTM's."""
+    rng = np.random.default_rng(seed)
+    features = np.tanh(rng.normal(size=(n, d))) * rng.random((n, d))
+    scores = features @ rng.normal(size=(d, n_classes)) + rng.normal(size=(n, n_classes))
+    targets = np.argmax(scores, axis=1)
+    return features, targets, rng.normal(size=(n_classes, d)) * 0.3, rng.normal(size=n_classes)
+
+
+class TestCalibrateHead:
+    @pytest.mark.parametrize("seed,n_classes", [(0, 2), (1, 2), (2, 3), (3, 5)])
+    def test_converges_and_keeps_the_bias_sum(self, seed, n_classes):
+        features, targets, w0, b0 = _head_problem(seed, n_classes=n_classes)
+        w, b, iterations, grad_norm = _calibrate_head(features, targets, n_classes, w0, b0)
+        assert 1 <= iterations <= 20
+        assert grad_norm <= 1e-9
+        assert abs(b.sum() - b0.sum()) <= 1e-12
+        assert w.shape == w0.shape and b.shape == b0.shape
+
+    def test_reaches_the_optimum_gradient_descent_approaches(self):
+        features, targets, w0, b0 = _head_problem(0)
+        w, b, _, _ = _calibrate_head(features, targets, 2, w0, b0)
+        old_w, old_b = _head_gradient_descent(features, targets, w0, b0, lr=0.3, steps=400)
+        assert _head_objective(features, targets, w, b) <= _head_objective(features, targets,
+                                                                         old_w, old_b)
+        small = _head_problem(4, n=40, d=3, n_classes=3)
+        w, b, _, _ = _calibrate_head(small[0], small[1], 3, small[2], small[3])
+        long_w, long_b = _head_gradient_descent(*small, lr=1.0, steps=20000)
+        assert abs(_head_objective(small[0], small[1], w, b)
+                   - _head_objective(small[0], small[1], long_w, long_b)) <= 1e-9
+
+    def test_zero_features_give_the_log_class_frequencies(self):
+        targets = np.array([0, 1, 1, 2, 2, 2, 2])
+        w0, b0 = np.full((3, 4), 0.7), np.array([0.5, -1.0, 2.0])
+        w, b, _, grad_norm = _calibrate_head(np.zeros((7, 4)), targets, 3, w0, b0)
+        assert grad_norm <= 1e-9
+        np.testing.assert_allclose(w, 0.0, atol=1e-15)
+        log_counts = np.log([1.0, 2.0, 4.0])
+        np.testing.assert_allclose(b, log_counts - log_counts.mean() + b0.mean(), atol=1e-10)
+
+    def test_repeated_calls_are_bit_identical(self):
+        problem = _head_problem(5, n_classes=3)
+        first = _calibrate_head(problem[0], problem[1], 3, problem[2], problem[3])
+        second = _calibrate_head(problem[0], problem[1], 3, problem[2], problem[3])
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+        assert first[2:] == second[2:]
 
 
 class TestEvaluate:
@@ -315,6 +404,22 @@ class TestUpdateKg:
         lines = open(os.path.join(cfg.out_dir, "update_audit.log")).read().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("cycle=1") and lines[1].startswith("cycle=2")
+
+    def test_audit_line_after_a_cut_last_line_starts_a_line_of_its_own(self, tiny_project,
+                                                                       tmp_path):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        audit = os.path.join(cfg.out_dir, "update_audit.log")
+        with open(audit, "wb") as handle:
+            handle.write(b"cycle=1 cut short")
+        ckpt = constant_checkpoint(str(tmp_path / "const.kicp"))
+        update_kg(cfg, ckpt)
+        with open(audit, "rb") as handle:
+            logged = handle.read()
+        assert logged.startswith(b"cycle=1 cut short\n")
+        lines = logged.split(b"\n")
+        assert len(lines) == 3 and lines[2] == b""
+        assert lines[1].startswith(b"cycle=2 ")
 
     def test_updated_embeddings_stay_unit_norm(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
