@@ -217,7 +217,8 @@ class TestTrain:
 def _head_objective(features, targets, w, b):
     """What _calibrate_head minimizes."""
     logp = log_softmax(features @ w.T + b)
-    return -logp[np.arange(len(targets)), targets].mean() + 0.5 * HEAD_CALIBRATION_L2 * np.sum(w * w)
+    penalty = 0.5 * HEAD_CALIBRATION_L2 * np.sum(w * w)
+    return -logp[np.arange(len(targets)), targets].mean() + penalty
 
 
 def _head_gradient_descent(features, targets, w0, b0, lr, steps):
@@ -259,11 +260,11 @@ class TestCalibrateHead:
         old_w, old_b = _head_gradient_descent(features, targets, w0, b0, lr=0.3, steps=400)
         assert _head_objective(features, targets, w, b) <= _head_objective(features, targets,
                                                                          old_w, old_b)
-        small = _head_problem(4, n=40, d=3, n_classes=3)
-        w, b, _, _ = _calibrate_head(small[0], small[1], 3, small[2], small[3])
-        long_w, long_b = _head_gradient_descent(*small, lr=1.0, steps=20000)
-        assert abs(_head_objective(small[0], small[1], w, b)
-                   - _head_objective(small[0], small[1], long_w, long_b)) <= 1e-9
+        features, targets, w0, b0 = _head_problem(4, n=40, d=3, n_classes=3)
+        w, b, _, _ = _calibrate_head(features, targets, 3, w0, b0)
+        long_w, long_b = _head_gradient_descent(features, targets, w0, b0, lr=1.0, steps=20000)
+        assert abs(_head_objective(features, targets, w, b)
+                   - _head_objective(features, targets, long_w, long_b)) <= 1e-9
 
     def test_zero_features_give_the_log_class_frequencies(self):
         targets = np.array([0, 1, 1, 2, 2, 2, 2])
@@ -275,9 +276,9 @@ class TestCalibrateHead:
         np.testing.assert_allclose(b, log_counts - log_counts.mean() + b0.mean(), atol=1e-10)
 
     def test_repeated_calls_are_bit_identical(self):
-        problem = _head_problem(5, n_classes=3)
-        first = _calibrate_head(problem[0], problem[1], 3, problem[2], problem[3])
-        second = _calibrate_head(problem[0], problem[1], 3, problem[2], problem[3])
+        features, targets, w0, b0 = _head_problem(5, n_classes=3)
+        first = _calibrate_head(features, targets, 3, w0, b0)
+        second = _calibrate_head(features, targets, 3, w0, b0)
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1].tobytes() == second[1].tobytes()
         assert first[2:] == second[2:]
