@@ -7,9 +7,11 @@ eigenpairs of largest |eigenvalue| (the positive one first on a tie),
 which is the truncated SVD of that matrix. An eigenvalue of multiplicity
 > 1 has no unique basis, but the basis returned is the same from run to
 run. A piece of content is embedded per dimension and the sub-vectors
-are concatenated. The knowledge embedding summarizes a seeded subgraph
-as one vector in the same concatenated space: a distance-weighted sum
-over concept pairs, L2-normalized.
+are concatenated. Token lists are embedded in one batch, so each concept
+is embedded once per call; its vectors are added in sorted token order,
+the summation order of one np.mean per concept. The knowledge embedding
+summarizes a seeded subgraph as one vector in the same concatenated
+space: a distance-weighted sum over concept pairs, L2-normalized.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kg import Concept, lcs_distance
+from .kg import lcs_distance
 from .text import tokenize
 
 log = logging.getLogger(__name__)
@@ -38,19 +40,6 @@ class DimensionModel:
     def token_vector(self, token: str):
         idx = self.vocab.get(token)
         return None if idx is None else self.vectors[idx]
-
-
-@dataclass
-class ContentVector:
-    """Concatenation of per-dimension mean token vectors.
-
-    hit_count is the number of in-vocab tokens summed over all models;
-    zero means the text resolved against no dimension (the vector is
-    all zeros in that case).
-    """
-
-    values: np.ndarray
-    hit_count: int
 
 
 @dataclass
@@ -150,47 +139,55 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed_tokens(models, tokens) -> ContentVector:
-    """Bag-of-words mean per dimension, concatenated in model order.
+def embed_token_lists(models, token_lists) -> tuple[np.ndarray, np.ndarray]:
+    """Bag-of-words mean per dimension of each token list, concatenated in model order.
 
-    In-vocab tokens are summed in sorted order, so the result is exactly
-    invariant under permutations of the token multiset.
+    Returns (values, hits): one row of width content_width(models) per
+    list, and per list the number of in-vocab tokens summed over all
+    models. A hit count of zero means the list resolved against no
+    dimension, and its row is all zeros. Per model, each list's in-vocab
+    tokens are added in sorted order, one after another from zero, and
+    the sum is divided by their count, so a row is exactly invariant
+    under permutations of its list. For a model of two or more columns
+    this is the sum np.mean makes of the same vectors; along a single
+    column of more than eight vectors NumPy sums pairwise instead.
     """
     if not models:
         raise ValidationError("at least one dimension model is required")
+    n = len(token_lists)
     pieces = []
-    hits = 0
+    hits = np.zeros(n, dtype=np.int64)
     for model in models:
-        matched = sorted(t for t in tokens if t in model.vocab)
-        if matched:
-            piece = np.mean([model.token_vector(t) for t in matched], axis=0)
-            hits += len(matched)
-        else:
-            piece = np.zeros(model.d_sub)
-        pieces.append(piece)
-    return ContentVector(values=np.concatenate(pieces), hit_count=hits)
-
-
-def concept_embedding(models, concept: Concept) -> ContentVector:
-    """Embedding of a concept's label tokens.
-
-    A hit_count of zero marks the concept unresolvable; such concepts
-    are excluded from subgraph embedding matrices.
-    """
-    return embed_tokens(models, concept.tokens)
+        owners, rows = [], []
+        for i, tokens in enumerate(token_lists):
+            matched = sorted(t for t in tokens if t in model.vocab)
+            owners += [i] * len(matched)
+            rows += [model.vocab[t] for t in matched]
+        owners = np.asarray(owners, dtype=np.intp)
+        sums = np.zeros((n, model.d_sub))
+        np.add.at(sums, owners, model.vectors[np.asarray(rows, dtype=np.intp)])
+        counts = np.bincount(owners, minlength=n)
+        pieces.append(sums / np.maximum(counts, 1)[:, None])
+        hits += counts
+    return np.concatenate(pieces, axis=1), hits
 
 
 def embed_concepts(kg, concept_ids, models) -> tuple[np.ndarray, tuple[str, ...]]:
     """Unit-norm embedding columns for the resolvable concepts among
-    concept_ids, in the given order; returns (matrix, embedded ids)."""
+    concept_ids, in the given order; returns (matrix, embedded ids).
+
+    Each concept is embedded once, from its label tokens; a concept
+    whose tokens resolve against no dimension is left out.
+    """
+    concept_ids = list(concept_ids)
+    values, hits = embed_token_lists(models, [kg.concepts[c].tokens for c in concept_ids])
     columns = []
     embedded = []
-    for cid in concept_ids:
-        cv = concept_embedding(models, kg.concepts[cid])
-        norm = float(np.linalg.norm(cv.values))
-        if cv.hit_count == 0 or norm == 0.0:
+    for cid, row, hit_count in zip(concept_ids, values, hits):
+        norm = float(np.linalg.norm(row))
+        if hit_count == 0 or norm == 0.0:
             continue
-        columns.append(cv.values / norm)
+        columns.append(row / norm)
         embedded.append(cid)
     matrix = np.stack(columns, axis=1) if columns else np.zeros((content_width(models), 0))
     return matrix, tuple(embedded)
@@ -203,8 +200,10 @@ def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
     endpoints both resolve, the pair contributes the elementwise mean of
     the two concept embeddings, weighted by 1/(1 + taxonomy distance).
     A pair whose concepts share no taxonomy ancestor gets weight 1/2: its
-    concepts are the endpoints of one triple, so they are adjacent. The
-    weighted sum is L2-normalized.
+    concepts are the endpoints of one triple, so they are adjacent (a
+    concept is its own ancestor, so a self-pair always has distance 0).
+    Each endpoint concept is embedded once, and the pair terms are added
+    in sorted-triple order. The weighted sum is L2-normalized.
 
     allowlist=None admits every predicate; an empty set admits none.
     """
@@ -213,31 +212,21 @@ def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
         raise ValidationError("seeded subgraph has no triples")
     kg = subkg.parent
     width = content_width(models)
-    cache: dict[str, ContentVector] = {}
-
-    def embed(cid: str) -> ContentVector:
-        if cid not in cache:
-            cache[cid] = concept_embedding(models, kg.concepts[cid])
-        return cache[cid]
-
-    acc = np.zeros(width)
-    pair_count = 0
-    for t in sorted(subkg.triples):
-        if allowlist is not None and t.predicate not in allowlist:
-            continue
-        ei = embed(t.subject)
-        ej = embed(t.object)
-        if ei.hit_count == 0 or ej.hit_count == 0:
-            continue
-        dist = lcs_distance(kg, t.subject, t.object)
-        if dist is None:
-            dist = 0 if t.subject == t.object else 1
-        weight = 1.0 / (1.0 + dist)
-        acc += weight * 0.5 * (ei.values + ej.values)
-        pair_count += 1
-
-    norm = float(np.linalg.norm(acc))
-    if pair_count == 0 or norm == 0.0:
+    triples = [t for t in sorted(subkg.triples)
+               if allowlist is None or t.predicate in allowlist]
+    ids = sorted({c for t in triples for c in (t.subject, t.object)})
+    row = {cid: i for i, cid in enumerate(ids)}
+    values, hits = embed_token_lists(models, [kg.concepts[c].tokens for c in ids])
+    pairs = [t for t in triples if hits[row[t.subject]] and hits[row[t.object]]]
+    dists = [lcs_distance(kg, t.subject, t.object) for t in pairs]
+    weights = 1.0 / (1.0 + np.array([1 if d is None else d for d in dists], dtype=float))
+    subjects = np.array([row[t.subject] for t in pairs], dtype=np.intp)
+    objects = np.array([row[t.object] for t in pairs], dtype=np.intp)
+    terms = (weights * 0.5)[:, None] * (values[subjects] + values[objects])
+    acc = np.zeros((1, width))
+    np.add.at(acc, np.zeros(len(pairs), dtype=np.intp), terms)  # one after another, in order
+    norm = float(np.linalg.norm(acc[0]))
+    if not pairs or norm == 0.0:
         log.warning("knowledge embedding is empty: no resolvable concept pair")
         return KnowledgeEmbedding(values=np.zeros(width), pair_count=0)
-    return KnowledgeEmbedding(values=acc / norm, pair_count=pair_count)
+    return KnowledgeEmbedding(values=acc[0] / norm, pair_count=len(pairs))

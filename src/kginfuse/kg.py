@@ -3,7 +3,10 @@
 The graph is immutable after load. Triples live in a flat set; a
 designated predicate (default "isa") carries the taxonomy, which must be
 a DAG. Concept ids are normalized labels, so they are stable across runs
-for identical input files.
+for identical input files. Because nothing changes after load, the graph
+also caches what is derived from it: the index from label tokens to
+concept ids (built on first use) and each concept's ancestor depths
+(computed on first query).
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ class KnowledgeGraph:
         cycle = _find_cycle(self._parents)
         if cycle is not None:
             raise TaxonomyCycleError([self.concepts[c].label for c in cycle])
+        self._ancestors: dict[str, dict[str, int]] = {}
 
     @classmethod
     def from_labeled_triples(cls, rows, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE):
@@ -87,6 +91,24 @@ class KnowledgeGraph:
                 raise ValidationError("empty predicate")
             triples.add(Triple(intern(subject), predicate, intern(obj)))
         return cls(triples, concepts, taxonomy_predicate)
+
+    @cached_property
+    def token_index(self) -> dict[tuple[str, ...], list[str]]:
+        """Concept ids by label tokens; a label with no tokens is left out.
+
+        Two labels can tokenize alike ("red fox", "red-fox"), so each
+        entry lists every id with those tokens.
+        """
+        index: dict[tuple[str, ...], list[str]] = {}
+        for cid, concept in self.concepts.items():
+            if concept.tokens:
+                index.setdefault(concept.tokens, []).append(cid)
+        return index
+
+    @cached_property
+    def longest_label(self) -> int:
+        """Token count of the longest label in token_index (0 if it is empty)."""
+        return max(map(len, self.token_index), default=0)
 
     def has_concept(self, concept_id: str) -> bool:
         return concept_id in self.concepts
@@ -200,6 +222,13 @@ def lcs_distance(kg: KnowledgeGraph, a: str, b: str):
 
 
 def _ancestor_depths(kg: KnowledgeGraph, start: str) -> dict[str, int]:
+    """Hop distance from start to each of its taxonomy ancestors, start included.
+
+    Memoized on the graph; callers must not change the returned dict.
+    """
+    memo = kg._ancestors.get(start)
+    if memo is not None:
+        return memo
     depths = {start: 0}
     queue = deque([start])
     while queue:
@@ -208,6 +237,7 @@ def _ancestor_depths(kg: KnowledgeGraph, start: str) -> dict[str, int]:
             if parent not in depths:
                 depths[parent] = depths[node] + 1
                 queue.append(parent)
+    kg._ancestors[start] = depths
     return depths
 
 

@@ -740,12 +740,15 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def link_concepts(kg: KnowledgeGraph, text: str) -> set:
-    """Concepts whose label tokens occur in the text as a contiguous token run."""
+    """Concepts whose label tokens occur in the text as a contiguous token run.
+
+    Each run of up to kg.longest_label tokens is looked up in kg.token_index.
+    """
     tokens = tokenize(text)
-    longest = max((len(c.tokens) for c in kg.concepts.values()), default=0)
+    longest = kg.longest_label
     runs = {tuple(tokens[i:j]) for i in range(len(tokens))
             for j in range(i + 1, min(i + longest, len(tokens)) + 1)}
-    return {cid for cid, concept in kg.concepts.items() if concept.tokens in runs}
+    return {cid for run in runs for cid in kg.token_index.get(run, ())}
 
 
 @dataclass

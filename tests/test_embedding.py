@@ -3,22 +3,23 @@
 import importlib
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kginfuse import pipeline
 from kginfuse.config import parse_config
 from kginfuse.embedding import (
     DimensionModel,
     _cooccurrence_counts,
     _fix_signs,
     _positive_pmi,
-    concept_embedding,
     content_width,
     embed_concepts,
-    embed_tokens,
+    embed_token_lists,
     knowledge_embedding,
     train_dimension_model,
 )
@@ -149,28 +150,35 @@ def svd_oracle(corpus, d_sub, window):
     return _fix_signs(u[:, :d_sub]) * np.sqrt(s[:d_sub])
 
 
+def embed_one(models, tokens):
+    """embed_token_lists on a single list: (values, hit count)."""
+    values, hits = embed_token_lists(models, [tokens])
+    assert values.shape == (1, content_width(models)) and hits.shape == (1,)
+    return values[0], int(hits[0])
+
+
 class TestEmbedText:
-    """embed_tokens: the per-dimension token mean behind concept_embedding."""
+    """embed_token_lists on one list: the per-dimension token mean."""
 
     def setup_method(self):
         self.m1 = make_model("one", {"sun": [1.0, 2.0], "moon": [3.0, -1.0]}, 2)
         self.m2 = make_model("two", {"sun": [5.0]}, 1)
 
     def test_out_of_vocab_gives_zero_vector(self):
-        cv = embed_tokens([self.m1, self.m2], ["nothing", "known", "here"])
-        assert cv.values.shape == (3,)
-        assert not cv.values.any()
-        assert cv.hit_count == 0
+        values, hits = embed_one([self.m1, self.m2], ["nothing", "known", "here"])
+        assert values.shape == (3,)
+        assert not values.any()
+        assert hits == 0
 
     def test_single_token_fills_only_its_slices(self):
-        cv1 = embed_tokens([self.m1], ["moon"])
-        np.testing.assert_array_equal(cv1.values, [3.0, -1.0])
-        cv2 = embed_tokens([self.m1, self.m2], ["moon"])
-        np.testing.assert_array_equal(cv2.values, [3.0, -1.0, 0.0])
+        values1, _ = embed_one([self.m1], ["moon"])
+        np.testing.assert_array_equal(values1, [3.0, -1.0])
+        values2, _ = embed_one([self.m1, self.m2], ["moon"])
+        np.testing.assert_array_equal(values2, [3.0, -1.0, 0.0])
 
     def test_mean_of_two_tokens_by_hand(self):
-        cv = embed_tokens([self.m1], ["sun", "moon"])
-        np.testing.assert_allclose(cv.values, [(1 + 3) / 2, (2 - 1) / 2])
+        values, _ = embed_one([self.m1], ["sun", "moon"])
+        np.testing.assert_allclose(values, [(1 + 3) / 2, (2 - 1) / 2])
 
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(3)
@@ -179,33 +187,84 @@ class TestEmbedText:
         words = list(toks) + ["t0", "t3"]
         for _ in range(10):
             rng.shuffle(words)
-            base = embed_tokens([model], words).values
+            base, _ = embed_one([model], words)
             rng.shuffle(words)
-            other = embed_tokens([model], words).values
+            other, _ = embed_one([model], words)
             assert np.array_equal(base, other)
 
     def test_offsets_partition_total_width(self):
-        cv = embed_tokens([self.m1, self.m2], ["sun"])
-        assert cv.values.shape[0] == content_width([self.m1, self.m2])
-        np.testing.assert_array_equal(cv.values, [1.0, 2.0, 5.0])
+        values, _ = embed_one([self.m1, self.m2], ["sun"])
+        assert values.shape[0] == content_width([self.m1, self.m2])
+        np.testing.assert_array_equal(values, [1.0, 2.0, 5.0])
+
+
+_WORDS = ["ash", "birch", "cedar", "dune", "elm", "fern"]
+
+
+@st.composite
+def models_and_token_lists(draw):
+    """1-3 models over parts of _WORDS, and token lists with repeated,
+    out-of-vocabulary and no tokens; some vectors hold -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for m in range(draw(st.integers(1, 3))):
+        words = sorted(draw(st.sets(st.sampled_from(_WORDS))))
+        d_sub = draw(st.integers(1, 3))
+        vectors = rng.normal(size=(len(words), d_sub)) * 10.0 ** rng.integers(-6, 6, (len(words), 1))
+        vectors[rng.random(vectors.shape) < 0.1] = -0.0
+        models.append(DimensionModel(f"m{m}", {w: i for i, w in enumerate(words)}, vectors, d_sub))
+    lists = draw(st.lists(st.lists(st.sampled_from(_WORDS + ["oov"]), max_size=12), max_size=6))
+    return models, lists
+
+
+def mean_by_loop(models, tokens):
+    """Reference: per model, the sorted in-vocab vectors added one at a time from zero."""
+    pieces, hits = [], 0
+    for model in models:
+        matched = sorted(t for t in tokens if t in model.vocab)
+        total = np.zeros(model.d_sub)
+        for t in matched:
+            total = total + model.vectors[model.vocab[t]]
+        pieces.append(total / max(len(matched), 1))
+        hits += len(matched)
+    return np.concatenate(pieces), hits
+
+
+class TestEmbedTokenLists:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(models_and_token_lists())
+    def test_equal_to_one_list_at_a_time_bit_for_bit(self, case):
+        models, lists = case
+        values, hits = embed_token_lists(models, lists)
+        assert values.shape == (len(lists), content_width(models))
+        for row, hit_count, tokens in zip(values, hits, lists):
+            want, want_hits = mean_by_loop(models, tokens)
+            assert hit_count == want_hits
+            assert row.tobytes() == want.tobytes()
+
+    def test_no_models_rejected(self):
+        with pytest.raises(ValidationError):
+            embed_token_lists([], [["sun"]])
 
 
 class TestConceptEmbedding:
+    """embed_token_lists on a concept's label tokens."""
+
     def test_unigram_label_equals_embed_text(self):
         model = make_model("m", {"sun": [1.0, 0.0]}, 2)
-        cv = concept_embedding([model], Concept("sun", "Sun"))
-        np.testing.assert_array_equal(cv.values, embed_tokens([model], ["sun"]).values)
+        values, _ = embed_one([model], Concept("sun", "Sun").tokens)
+        np.testing.assert_array_equal(values, embed_one([model], ["sun"])[0])
 
     def test_multiword_label_is_token_mean(self):
         model = make_model("m", {"red": [2.0], "fox": [4.0]}, 1)
-        cv = concept_embedding([model], Concept("red fox", "Red Fox"))
-        np.testing.assert_allclose(cv.values, [3.0])
+        values, _ = embed_one([model], Concept("red fox", "Red Fox").tokens)
+        np.testing.assert_allclose(values, [3.0])
 
     def test_out_of_vocab_label_flagged_unresolvable(self):
         model = make_model("m", {"sun": [1.0]}, 1)
-        cv = concept_embedding([model], Concept("void", "Void"))
-        assert cv.hit_count == 0
-        assert not cv.values.any()
+        values, hits = embed_one([model], Concept("void", "Void").tokens)
+        assert hits == 0
+        assert not values.any()
 
 
 def seeded_from(kg, seeds, hops, models):
@@ -295,8 +354,27 @@ class TestKnowledgeEmbedding:
         np.testing.assert_allclose(ke.values, doubled, atol=1e-12)
 
 
+@pytest.mark.parametrize("allowlist", [None, frozenset({"isa"}), frozenset()])
+def test_knowledge_embedding_equals_the_per_triple_loop_after_an_update(tmp_path, allowlist):
+    cfg = parse_config(generate_benchmark(str(tmp_path), seed=0, epochs=1, iters=1).config)
+    pipeline.build(cfg)
+    result = pipeline.train(replace(cfg, mode="infused"))
+    outcome = pipeline.update_kg(cfg, result.checkpoint_path)
+    assert outcome.reason == "updated" and outcome.new_triples > 0
+    art = pipeline.load_build(cfg)
+    ke = knowledge_embedding(art.seeded, art.models, allowlist=allowlist)
+    want = brute_force_ke(art.seeded, art.models, allowlist=allowlist)
+    assert ke.values.tobytes() == want.tobytes()
+    assert (ke.pair_count > 0) == (allowlist != frozenset())
+
+
 def brute_force_ke(seeded, models, weight_scale=1.0, allowlist=None):
-    """Independent recomputation: explicit loops over triples and labels."""
+    """Independent recomputation: explicit loops over triples and labels.
+
+    With weight_scale=1 it does the arithmetic of the per-triple loop
+    knowledge_embedding ran before it embedded each concept once: np.mean
+    per concept, one pair term at a time into the sum.
+    """
     from kginfuse.kg import lcs_distance
     from kginfuse.text import tokenize
 

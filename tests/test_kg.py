@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kginfuse.config import parse_config
 from kginfuse.errors import (
     GraphFormatError,
     TaxonomyCycleError,
@@ -19,6 +22,7 @@ from kginfuse.kg import (
     load_graph,
     n_hop_neighborhood,
 )
+from kginfuse.synth import generate_benchmark
 
 
 def write_kg(tmp_path, text, name="kg.tsv"):
@@ -154,6 +158,23 @@ class TestLcsDistance:
                 for b in ids:
                     assert lcs_distance(kg, a, b) == lcs_distance(kg, b, a)
                     assert lcs_distance(kg, a, b) == brute_lcs(kg, a, b)
+
+    def test_every_synth_concept_is_at_distance_zero_from_itself(self, tmp_path):
+        cfg = parse_config(generate_benchmark(str(tmp_path), seed=0).config)
+        kg = load_graph(cfg.kg_path)
+        assert all(lcs_distance(kg, c, c) == 0 for c in kg.concepts)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_memoized_distances_equal_the_uncached_oracle_in_any_query_order(self, data):
+        n = data.draw(st.integers(2, 9))
+        rows = [(f"c{child}", "isa", f"c{parent}") for child in range(1, n)
+                for parent in data.draw(st.sets(st.integers(0, child - 1), max_size=2))]
+        rows.append(("c0", "related", f"c{n - 1}"))  # never empty; not a taxonomy edge
+        kg = KnowledgeGraph.from_labeled_triples(rows)
+        pairs = [(a, b) for a in sorted(kg.concepts) for b in sorted(kg.concepts)]
+        for a, b in data.draw(st.permutations(pairs)):
+            assert lcs_distance(kg, a, b) == brute_lcs(kg, a, b)
 
 
 class TestNHopNeighborhood:

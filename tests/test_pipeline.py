@@ -539,6 +539,21 @@ def test_link_concepts_matches_multiword_labels():
     assert link_concepts(kg, "nothing here") == set()
 
 
+def test_link_concepts_links_every_id_of_a_label_and_no_tokenless_label():
+    from kginfuse.kg import KnowledgeGraph
+
+    kg = KnowledgeGraph.from_labeled_triples([
+        ("red fox", "isa", "animal"),
+        ("red-fox", "isa", "animal"),
+        ("!!!", "isa", "animal"),
+    ])
+    assert sorted(kg.token_index[("red", "fox")]) == ["red fox", "red-fox"]
+    assert () not in kg.token_index
+    assert link_concepts(kg, "A red fox!") == {"red fox", "red-fox"}
+    assert link_concepts(kg, "!!! an animal !!!") == {"animal"}
+    assert link_concepts(kg, "") == set()
+
+
 def _scan_links(kg, text):
     """Reference: every label's tokens tried at every offset of the text."""
     tokens = tokenize(text)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kginfuse.embedding import DimensionModel, concept_embedding
+from kginfuse.embedding import DimensionModel, embed_token_lists
 from kginfuse.errors import ValidationError
 from kginfuse.kg import Concept, KnowledgeGraph, n_hop_neighborhood
 from kginfuse.pipeline import link_concepts
@@ -191,8 +191,9 @@ class TestExtractSeededSubkg:
         seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=2, models=[model])
         assert seeded.seeds == {"strasse", "οδοσ"}
         assert seeded.embedded_concepts == ("strasse", "οδοσ")
-        for cid in seeded.embedded_concepts:
-            assert concept_embedding([model], kg.concepts[cid]).hit_count > 0
+        _, hits = embed_token_lists([model], [kg.concepts[c].tokens
+                                             for c in seeded.embedded_concepts])
+        assert hits.all()
 
     def test_no_vocabulary_overlap_rejected(self):
         kg = KnowledgeGraph.from_labeled_triples([("qqq", "related", "www")])
