@@ -66,7 +66,7 @@ def _load_config(args):
 
 
 def cmd_build(args) -> int:
-    from .pipeline import build
+    from .pipeline import build, load_subgraph
 
     cfg = _load_config(args)
     art = build(cfg)
@@ -74,9 +74,10 @@ def cmd_build(args) -> int:
         print(f"up to date: {cfg.out_dir}")
     else:
         print(f"built artifacts in {cfg.out_dir}")
-    print(f"seeded subgraph: {len(art.seeded.subkg.triples)} triples, "
-          f"{len(art.seeded.subkg.concepts())} concepts, "
-          f"{art.seeded.embedding_matrix.shape[1]} embedded")
+    _, seeded = load_subgraph(cfg, art.models)
+    print(f"seeded subgraph: {len(seeded.subkg.triples)} triples, "
+          f"{len(seeded.subkg.concepts())} concepts, "
+          f"{seeded.embedding_matrix.shape[1]} embedded")
     print(f"knowledge embedding: {art.ke_pair_count} concept pairs")
     return 0
 

@@ -74,9 +74,11 @@ HEAD_CALIBRATION_MAX_HALVINGS = 40
 
 @dataclass
 class BuildArtifacts:
-    kg: KnowledgeGraph
+    """What train and evaluate read of a build. The graph and the seeded
+    subgraph, which only update_kg and the build command read, come from
+    load_subgraph."""
+
     models: list
-    seeded: SeededSubKG
     ke_values: np.ndarray
     ke_pair_count: int
     config_sha: str
@@ -170,7 +172,7 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
     _save_seeded(paths, kg, seeded)
     ke = _write_knowledge_embedding(cfg, paths, seeded, models)
     _write_manifest(cfg, paths, {"format": 1, "config_sha256": cfg_sha, "inputs": inputs})
-    return BuildArtifacts(kg, models, seeded, ke.values, ke.pair_count, cfg_sha)
+    return BuildArtifacts(models, ke.values, ke.pair_count, cfg_sha)
 
 
 def _artifact_hashes(cfg: PipelineConfig, paths: dict) -> dict:
@@ -271,7 +273,28 @@ def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
     save_array(paths["subkg_matrix"], seeded.embedding_matrix)
 
 
-def _load_seeded(paths: dict, kg: KnowledgeGraph, width: int) -> SeededSubKG:
+def load_build(cfg: PipelineConfig) -> BuildArtifacts:
+    """Load the dimension models and the knowledge embedding of a build."""
+    paths = _artifact_paths(cfg)
+    if not all(map(os.path.isfile, paths.values())):
+        raise ValidationError(
+            f"build artifacts missing under {cfg.out_dir}; run the build command first"
+        )
+    models = [_load_model(paths, name, cfg) for name in sorted(cfg.corpora)]
+    ke_values = _load_shaped(paths["ke"], (content_width(models),))
+    pair_count = _read_json(paths["ke_meta"]).get("pair_count")
+    if type(pair_count) is not int or pair_count < 0:
+        raise StorageError(f"{paths['ke_meta']}: pair_count is not a count")
+    return BuildArtifacts(models, ke_values, pair_count, config_hash(cfg))
+
+
+def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSubKG]:
+    """Parse the graph and load the stored seeded subgraph over it, whose
+    embedding matrix must be as wide as the models' content vectors.
+    Returns (kg, seeded)."""
+    paths = _artifact_paths(cfg)
+    kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
+
     def concept(cid):
         if cid not in kg.concepts:
             raise ValueError(f"{cid!r} is not a concept of the graph")
@@ -284,28 +307,10 @@ def _load_seeded(paths: dict, kg: KnowledgeGraph, width: int) -> SeededSubKG:
     depths = _read_rows(paths["subkg_depths"], concept, int)
     relevance = _read_rows(paths["subkg_scores"], concept, float)
     embedded = tuple(cid for cid, in _read_rows(paths["subkg_concepts"], concept))
-    matrix = _load_shaped(paths["subkg_matrix"], (width, len(embedded)))
+    matrix = _load_shaped(paths["subkg_matrix"], (content_width(models), len(embedded)))
     subkg = SubKG(parent=kg, triples=frozenset(Triple(*t) for t in triples),
                   frontier_depth=dict(depths))
-    return SeededSubKG(subkg, dict(relevance), matrix, embedded)
-
-
-def load_build(cfg: PipelineConfig) -> BuildArtifacts:
-    """Load previously built artifacts from the output directory."""
-    paths = _artifact_paths(cfg)
-    if not all(map(os.path.isfile, paths.values())):
-        raise ValidationError(
-            f"build artifacts missing under {cfg.out_dir}; run the build command first"
-        )
-    kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
-    models = [_load_model(paths, name, cfg) for name in sorted(cfg.corpora)]
-    width = content_width(models)
-    seeded = _load_seeded(paths, kg, width)
-    ke_values = _load_shaped(paths["ke"], (width,))
-    pair_count = _read_json(paths["ke_meta"]).get("pair_count")
-    if type(pair_count) is not int or pair_count < 0:
-        raise StorageError(f"{paths['ke_meta']}: pair_count is not a count")
-    return BuildArtifacts(kg, models, seeded, ke_values, pair_count, config_hash(cfg))
+    return kg, SeededSubKG(subkg, dict(relevance), matrix, embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +773,7 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     embedding, and appends one line to the update audit log.
     """
     art = load_build(cfg)
+    kg, seeded = load_subgraph(cfg, art.models)
     ckpt = load_trained(checkpoint_path)
     path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
     rows = read_labeled_tsv(path)
@@ -775,7 +781,7 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     predicted = ckpt.predict_labels([token_sequence(art.models, text) for _, text in rows])
     missed = [text for (label, text), guess in zip(rows, predicted) if guess != label]
     misclassified = len(missed)
-    missed_concepts = set().union(*(link_concepts(art.kg, text) for text in missed))
+    missed_concepts = set().union(*(link_concepts(kg, text) for text in missed))
 
     if misclassified == 0:
         return _finish_update(cfg, UpdateOutcome(0, 0, 0, "no misclassifications"))
@@ -784,8 +790,8 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
             cfg, UpdateOutcome(misclassified, 0, 0, "no linked concepts")
         )
 
-    retrieved = dke_mod.knowledge_proximity(art.kg, missed_concepts, cfg.proximity_hops)
-    diff = dke_mod.differential_subkg(retrieved, art.seeded, art.models)
+    retrieved = dke_mod.knowledge_proximity(kg, missed_concepts, cfg.proximity_hops)
+    diff = dke_mod.differential_subkg(retrieved, seeded, art.models)
     if not diff.triples:
         return _finish_update(
             cfg, UpdateOutcome(misclassified, 0, 0, "difference already absorbed")
@@ -793,20 +799,20 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
 
     solution = None
     if diff.new_concepts:
-        if art.seeded.embedding_matrix.shape[1] == 0:
+        if seeded.embedding_matrix.shape[1] == 0:
             return _finish_update(
                 cfg,
                 UpdateOutcome(misclassified, 0, len(diff.new_concepts),
                               "seeded subgraph has no embedded concepts to map against"),
             )
         solution = dke_mod.solve_mapping(
-            art.seeded.embedding_matrix, diff.embedding_matrix,
+            seeded.embedding_matrix, diff.embedding_matrix,
             alpha=cfg.alpha, ridge=cfg.ridge,
         )
-    updated = dke_mod.update_seeded(art.seeded, diff, solution)
+    updated = dke_mod.update_seeded(seeded, diff, solution)
 
     paths = _artifact_paths(cfg)
-    _save_seeded(paths, art.kg, updated)
+    _save_seeded(paths, kg, updated)
     _write_knowledge_embedding(cfg, paths, updated, art.models)
     manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
     if os.path.isfile(manifest_path):

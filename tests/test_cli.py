@@ -10,13 +10,20 @@ from kginfuse.storage import load_checkpoint, save_checkpoint
 from kginfuse.synth import generate_benchmark
 
 
+SUMMARY = re.compile(r"^seeded subgraph: (\d+) triples, (\d+) concepts, (\d+) embedded$",
+                     re.MULTILINE)
+
+
 def test_build_then_train_then_eval(tiny_project, capsys):
     assert main(["build", "--config", str(tiny_project)]) == 0
     out = capsys.readouterr().out
     assert "built artifacts" in out
+    assert SUMMARY.search(out)
 
     assert main(["build", "--config", str(tiny_project)]) == 0
-    assert "up to date" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "up to date" in out
+    assert SUMMARY.search(out)
 
     assert main(["train", "--config", str(tiny_project)]) == 0
     out = capsys.readouterr().out
@@ -25,6 +32,47 @@ def test_build_then_train_then_eval(tiny_project, capsys):
 
     assert main(["eval", "--config", str(tiny_project), "--checkpoint", checkpoint]) == 0
     assert "false-alarm" in capsys.readouterr().out
+
+
+def test_build_summary_line_counts_the_stored_subgraph(tiny_project, capsys):
+    config = ["--config", str(tiny_project)]
+    assert main(["build", *config]) == 0
+    cold = SUMMARY.search(capsys.readouterr().out).group(0)
+    assert cold == "seeded subgraph: 4 triples, 5 concepts, 4 embedded"
+
+    assert main(["build", *config]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("up to date")
+    assert SUMMARY.search(out).group(0) == cold
+
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 0
+    out = capsys.readouterr().out
+    assert "outcome: updated" in out
+    added = int(re.search(r"^new triples: (\d+) ", out, re.MULTILINE).group(1))
+    assert added > 0
+
+    assert main(["build", *config]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("up to date")
+    assert int(SUMMARY.search(out).group(1)) == 4 + added
+
+
+def test_a_corrupt_subgraph_fails_update_kg_but_not_eval(tiny_project, capsys):
+    config = ["--config", str(tiny_project)]
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    assert main(["eval", *config, "--checkpoint", checkpoint]) == 0
+    report = capsys.readouterr().out
+
+    concepts = tiny_project.parent / "out" / "subkg" / "concepts.tsv"
+    line = concepts.read_bytes().count(b"\n") + 1
+    with open(concepts, "ab") as handle:
+        handle.write(b"nowhere\n")
+    assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 2
+    assert f"{concepts}:{line}: 'nowhere' is not a concept of the graph" in capsys.readouterr().err
+
+    assert main(["eval", *config, "--checkpoint", checkpoint]) == 0
+    assert capsys.readouterr().out == report
 
 
 def test_train_infused_via_mode_flag(tiny_project, capsys):

@@ -361,9 +361,10 @@ def test_knowledge_embedding_equals_the_per_triple_loop_after_an_update(tmp_path
     result = pipeline.train(replace(cfg, mode="infused"))
     outcome = pipeline.update_kg(cfg, result.checkpoint_path)
     assert outcome.reason == "updated" and outcome.new_triples > 0
-    art = pipeline.load_build(cfg)
-    ke = knowledge_embedding(art.seeded, art.models, allowlist=allowlist)
-    want = brute_force_ke(art.seeded, art.models, allowlist=allowlist)
+    models = pipeline.load_build(cfg).models
+    _, seeded = pipeline.load_subgraph(cfg, models)
+    ke = knowledge_embedding(seeded, models, allowlist=allowlist)
+    want = brute_force_ke(seeded, models, allowlist=allowlist)
     assert ke.values.tobytes() == want.tobytes()
     assert (ke.pair_count > 0) == (allowlist != frozenset())
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kginfuse import pipeline
 from kginfuse.config import parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
@@ -23,6 +24,7 @@ from kginfuse.pipeline import (
     evaluate,
     link_concepts,
     load_build,
+    load_subgraph,
     load_trained,
     train,
     update_kg,
@@ -51,6 +53,11 @@ def constant_checkpoint(path, labels=("neg", "pos"), width=4):
     }
     save_checkpoint(path, meta, arrays)
     return path
+
+
+def stored_subgraph(cfg):
+    """The seeded subgraph as the build's output directory holds it."""
+    return load_subgraph(cfg, load_build(cfg).models)[1]
 
 
 class TestBuild:
@@ -128,13 +135,22 @@ class TestBuild:
         with pytest.raises(ValidationError, match=corpus):
             build(cfg)
 
-    def test_round_trip_through_disk(self, tiny_project):
+    def test_round_trip_through_disk(self, tiny_project, monkeypatch):
         cfg = parse_config(tiny_project)
+        extracted = []
+        real_extract = pipeline.extract_seeded_subkg
+
+        def extract(*args, **kwargs):
+            extracted.append(real_extract(*args, **kwargs))
+            return extracted[-1]
+
+        monkeypatch.setattr(pipeline, "extract_seeded_subkg", extract)
         art = build(cfg)
         loaded = load_build(cfg)
-        assert loaded.seeded.subkg.triples == art.seeded.subkg.triples
-        assert loaded.seeded.embedded_concepts == art.seeded.embedded_concepts
-        assert np.array_equal(loaded.seeded.embedding_matrix, art.seeded.embedding_matrix)
+        _, seeded = load_subgraph(cfg, loaded.models)
+        assert seeded.subkg.triples == extracted[0].subkg.triples
+        assert seeded.embedded_concepts == extracted[0].embedded_concepts
+        assert np.array_equal(seeded.embedding_matrix, extracted[0].embedding_matrix)
         assert np.array_equal(loaded.ke_values, art.ke_values)
         assert loaded.ke_pair_count == art.ke_pair_count
 
@@ -285,6 +301,26 @@ class TestCalibrateHead:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("mode", ["vanilla", "infused"])
+    def test_train_eval_and_the_up_to_date_build_never_parse_the_graph(self, tiny_project,
+                                                                       monkeypatch, mode):
+        cfg = replace(parse_config(tiny_project), mode=mode)
+        build(cfg)
+
+        def train_and_evaluate():
+            art = build(cfg)
+            assert art.up_to_date
+            evaluate(cfg, train(cfg, art=art).checkpoint_path)
+            return {name: open(os.path.join(cfg.out_dir, name), "rb").read()
+                    for name in (f"model_{mode}.kicp", f"eval_{mode}.txt", f"eval_{mode}.csv")}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the knowledge graph was parsed")
+
+        unpatched = train_and_evaluate()
+        monkeypatch.setattr(pipeline, "load_graph", refuse)
+        assert train_and_evaluate() == unpatched
+
     def test_overfit_toy_data_reaches_perfect_f1(self, tiny_project):
         cfg = replace(parse_config(tiny_project), epochs=6, iters=8)
         art = build(cfg)
@@ -377,14 +413,14 @@ class TestUpdateKg:
         bad.write_text(
             "pos\tcomet in the sky\nneg\tgarden river calm\n", encoding="utf-8"
         )
-        before = load_build(cfg)
+        before = stored_subgraph(cfg)
         outcome = update_kg(cfg, ckpt, dataset_path=str(bad))
         assert outcome.misclassified == 1
         assert outcome.new_triples == 2
         assert outcome.residual is not None
         assert outcome.imbalance is not None
-        after = load_build(cfg)
-        assert len(after.seeded.subkg.triples) == len(before.seeded.subkg.triples) + 2
+        after = stored_subgraph(cfg)
+        assert len(after.subkg.triples) == len(before.subkg.triples) + 2
         audit = open(os.path.join(cfg.out_dir, "update_audit.log")).read()
         assert "new_triples=2" in audit
         assert f"imbalance={outcome.imbalance:.3e} reason=updated" in audit
@@ -429,8 +465,8 @@ class TestUpdateKg:
         bad = tmp_path / "update_eval.tsv"
         bad.write_text("pos\tcomet in the sky\n", encoding="utf-8")
         update_kg(cfg, ckpt, dataset_path=str(bad))
-        after = load_build(cfg)
-        norms = np.linalg.norm(after.seeded.embedding_matrix, axis=0)
+        after = stored_subgraph(cfg)
+        norms = np.linalg.norm(after.embedding_matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
@@ -492,7 +528,7 @@ class TestCorruptBuildArtifacts:
     def test_bad_subgraph_file_rejected(self, built, name, transform, message):
         _rewrite(os.path.join(built.out_dir, "subkg", name), transform)
         with pytest.raises(StorageError, match=re.escape(message)):
-            load_build(built)
+            stored_subgraph(built)
 
     @pytest.mark.parametrize("text", [b'{"pair_count": "3"}\n', b"[3]\n", b"{\xff}",
                                       b"[" * 100_000],
@@ -503,14 +539,19 @@ class TestCorruptBuildArtifacts:
             load_build(built)
 
     def test_every_truncation_of_each_text_artifact_loads_or_is_rejected(self, built):
-        for name in ("models/main.vocab.tsv", "subkg/triples.tsv", "subkg/scores.tsv",
-                     "subkg/depths.tsv", "subkg/concepts.tsv", "knowledge/ke.json"):
+        # Each file is cut under the loader that reads it.
+        for name, load in (("models/main.vocab.tsv", load_build),
+                           ("subkg/triples.tsv", stored_subgraph),
+                           ("subkg/scores.tsv", stored_subgraph),
+                           ("subkg/depths.tsv", stored_subgraph),
+                           ("subkg/concepts.tsv", stored_subgraph),
+                           ("knowledge/ke.json", load_build)):
             path = os.path.join(built.out_dir, name)
             blob = open(path, "rb").read()
             for cut in range(len(blob)):
                 _rewrite(path, lambda b: blob[:cut])
                 try:
-                    load_build(built)
+                    load(built)
                 except StorageError:
                     pass
             _rewrite(path, lambda b: blob)
