@@ -1,18 +1,25 @@
-"""Labeled dataset I/O and token-sequence encoding.
+"""Labeled dataset I/O and token-id encoding.
 
-Datasets are TSV files with two columns, label and text. A document is
-encoded as the sequence of its tokens' concatenated dimension vectors;
-out-of-vocabulary tokens contribute zero rows, and a document with no
-tokens at all is encoded as one zero row so the recurrence always has
-an input.
+Datasets are TSV files with two columns, label and text. A dataset is
+tokenized once: each distinct token gets one row of a table, its
+concatenated dimension vectors (zeros for a model that does not know
+it), and each document becomes a column of token ids. One extra zero row
+serves both out-of-vocabulary tokens and padding, and a document with no
+tokens at all counts as one zero step so the recurrence always has an
+input. A batch of documents is gathered from the table straight into the
+LSTM's time-major padded batch, cut at the batch's longest document.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .embedding import content_width
 from .errors import ValidationError
+from .nlm import Batch
 from .storage import atomic_write_text, read_text
 from .text import tokenize
 
@@ -38,28 +45,61 @@ def write_labeled_tsv(path, rows) -> None:
     atomic_write_text(path, text)
 
 
+@dataclass
+class EncodedTexts:
+    """Documents as token ids: table (U + 1, width) holds one row per
+    distinct token known to some model and the zero row U, which serves
+    unknown tokens and padding; ids (T, N) holds document n's ids in
+    column n, padded with U; lengths (N,) counts each document's steps."""
+
+    table: np.ndarray
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def batch(self, index=slice(None), labels=None) -> Batch:
+        """The padded Batch of the documents at index, as many steps as the
+        longest of them."""
+        lengths = self.lengths[index]
+        steps = lengths.max()
+        return Batch(self.table[self.ids[:steps, index]],
+                     np.arange(steps)[:, None] < lengths, labels)
+
+
+def encode_texts(models, texts) -> EncodedTexts:
+    """Tokenize texts once and map every token to its table row."""
+    docs = [tokenize(text) for text in texts]
+    tokens = list(dict.fromkeys(chain.from_iterable(docs)))
+    # Each distinct token's vocabulary index in each model, -1 where unknown.
+    indices = np.array([[model.vocab.get(token, -1) for token in tokens] for model in models],
+                       dtype=np.intp)
+    known = (indices >= 0).any(axis=0)
+    zero = int(known.sum())
+    table = np.zeros((zero + 1, content_width(models)))
+    start = 0
+    for model, rows in zip(models, indices[:, known]):
+        hit = rows >= 0
+        table[:-1][hit, start:start + model.d_sub] = model.vectors[rows[hit]]
+        start += model.d_sub
+    token_id = dict(zip(tokens, np.where(known, np.cumsum(known) - 1, zero).tolist()))
+    sizes = np.array([len(doc) for doc in docs], dtype=np.intp)
+    ids = np.full((max(sizes.max(initial=0), 1), len(docs)), zero, dtype=np.intp)
+    ids.T[np.arange(len(ids)) < sizes[:, None]] = np.fromiter(
+        map(token_id.__getitem__, chain.from_iterable(docs)), dtype=np.intp, count=sizes.sum())
+    return EncodedTexts(table, ids, np.maximum(sizes, 1))
+
+
 def token_sequence(models, text: str) -> np.ndarray:
-    """Per-token concatenated vectors, shape (steps, total width)."""
-    tokens = tokenize(text)
-    width = content_width(models)
-    if not tokens:
-        return np.zeros((1, width))
-    seq = np.zeros((len(tokens), width))
-    for t, token in enumerate(tokens):
-        start = 0
-        for model in models:
-            vec = model.token_vector(token)
-            if vec is not None:
-                seq[t, start:start + model.d_sub] = vec
-            start += model.d_sub
-    return seq
+    """One document's input rows, shape (steps, total width)."""
+    return encode_texts(models, [text]).batch().x[:, 0]
 
 
-def encode_dataset(models, rows, label_index) -> tuple[list, list]:
-    """Sequences and class indices for (label, text) rows."""
-    sequences = [token_sequence(models, text) for _, text in rows]
+def encode_dataset(models, rows, label_index) -> tuple[EncodedTexts, np.ndarray]:
+    """The encoded texts and the class indices of (label, text) rows."""
     try:
-        targets = [label_index[label] for label, _ in rows]
+        targets = np.array([label_index[label] for label, _ in rows], dtype=np.intp)
     except KeyError as exc:
         raise ValidationError(f"label {exc.args[0]!r} not in the training label set") from exc
-    return sequences, targets
+    return encode_texts(models, [text for _, text in rows]), targets

@@ -37,10 +37,6 @@ class DimensionModel:
     vectors: np.ndarray
     d_sub: int
 
-    def token_vector(self, token: str):
-        idx = self.vocab.get(token)
-        return None if idx is None else self.vectors[idx]
-
 
 @dataclass
 class KnowledgeEmbedding:

@@ -8,6 +8,9 @@ be verified against central finite differences.
 One kernel serves training, hidden-state collection, the gradient
 check's loss and prediction: the recurrence runs over a time-major
 zero-padded batch with a length mask; one sequence is a batch of one.
+The batched entry points take that padded Batch, which the pipeline
+gathers straight from its encoded dataset; a list of (steps, width)
+arrays, as the tests and the gradient check pass, is padded first.
 """
 
 from __future__ import annotations
@@ -111,22 +114,38 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(x))
 
 
+@dataclass
+class Batch:
+    """A time-major zero-padded batch: inputs x (T, B, input_width), the
+    (T, B) mask, True where step t lies inside sequence b, and the (B,)
+    class indices of a training batch (None otherwise)."""
+
+    x: np.ndarray
+    mask: np.ndarray
+    labels: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.mask.shape[1]
+
+
+def _check_width(params: LSTMParams, width: int) -> None:
+    if width != params.input_width:
+        raise ValidationError(f"token width {width} != model input width {params.input_width}")
+
+
 def _as_sequence(params: LSTMParams, sequence) -> np.ndarray:
     seq = np.asarray(sequence, dtype=np.float64)
     if seq.ndim == 1:
         seq = seq[None, :]
     if seq.ndim != 2 or seq.shape[0] == 0:
         raise ValidationError("sequence must be a nonempty list of vectors")
-    if seq.shape[1] != params.input_width:
-        raise ValidationError(
-            f"token width {seq.shape[1]} != model input width {params.input_width}"
-        )
+    _check_width(params, seq.shape[1])
     return seq
 
 
-def _padded(params: LSTMParams, sequences):
-    """Time-major zero-padded batch (T, B, input_width) and its (T, B) mask,
-    True where step t lies inside sequence b."""
+def _padded(params: LSTMParams, sequences, labels=None) -> Batch:
+    """The list-of-arrays adapter: the Batch of (steps, input_width)
+    sequences, zero-padded to the longest."""
     seqs = [_as_sequence(params, s) for s in sequences]
     if not seqs:
         raise ValidationError("batch is empty")
@@ -134,7 +153,24 @@ def _padded(params: LSTMParams, sequences):
     mask = np.arange(lengths.max())[:, None] < lengths
     x = np.zeros(mask.shape + (params.input_width,))
     x.transpose(1, 0, 2)[mask.T] = np.concatenate(seqs)
-    return x, mask
+    return Batch(x, mask, None if labels is None else np.array(labels))
+
+
+def _as_batch(params: LSTMParams, batch, labelled: bool = False) -> Batch:
+    """batch if it is a Batch, else the padded Batch of a list of sequences
+    or, when labelled, of (sequence, class_index) pairs; its width and
+    class indices checked against the model."""
+    if not isinstance(batch, Batch):
+        if labelled:
+            batch = _padded(params, [s for s, _ in batch], [label for _, label in batch])
+        else:
+            batch = _padded(params, batch)
+    _check_width(params, batch.x.shape[-1])
+    if labelled:
+        bad = batch.labels[(batch.labels < 0) | (batch.labels >= params.n_classes)]
+        if bad.size:
+            raise ValidationError(f"label index {bad[0]} out of range")
+    return batch
 
 
 def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
@@ -224,10 +260,11 @@ def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndar
 
 
 def forward_batch(params: LSTMParams, sequences):
-    """Full forward pass of a batch of sequences: every layer's final-step
-    hidden rows (B, d) and the class probabilities (B, n_classes). Row i is
-    bit-identical to forward(params, sequences[i])."""
-    finals, logits = _recur(params, *_padded(params, sequences))
+    """Full forward pass of a Batch (or a list of sequences): every layer's
+    final-step hidden rows (B, d) and the class probabilities (B, n_classes).
+    Row i is bit-identical to forward(params, sequences[i])."""
+    batch = _as_batch(params, sequences)
+    finals, logits = _recur(params, batch.x, batch.mask)
     probs = softmax(logits)
     if not np.all(np.isfinite(probs)):
         raise KginfuseError("non-finite values in forward pass")
@@ -240,17 +277,6 @@ def forward(params: LSTMParams, sequence):
     return HiddenStates(h=[h[0] for h in states.h]), probs[0]
 
 
-def _labelled(params: LSTMParams, batch):
-    """The padded batch, its mask and the class index array of (sequence,
-    class_index) pairs."""
-    x, mask = _padded(params, [sequence for sequence, _ in batch])
-    labels = np.array([label for _, label in batch])
-    bad = labels[(labels < 0) | (labels >= params.n_classes)]
-    if bad.size:
-        raise ValidationError(f"label index {bad[0]} out of range")
-    return x, mask, labels
-
-
 def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(log_softmax(logits)[np.arange(len(labels)), labels]))
 
@@ -258,18 +284,19 @@ def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
 def batch_gradients(params: LSTMParams, batch):
     """Mean cross-entropy loss and its exact gradient over a batch.
 
-    batch is a list of (sequence, class_index) pairs. No clipping here;
-    train_step applies the clip.
+    batch is a labelled Batch or a list of (sequence, class_index) pairs.
+    No clipping here; train_step applies the clip.
     """
-    x, mask, labels = _labelled(params, batch)
+    batch = _as_batch(params, batch, labelled=True)
+    labels = batch.labels
     cache = []
-    finals, logits = _recur(params, x, mask, cache)
+    finals, logits = _recur(params, batch.x, batch.mask, cache)
     loss = _mean_loss(logits, labels)
     if not np.isfinite(loss):
         raise KginfuseError(f"non-finite training loss: {loss!r}")
     dlogits = softmax(logits)
     dlogits[np.arange(len(labels)), labels] -= 1.0
-    summed = _backprop(params, cache, mask, finals[-1], dlogits)
+    summed = _backprop(params, cache, batch.mask, finals[-1], dlogits)
     scale = 1.0 / len(labels)
     return loss, {name: summed[name] * scale for name, _ in params.named_groups()}
 
@@ -306,13 +333,13 @@ def gradient_check(params: LSTMParams, batch, epsilon: float = 1e-5,
                    groups=None) -> GradCheckReport:
     """finite_difference_errors of the batch loss over the named groups (all
     by default); intended for small models (a few thousand parameters)."""
+    batch = _as_batch(params, batch, labelled=True)
     _, analytic = batch_gradients(params, batch)
-    x, mask, labels = _labelled(params, batch)
     work = params.copy()
     arrays = dict(work.named_groups())
     selected = list(arrays) if groups is None else list(groups)
     by_group = finite_difference_errors(
-        lambda: _mean_loss(_recur(work, x, mask)[1], labels),
+        lambda: _mean_loss(_recur(work, batch.x, batch.mask)[1], batch.labels),
         {name: (arrays[name], analytic[name]) for name in selected}, epsilon)
     overall = max(by_group.values()) if by_group else 0.0
     return GradCheckReport(overall, by_group, sum(arrays[name].size for name in selected))
@@ -358,6 +385,7 @@ def finite_difference_errors(loss, pairs: dict, epsilon: float = 1e-5) -> dict:
 
 
 def collect_hidden(params: LSTMParams, sequences):
-    """Final and penultimate layer hidden rows for every sequence."""
+    """Final and penultimate layer hidden rows for every sequence of a Batch
+    (or a list)."""
     states, _ = forward_batch(params, sequences)
     return states.final, states.penultimate

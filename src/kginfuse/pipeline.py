@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dke as dke_mod
 from .config import MODES, PipelineConfig, config_hash, emit_config, require_input_files
-from .datasets import encode_dataset, read_labeled_tsv, token_sequence
+from .datasets import encode_dataset, encode_texts, read_labeled_tsv
 from .embedding import (
     DimensionModel,
     KnowledgeEmbedding,
@@ -331,9 +331,9 @@ class Checkpoint:
     meta: dict
 
     def predict_proba_batch(self, sequences) -> np.ndarray:
-        """Class probabilities, one row per sequence, from one batched LSTM
-        pass and, when infused, one batched gate and head. Each row depends
-        only on its own sequence."""
+        """Class probabilities, one row per sequence of a Batch (or a list),
+        from one batched LSTM pass and, when infused, one batched gate and
+        head. Each row depends only on its own sequence."""
         states, probs = forward(self.params, sequences)
         if self.mode == "vanilla":
             return probs
@@ -434,7 +434,7 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
     if len(labels) < 2:
         raise ValidationError("training dataset must contain at least two classes")
     label_index = {label: i for i, label in enumerate(labels)}
-    sequences, targets = encode_dataset(art.models, rows, label_index)
+    encoded, targets = encode_dataset(art.models, rows, label_index)
 
     width = content_width(art.models)
     infused = cfg.mode == "infused"
@@ -454,7 +454,7 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
 
     params = init_params(width, cfg.hidden, cfg.layers, len(labels),
                          stream_rng(cfg.seed, "nlm.init"))
-    batches = _batch_stream(stream_rng(cfg.seed, "nlm.batches"), len(sequences),
+    batches = _batch_stream(stream_rng(cfg.seed, "nlm.batches"), len(encoded),
                             cfg.batch_size)
 
     fusion = None
@@ -469,12 +469,13 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
     for epoch in range(1, cfg.epochs + 1):
         losses = []
         for _ in range(cfg.iters):
-            batch = [(sequences[i], targets[i]) for i in next(batches)]
+            index = next(batches)
+            batch = encoded.batch(index, targets[index])
             params, loss = train_step(params, batch, cfg.lr, cfg.clip_norm)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         if infused:
-            finals, penults = collect_hidden(params, sequences)
+            finals, penults = collect_hidden(params, encoded.batch())
             result = knowledge_infusion(
                 finals.mean(axis=0), penults.mean(axis=0), art.ke_values, fusion,
                 gate_lr=cfg.gate_lr, epsilon=cfg.epsilon, max_inner_iters=cfg.max_inner_iters,
@@ -607,7 +608,9 @@ def evaluate(cfg: PipelineConfig, checkpoint_path, dataset_path=None,
             + ", ".join(sorted(unknown))
         )
     y_true = [label for label, _ in rows]
-    y_pred = ckpt.predict_labels([token_sequence(art.models, text) for _, text in rows])
+    encoded, _ = encode_dataset(art.models, rows,
+                                {label: i for i, label in enumerate(ckpt.labels)})
+    y_pred = ckpt.predict_labels(encoded.batch())
     positive = cfg.target_class if cfg.target_class in ckpt.labels else ckpt.labels[-1]
     report = evaluate_predictions(
         y_true, y_pred, ckpt.labels, positive,
@@ -778,7 +781,8 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
     rows = read_labeled_tsv(path)
 
-    predicted = ckpt.predict_labels([token_sequence(art.models, text) for _, text in rows])
+    encoded = encode_texts(art.models, [text for _, text in rows])
+    predicted = ckpt.predict_labels(encoded.batch())
     missed = [text for (label, text), guess in zip(rows, predicted) if guess != label]
     misclassified = len(missed)
     missed_concepts = set().union(*(link_concepts(kg, text) for text in missed))

@@ -226,3 +226,16 @@ def test_misshapen_checkpoint_array_exits_two(tiny_project, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error:" in err and "'lstm.head.W' has shape (3, 3)" in err
     assert "Traceback" not in err
+
+
+def test_checkpoint_of_another_token_width_exits_one(tiny_project, capsys):
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    config = tiny_project.read_text(encoding="utf-8")
+    tiny_project.write_text(config.replace("d_sub.main = 4", "d_sub.main = 3"), encoding="utf-8")
+    assert main(["build", "--config", str(tiny_project)]) == 0
+    assert "built artifacts" in capsys.readouterr().out
+    for verb in ("eval", "update-kg"):
+        assert main([verb, "--config", str(tiny_project), "--checkpoint", checkpoint]) == 1
+        err = capsys.readouterr().err
+        assert "error: token width 3 != model input width 4" in err
+        assert "Traceback" not in err

@@ -425,6 +425,18 @@ class TestUpdateKg:
         assert "new_triples=2" in audit
         assert f"imbalance={outcome.imbalance:.3e} reason=updated" in audit
 
+    def test_labels_outside_the_checkpoint_count_as_misclassified(self, tiny_project,
+                                                                 tmp_path):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        ckpt = constant_checkpoint(str(tmp_path / "const.kicp"))
+        bad = tmp_path / "update_eval.tsv"
+        bad.write_text("pos\tcomet in the sky\nneutral\tgarden river calm\n"
+                       "neg\tmeadow walk\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="outside the checkpoint's label set"):
+            evaluate(cfg, ckpt, dataset_path=str(bad), write_reports=False)
+        assert update_kg(cfg, ckpt, dataset_path=str(bad)).misclassified == 2
+
     def test_second_update_is_absorbed(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
         build(cfg)
