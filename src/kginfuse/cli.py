@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     except KginfuseError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,10 @@ be verified against central finite differences.
 One kernel serves training, hidden-state collection, the gradient
 check's loss and prediction: the recurrence runs over a time-major
 zero-padded batch with a length mask; one sequence is a batch of one.
+Its time loops hold only the recurrence; what does not depend on it
+(the gate-derivative factors, the weight gradient) is formed over all
+steps at once. Every per-row product is an einsum; only the weight
+gradient, a sum over the batch, is a BLAS matmul.
 The batched entry points take that padded Batch, which the pipeline
 gathers straight from its encoded dataset; a list of (steps, width)
 arrays, as the tests and the gradient check pass, is padded first.
@@ -173,57 +177,102 @@ def _as_batch(params: LSTMParams, batch, labelled: bool = False) -> Batch:
     return batch
 
 
+def _idle_rows(mask: np.ndarray) -> list:
+    """Per step, None when every row is live, else the (B, 1) column that
+    is True on the rows already past their sequence's end."""
+    return [None if every else ~live[:, None] for every, live in zip(mask.all(axis=1), mask)]
+
+
 def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
     """The batched recurrence over a padded batch; returns each layer's final
     hidden rows (B, d) and the head logits (B, n_classes).
 
-    Past a sequence's end (mask False) its h and c carry forward unchanged,
-    so its final row is its state at its last step. Every product is an
-    einsum, whose sums run over one row at a time: a row's values do not
-    depend on what else is in the batch (a BLAS matmul's do). Given a list
-    as cache, each layer appends what backpropagation needs; without one
-    only the running state and one layer's outputs are kept.
+    Each layer runs in one time-major joint buffer J (T + 1, B, in + d):
+    J[t] is step t's input beside the hidden state the step starts from,
+    so the inputs are copied in once and each step writes its h into the
+    tail of J[t + 1]. One tanh serves all four gates: the sigmoid blocks
+    are halved going in and mapped by t * 0.5 + 0.5 coming out, which,
+    halving being exact, equals _sigmoid's 0.5 * (1 + t) to the bit. The
+    bias, the scale and the offset are tiled to (B, 4d), so each of these
+    operations runs over whole contiguous arrays. Past a sequence's end
+    (mask False) its h and c carry forward unchanged, so its final row is
+    its state at its last step; a step where every row is live skips the
+    carry. Every product is an einsum, whose sums run over one row at a
+    time: a row's values do not depend on what else is in the batch (a
+    BLAS matmul's do). Given a list as cache, each layer appends its
+    stacks (J, gates, c, tanh(c)) for backpropagation: gates (T, B, 4d)
+    holds the input, forget and output sigmoids and the modulation tanh,
+    c (T + 1, B, d) the cell state before the first step and after each.
     """
     d = params.d
     steps, rows = mask.shape
+    idle = _idle_rows(mask)
+    # Steps whose gates and cell states are stored: all for backpropagation,
+    # else one reused slot (two for c), sparing the stacks' fresh memory.
+    kept = steps if cache is not None else 1
+    scale = np.ones((rows, 4 * d))
+    scale[:, :3 * d] = 0.5
+    offset = 1.0 - scale
     finals = []
     inputs = x
-    for l, (W, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
-        h = np.zeros((rows, d))
-        c = np.zeros((rows, d))
-        outs = np.empty((steps, rows, d)) if l + 1 < params.layers else None
-        if cache is not None:
-            cache.append([])
+    for W, b in zip(params.layer_weights, params.layer_biases):
+        in_l = W.shape[1] - d
+        J = np.zeros((steps + 1, rows, in_l + d))
+        J[:steps, :, :in_l] = inputs
+        H = J[:, :, in_l:]
+        gates = np.empty((kept, rows, 4 * d))
+        C = np.zeros((kept + 1, rows, d))
+        TC = np.empty((kept, rows, d))
+        bias = np.tile(b, (rows, 1))
         for t in range(steps):
-            joint = np.concatenate([inputs[t], h], axis=1)
-            z = np.einsum("bk,gk->bg", joint, W) + b
-            sig = _sigmoid(z[:, :3 * d])
-            gg = np.tanh(z[:, 3 * d:])
-            c_new = sig[:, d:2 * d] * c + sig[:, :d] * gg
-            tc = np.tanh(c_new)
-            if cache is not None:
-                cache[-1].append((joint, sig, gg, c, tc))
-            live = mask[t][:, None]
-            c = np.where(live, c_new, c)
-            h = np.where(live, sig[:, 2 * d:] * tc, h)
-            if outs is not None:
-                outs[t] = h
-        finals.append(h)
-        inputs = outs
+            a, tc = gates[t % kept], TC[t % kept]
+            c, c_new = C[t % (kept + 1)], C[(t + 1) % (kept + 1)]
+            np.einsum("bk,gk->bg", J[t], W, out=a)
+            a += bias
+            a *= scale
+            np.tanh(a, out=a)
+            a *= scale
+            a += offset
+            np.multiply(a[:, d:2 * d], c, out=c_new)
+            c_new += a[:, :d] * a[:, 3 * d:]
+            np.tanh(c_new, out=tc)
+            np.multiply(a[:, 2 * d:3 * d], tc, out=H[t + 1])
+            if idle[t] is not None:
+                np.copyto(c_new, c, where=idle[t])
+                np.copyto(H[t + 1], H[t], where=idle[t])
+        if cache is not None:
+            cache.append((J, gates, C, TC))
+        finals.append(np.ascontiguousarray(H[steps]))  # not a view pinning J
+        inputs = H[1:]
     logits = np.einsum("bd,nd->bn", finals[-1], params.w_out) + params.b_out
     return finals, logits
+
+
+def _reverse_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[-1] + terms[-2] + ... + terms[0], added in that order."""
+    total = terms[-1].copy()
+    for term in terms[-2::-1]:
+        total += term
+    return total
 
 
 def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndarray,
               dlogits: np.ndarray) -> dict:
     """Summed gradients of the batch loss, given its gradient w.r.t. the logits.
 
-    dz is 0 at masked steps, and dh and dc pass back through them
-    unchanged, mirroring the forward carry. Each step adds its
-    contribution to the weight gradient in reverse time order.
+    The step-local factors, go * (1 - tanh(c)^2) and the four gate
+    derivatives, are formed for all steps at once, so the reverse time
+    loop holds only the recurrence: dh, dc, the gate gradient dz and one
+    einsum of dz with W, which yields both the next step's dh and this
+    step's input gradient, row by row. dz is 0 at masked steps, and dh
+    and dc pass back through them unchanged, mirroring the forward carry.
+    The weight gradient sums over the batch, so it is one batched BLAS
+    matmul over all steps, whose per-step terms are then added in reverse
+    time order; the bias gradient sums dz the same way.
     """
     d = params.d
     steps, rows = mask.shape
+    idle = _idle_rows(mask)
     grads = {"head.W": np.einsum("bn,bd->nd", dlogits, h_last),
              "head.b": dlogits.sum(axis=0)}
     dh_above = np.zeros((steps, rows, d))
@@ -231,31 +280,32 @@ def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndar
     for l in range(params.layers - 1, -1, -1):
         W = params.layer_weights[l]
         in_l = W.shape[1] - d
-        dx = np.zeros((steps, rows, in_l))
+        J, gates, C, TC = cache[l]
+        gi, gf, gg = gates[..., :d], gates[..., d:2 * d], gates[..., 3 * d:]
+        sig = gates[..., :3 * d]
+        out_path = gates[..., 2 * d:3 * d] * (1.0 - TC * TC)
+        factors = np.empty_like(gates)
+        factors[..., :3 * d] = sig * (1.0 - sig) * np.concatenate([gg, C[:-1], TC], axis=-1)
+        factors[..., 3 * d:] = gi * (1.0 - gg * gg)
+        DZ = np.empty_like(gates)
+        DJ = np.empty((steps, rows, in_l + d))
         dh_next = np.zeros((rows, d))
         dc_next = np.zeros((rows, d))
-        gW = grads[f"layer{l}.W"] = np.zeros_like(W)
-        gb = grads[f"layer{l}.b"] = np.zeros(4 * d)
         for t in range(steps - 1, -1, -1):
-            joint, sig, gg, c_prev, tc = cache[l][t]
-            gi, gf, go = sig[:, :d], sig[:, d:2 * d], sig[:, 2 * d:]
             dh = dh_above[t] + dh_next
-            dc = dc_next + dh * go * (1.0 - tc * tc)
-            dz = np.concatenate([
-                dc * gg * gi * (1.0 - gi),
-                dc * c_prev * gf * (1.0 - gf),
-                dh * tc * go * (1.0 - go),
-                dc * gi * (1.0 - gg * gg),
-            ], axis=1)
-            live = mask[t][:, None]
-            dz = np.where(live, dz, 0.0)
-            gW += np.einsum("bg,bk->gk", dz, joint)
-            gb += dz.sum(axis=0)
-            djoint = np.einsum("bg,gk->bk", dz, W)
-            dx[t] = djoint[:, :in_l]
-            dh_next = np.where(live, djoint[:, in_l:], dh)
-            dc_next = np.where(live, dc * gf, dc_next)
-        dh_above = dx
+            dc = dc_next + dh * out_path[t]
+            np.multiply(np.concatenate([dc, dc, dh, dc], axis=1), factors[t], out=DZ[t])
+            if idle[t] is not None:
+                np.copyto(DZ[t], 0.0, where=idle[t])
+            np.einsum("bg,gk->bk", DZ[t], W, out=DJ[t])
+            dh_next, dc_back = DJ[t, :, in_l:], dc * gf[t]
+            if idle[t] is not None:
+                np.copyto(dh_next, dh, where=idle[t])
+                np.copyto(dc_back, dc_next, where=idle[t])
+            dc_next = dc_back
+        grads[f"layer{l}.W"] = _reverse_sum(np.matmul(DZ.transpose(0, 2, 1), J[:steps]))
+        grads[f"layer{l}.b"] = _reverse_sum(DZ.sum(axis=1))
+        dh_above = DJ[:, :, :in_l]
     return grads
 
 

@@ -89,6 +89,17 @@ def test_missing_input_exits_one(tiny_project):
     assert main(["build", "--config", str(tiny_project)]) == 1
 
 
+def test_directory_as_input_path_exits_one(tiny_project, capsys):
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    config = ["eval", "--config", str(tiny_project)]
+    directory = str(tiny_project.parent)
+    for argv in ([*config, "--checkpoint", checkpoint, "--dataset", directory],
+                 [*config, "--checkpoint", directory]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_config_exits_one(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[run]\nbogus = 1\n", encoding="utf-8")

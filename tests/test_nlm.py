@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kginfuse.errors import ValidationError
 from kginfuse.nlm import (
+    _padded,
     _sigmoid,
     batch_gradients,
     collect_hidden,
@@ -231,6 +232,80 @@ def test_minimum_layer_count_enforced():
         init_params(3, 4, 1, 2, np.random.default_rng(0))
 
 
+def reference_recur(params, x, mask, cache=None):
+    """The step-by-step kernel the current one replaced, as an oracle: a
+    concatenate, two activations and, when training, a cached tuple per
+    step."""
+    d = params.d
+    steps, rows = mask.shape
+    finals = []
+    inputs = x
+    for l, (W, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+        h = np.zeros((rows, d))
+        c = np.zeros((rows, d))
+        outs = np.empty((steps, rows, d)) if l + 1 < params.layers else None
+        if cache is not None:
+            cache.append([])
+        for t in range(steps):
+            joint = np.concatenate([inputs[t], h], axis=1)
+            z = np.einsum("bk,gk->bg", joint, W) + b
+            sig = _sigmoid(z[:, :3 * d])
+            gg = np.tanh(z[:, 3 * d:])
+            c_new = sig[:, d:2 * d] * c + sig[:, :d] * gg
+            tc = np.tanh(c_new)
+            if cache is not None:
+                cache[-1].append((joint, sig, gg, c, tc))
+            live = mask[t][:, None]
+            c = np.where(live, c_new, c)
+            h = np.where(live, sig[:, 2 * d:] * tc, h)
+            if outs is not None:
+                outs[t] = h
+        finals.append(h)
+        inputs = outs
+    logits = np.einsum("bd,nd->bn", finals[-1], params.w_out) + params.b_out
+    return finals, logits
+
+
+def reference_backprop(params, cache, mask, h_last, dlogits):
+    """The step-by-step backward pass that went with reference_recur: the
+    gate-derivative factors and a weight-gradient einsum in every step."""
+    d = params.d
+    steps, rows = mask.shape
+    grads = {"head.W": np.einsum("bn,bd->nd", dlogits, h_last),
+             "head.b": dlogits.sum(axis=0)}
+    dh_above = np.zeros((steps, rows, d))
+    dh_above[-1] = np.einsum("bn,nd->bd", dlogits, params.w_out)
+    for l in range(params.layers - 1, -1, -1):
+        W = params.layer_weights[l]
+        in_l = W.shape[1] - d
+        dx = np.zeros((steps, rows, in_l))
+        dh_next = np.zeros((rows, d))
+        dc_next = np.zeros((rows, d))
+        gW = grads[f"layer{l}.W"] = np.zeros_like(W)
+        gb = grads[f"layer{l}.b"] = np.zeros(4 * d)
+        for t in range(steps - 1, -1, -1):
+            joint, sig, gg, c_prev, tc = cache[l][t]
+            gi, gf, go = sig[:, :d], sig[:, d:2 * d], sig[:, 2 * d:]
+            dh = dh_above[t] + dh_next
+            dc = dc_next + dh * go * (1.0 - tc * tc)
+            dz = np.concatenate([
+                dc * gg * gi * (1.0 - gi),
+                dc * c_prev * gf * (1.0 - gf),
+                dh * tc * go * (1.0 - go),
+                dc * gi * (1.0 - gg * gg),
+            ], axis=1)
+            live = mask[t][:, None]
+            dz = np.where(live, dz, 0.0)
+            gW += np.einsum("bg,bk->gk", dz, joint)
+            gb += dz.sum(axis=0)
+            djoint = np.einsum("bg,gk->bk", dz, W)
+            dx[t] = djoint[:, :in_l]
+            dh_next = np.where(live, djoint[:, in_l:], dh)
+            dc_next = np.where(live, dc * gf, dc_next)
+        dh_above = dx
+    return grads
+
+
 @st.composite
 def ragged_batches(draw):
     """1 to 40 labelled sequences of 1 to 6 steps, one of them 1 step long."""
@@ -240,39 +315,96 @@ def ragged_batches(draw):
     return [(rng.normal(size=(n, 3)), int(rng.integers(3))) for n in lengths]
 
 
+@st.composite
+def equal_batches(draw):
+    """1 to 40 labelled sequences, all of the same 2 to 8 steps: no step
+    has a padded row."""
+    count, steps = draw(st.integers(1, 40)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [(rng.normal(size=(steps, 3)), int(rng.integers(3))) for _ in range(count)]
+
+
+def assert_rows_are_the_batches_of_one(batch):
+    params = small_params(seed=11)
+    sequences = [seq for seq, _ in batch]
+    states, probs = forward_batch(params, sequences)
+    for i, seq in enumerate(sequences):
+        alone, p = forward(params, seq)
+        for rows, h in zip(states.h, alone.h):
+            assert np.array_equal(rows[i], h)
+        assert np.array_equal(probs[i], p)
+        ref_hidden, ref_probs = reference_forward(params, seq)
+        np.testing.assert_allclose(alone.final, ref_hidden[-1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(p, ref_probs, rtol=0, atol=1e-14)
+
+
+def assert_gradient_is_the_mean_of_the_batches_of_one(batch):
+    params = small_params(seed=12)
+    loss, grads = batch_gradients(params, batch)
+    alone = [batch_gradients(params, [example]) for example in batch]
+    assert abs(loss - np.mean([l for l, _ in alone])) <= 1e-12
+    for name, grad in grads.items():
+        mean = np.mean([g[name] for _, g in alone], axis=0)
+        np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12)
+
+
+def assert_matches_the_step_by_step_kernel(batch):
+    """Forward values byte-equal to reference_recur's; gradients equal to
+    reference_backprop's up to the order their sums are taken in."""
+    params = small_params(seed=14, layers=3)
+    padded = _padded(params, [seq for seq, _ in batch], [label for _, label in batch])
+    cache = []
+    ref_finals, ref_logits = reference_recur(params, padded.x, padded.mask, cache)
+    states, probs = forward_batch(params, padded)
+    for rows, ref_rows in zip(states.h, ref_finals):
+        assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(probs, softmax(ref_logits))
+    dlogits = softmax(ref_logits)
+    dlogits[np.arange(len(batch)), padded.labels] -= 1.0
+    ref_grads = reference_backprop(params, cache, padded.mask, ref_finals[-1], dlogits)
+    _, grads = batch_gradients(params, padded)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, ref_grads[name] / len(batch), rtol=0, atol=1e-13)
+
+
 class TestBatchedKernel:
     """One padded, masked batch gives each sequence what it gets alone."""
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(ragged_batches())
     def test_rows_are_bit_identical_to_the_batch_of_one(self, batch):
-        params = small_params(seed=11)
-        sequences = [seq for seq, _ in batch]
-        states, probs = forward_batch(params, sequences)
-        for i, seq in enumerate(sequences):
-            alone, p = forward(params, seq)
-            for rows, h in zip(states.h, alone.h):
-                assert np.array_equal(rows[i], h)
-            assert np.array_equal(probs[i], p)
-            ref_hidden, ref_probs = reference_forward(params, seq)
-            np.testing.assert_allclose(alone.final, ref_hidden[-1], rtol=0, atol=1e-14)
-            np.testing.assert_allclose(p, ref_probs, rtol=0, atol=1e-14)
+        assert_rows_are_the_batches_of_one(batch)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(equal_batches())
+    def test_rows_of_equal_lengths_are_bit_identical_to_the_batch_of_one(self, batch):
+        assert_rows_are_the_batches_of_one(batch)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(ragged_batches())
     def test_gradient_is_the_mean_of_the_batches_of_one(self, batch):
-        params = small_params(seed=12)
-        loss, grads = batch_gradients(params, batch)
-        alone = [batch_gradients(params, [example]) for example in batch]
-        assert abs(loss - np.mean([l for l, _ in alone])) <= 1e-12
-        for name, grad in grads.items():
-            mean = np.mean([g[name] for _, g in alone], axis=0)
-            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12)
+        assert_gradient_is_the_mean_of_the_batches_of_one(batch)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(equal_batches())
+    def test_gradient_of_equal_lengths_is_the_mean_of_the_batches_of_one(self, batch):
+        assert_gradient_is_the_mean_of_the_batches_of_one(batch)
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(ragged_batches())
     def test_gradient_check_on_a_ragged_batch(self, batch):
         assert gradient_check(small_params(seed=13), batch).max_relative_error < 1e-4
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(ragged_batches())
+    def test_matches_the_step_by_step_kernel(self, batch):
+        assert_matches_the_step_by_step_kernel(batch)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(equal_batches())
+    def test_equal_lengths_match_the_step_by_step_kernel(self, batch):
+        assert_matches_the_step_by_step_kernel(batch)
 
 
 def test_sigmoid_is_finite_bounded_and_symmetric():
