@@ -66,7 +66,7 @@ def _load_config(args):
 
 
 def cmd_build(args) -> int:
-    from .pipeline import build, load_subgraph
+    from .pipeline import build
 
     cfg = _load_config(args)
     art = build(cfg)
@@ -74,10 +74,7 @@ def cmd_build(args) -> int:
         print(f"up to date: {cfg.out_dir}")
     else:
         print(f"built artifacts in {cfg.out_dir}")
-    _, seeded = load_subgraph(cfg, art.models)
-    print(f"seeded subgraph: {len(seeded.subkg.triples)} triples, "
-          f"{len(seeded.subkg.concepts())} concepts, "
-          f"{seeded.embedding_matrix.shape[1]} embedded")
+    print("seeded subgraph: %d triples, %d concepts, %d embedded" % art.subgraph_counts)
     print(f"knowledge embedding: {art.ke_pair_count} concept pairs")
     return 0
 

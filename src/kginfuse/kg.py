@@ -1,11 +1,12 @@
 """Triple-store knowledge graph: taxonomy distances and hop neighborhoods.
 
-The graph is immutable after load. Triples live in a flat set; a
-designated predicate (default "isa") carries the taxonomy, which must be
-a DAG. Concept ids are normalized labels, so they are stable across runs
-for identical input files. Because nothing changes after load, the graph
-also caches what is derived from it: the index from label tokens to
-concept ids (built on first use) and each concept's ancestor depths
+The graph is immutable after load. Triples are named tuples in a flat
+set; a designated predicate (default "isa") carries the taxonomy, which
+must be a DAG. Concept ids are normalized labels, so they are stable
+across runs for identical input files; a load normalizes each distinct
+raw label and predicate once. Because nothing changes after load, the
+graph also caches what is derived from it: the index from label tokens
+to concept ids (built on first use) and each concept's ancestor depths
 (computed on first query).
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     GraphFormatError,
@@ -22,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .storage import read_text
-from .text import normalize_label, tokenize
+from .text import normalize_label, tokenize, tokenize_all
 
 DEFAULT_TAXONOMY_PREDICATE = "isa"
 
@@ -38,8 +40,7 @@ class Concept:
         return tuple(tokenize(self.label))
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     predicate: str
     object: str
@@ -52,29 +53,50 @@ class KnowledgeGraph:
         self.triples: frozenset[Triple] = frozenset(triples)
         self.concepts: dict[str, Concept] = dict(concepts)
         self.taxonomy_predicate = taxonomy_predicate
-        for t in self.triples:
-            if t.subject not in self.concepts or t.object not in self.concepts:
-                raise ValidationError(f"triple references unknown concept: {t}")
         # Undirected adjacency over all predicates; directed child->parents
         # index over the taxonomy predicate only.
         self._neighbors: dict[str, set[str]] = {c: set() for c in self.concepts}
         self._parents: dict[str, set[str]] = {c: set() for c in self.concepts}
+        child_count = dict.fromkeys(self.concepts, 0)
+        self_loop = None
         for t in self.triples:
-            self._neighbors[t.subject].add(t.object)
-            self._neighbors[t.object].add(t.subject)
-            if t.predicate == self.taxonomy_predicate:
-                if t.subject == t.object:
-                    raise TaxonomyCycleError([self.concepts[t.subject].label])
-                self._parents[t.subject].add(t.object)
-        cycle = _find_cycle(self._parents)
-        if cycle is not None:
+            subject, predicate, obj = t
+            if subject not in self.concepts or obj not in self.concepts:
+                raise ValidationError(f"triple references unknown concept: {t}")
+            self._neighbors[subject].add(obj)
+            self._neighbors[obj].add(subject)
+            if predicate == taxonomy_predicate:
+                if subject == obj:
+                    # Raised after the loop: an unknown concept is reported first.
+                    if self_loop is None:
+                        self_loop = subject
+                    continue
+                self._parents[subject].add(obj)
+                child_count[obj] += 1
+        if self_loop is not None:
+            raise TaxonomyCycleError([self.concepts[self_loop].label])
+        # Kahn's pass: peel off concepts that no remaining child points at.
+        # Only a cycle leaves some behind; the DFS then names its members.
+        peeled = [c for c, n in child_count.items() if not n]
+        for node in peeled:
+            for parent in self._parents[node]:
+                child_count[parent] -= 1
+                if not child_count[parent]:
+                    peeled.append(parent)
+        if len(peeled) < len(self.concepts):
+            cycle = _find_cycle(self._parents)
             raise TaxonomyCycleError([self.concepts[c].label for c in cycle])
         self._ancestors: dict[str, dict[str, int]] = {}
 
     @classmethod
     def from_labeled_triples(cls, rows, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE):
-        """Build a graph from (subject_label, predicate, object_label) rows."""
+        """Build a graph from (subject_label, predicate, object_label) rows.
+
+        Each distinct raw label and predicate is normalized once.
+        """
         concepts: dict[str, Concept] = {}
+        ids: dict[str, str] = {}  # raw label -> concept id
+        predicates: dict[str, str] = {}  # raw predicate -> normalized
 
         def intern(label: str) -> str:
             cid = normalize_label(label)
@@ -82,14 +104,18 @@ class KnowledgeGraph:
                 raise ValidationError("empty concept label")
             if cid not in concepts:
                 concepts[cid] = Concept(cid, label.strip())
+            ids[label] = cid
             return cid
 
         triples = set()
         for subject, predicate, obj in rows:
-            predicate = normalize_label(predicate)
-            if not predicate:
+            normalized = predicates.get(predicate)
+            if normalized is None:
+                normalized = predicates[predicate] = normalize_label(predicate)
+            if not normalized:
                 raise ValidationError("empty predicate")
-            triples.add(Triple(intern(subject), predicate, intern(obj)))
+            triples.add(Triple(ids.get(subject) or intern(subject), normalized,
+                               ids.get(obj) or intern(obj)))
         return cls(triples, concepts, taxonomy_predicate)
 
     @cached_property
@@ -99,10 +125,11 @@ class KnowledgeGraph:
         Two labels can tokenize alike ("red fox", "red-fox"), so each
         entry lists every id with those tokens.
         """
+        labels = [concept.label for concept in self.concepts.values()]
         index: dict[tuple[str, ...], list[str]] = {}
-        for cid, concept in self.concepts.items():
-            if concept.tokens:
-                index.setdefault(concept.tokens, []).append(cid)
+        for cid, tokens in zip(self.concepts, tokenize_all(labels)):
+            if tokens:
+                index.setdefault(tuple(tokens), []).append(cid)
         return index
 
     @cached_property
@@ -189,14 +216,16 @@ def load_graph(path, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE) -> Knowledge
     """
     rows = []
     for line_number, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = line.lstrip()
+        if not head or head.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise GraphFormatError(
                 path, line_number, f"expected 3 tab-separated fields, got {len(fields)}"
             )
-        subject, predicate, obj = (f.strip() for f in fields)
+        subject, predicate, obj = fields
+        subject, predicate, obj = subject.strip(), predicate.strip(), obj.strip()
         if not subject or not predicate or not obj:
             raise GraphFormatError(path, line_number, "empty field")
         rows.append((subject, predicate, obj))

@@ -195,9 +195,10 @@ def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
     halving being exact, equals _sigmoid's 0.5 * (1 + t) to the bit. The
     bias, the scale and the offset are tiled to (B, 4d), so each of these
     operations runs over whole contiguous arrays. Past a sequence's end
-    (mask False) its h and c carry forward unchanged, so its final row is
-    its state at its last step; a step where every row is live skips the
-    carry. Every product is an einsum, whose sums run over one row at a
+    (mask False) its h carries forward unchanged, so its final row is its
+    state at its last step; a step where every row is live skips the
+    carry. Its c runs on unread: padding only follows a sequence's end,
+    and _backprop zeroes dz at masked steps. Every product is an einsum, whose sums run over one row at a
     time: a row's values do not depend on what else is in the batch (a
     BLAS matmul's do). Given a list as cache, each layer appends its
     stacks (J, gates, c, tanh(c)) for backpropagation: gates (T, B, 4d)
@@ -238,7 +239,6 @@ def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
             np.tanh(c_new, out=tc)
             np.multiply(a[:, 2 * d:3 * d], tc, out=H[t + 1])
             if idle[t] is not None:
-                np.copyto(c_new, c, where=idle[t])
                 np.copyto(H[t + 1], H[t], where=idle[t])
         if cache is not None:
             cache.append((J, gates, C, TC))
@@ -265,7 +265,8 @@ def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndar
     loop holds only the recurrence: dh, dc, the gate gradient dz and one
     einsum of dz with W, which yields both the next step's dh and this
     step's input gradient, row by row. dz is 0 at masked steps, and dh
-    and dc pass back through them unchanged, mirroring the forward carry.
+    and dc pass back through them unchanged: dh mirrors the forward h
+    carry, and dc stays 0 until the sequence's last step.
     The weight gradient sums over the batch, so it is one batched BLAS
     matmul over all steps, whose per-step terms are then added in reverse
     time order; the bias gradient sums dz the same way.

@@ -75,14 +75,16 @@ HEAD_CALIBRATION_MAX_HALVINGS = 40
 @dataclass
 class BuildArtifacts:
     """What train and evaluate read of a build. The graph and the seeded
-    subgraph, which only update_kg and the build command read, come from
-    load_subgraph."""
+    subgraph, which only update_kg reads, come from load_subgraph. build
+    also sets subgraph_counts, the seeded subgraph's (triples, concepts,
+    embedded concepts), for the build command's summary."""
 
     models: list
     ke_values: np.ndarray
     ke_pair_count: int
     config_sha: str
     up_to_date: bool = False
+    subgraph_counts: tuple[int, int, int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,11 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
                 log.info("build artifacts up to date in %s", out_dir)
                 art = load_build(cfg)
                 art.up_to_date = True
+                # One row per triple, concept and embedded concept, as the
+                # manifest's sha256s have just confirmed.
+                art.subgraph_counts = tuple(
+                    read_text(paths[key]).count("\n")
+                    for key in ("subkg_triples", "subkg_depths", "subkg_concepts"))
                 return art
             log.info("rebuilding: missing or changed since the manifest: %s", ", ".join(stale))
 
@@ -172,7 +179,9 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
     _save_seeded(paths, kg, seeded)
     ke = _write_knowledge_embedding(cfg, paths, seeded, models)
     _write_manifest(cfg, paths, {"format": 1, "config_sha256": cfg_sha, "inputs": inputs})
-    return BuildArtifacts(models, ke.values, ke.pair_count, cfg_sha)
+    counts = (len(seeded.subkg.triples), len(seeded.subkg.concepts()),
+              seeded.embedding_matrix.shape[1])
+    return BuildArtifacts(models, ke.values, ke.pair_count, cfg_sha, subgraph_counts=counts)
 
 
 def _artifact_hashes(cfg: PipelineConfig, paths: dict) -> dict:
@@ -294,6 +303,7 @@ def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSu
     Returns (kg, seeded)."""
     paths = _artifact_paths(cfg)
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
+    ids = {concept.label: cid for cid, concept in kg.concepts.items()}
 
     def concept(cid):
         if cid not in kg.concepts:
@@ -301,7 +311,8 @@ def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSu
         return cid
 
     def label(text):
-        return concept(normalize_label(text))
+        cid = ids.get(text)  # a stored label is the concept's own
+        return concept(normalize_label(text)) if cid is None else cid
 
     triples = _read_rows(paths["subkg_triples"], label, normalize_label, label)
     depths = _read_rows(paths["subkg_depths"], concept, int)

@@ -15,6 +15,20 @@ def tokenize(text: str) -> list[str]:
     return _NON_WORD.sub(" ", text.lower()).split()
 
 
+def tokenize_all(texts: list[str]) -> list[list[str]]:
+    """[tokenize(text) for text in texts], in one regex pass.
+
+    The texts are joined on "\n" and split back. tokenize treats "\n" as
+    whitespace, and it ends str.lower's final-sigma context, so no text's
+    tokens change. A text holding a "\n" of its own is found by the line
+    count, and then each text is tokenized alone.
+    """
+    lines = _NON_WORD.sub(" ", "\n".join(texts).lower()).split("\n")
+    if len(lines) != len(texts):
+        return [tokenize(text) for text in texts]
+    return [line.split() for line in lines]
+
+
 def normalize_label(label: str) -> str:
     """Canonical concept label: case-folded, whitespace collapsed.
 

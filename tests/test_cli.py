@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 
+from kginfuse import kg, pipeline
 from kginfuse.cli import main
 from kginfuse.storage import load_checkpoint, save_checkpoint
 from kginfuse.synth import generate_benchmark
@@ -56,6 +57,23 @@ def test_build_summary_line_counts_the_stored_subgraph(tiny_project, capsys):
     out = capsys.readouterr().out
     assert out.startswith("up to date")
     assert int(SUMMARY.search(out).group(1)) == 4 + added
+
+
+def test_up_to_date_build_prints_its_summary_without_parsing_the_graph(tiny_project, capsys,
+                                                                       monkeypatch):
+    config = ["--config", str(tiny_project)]
+    assert main(["build", *config]) == 0
+    cold = SUMMARY.search(capsys.readouterr().out).group(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the knowledge graph was parsed")
+
+    monkeypatch.setattr(kg, "load_graph", refuse)
+    monkeypatch.setattr(pipeline, "load_graph", refuse)
+    assert main(["build", *config]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("up to date")
+    assert SUMMARY.search(out).group(0) == cold
 
 
 def test_a_corrupt_subgraph_fails_update_kg_but_not_eval(tiny_project, capsys):

@@ -15,14 +15,17 @@ from kginfuse.errors import (
     ValidationError,
 )
 from kginfuse.kg import (
+    Concept,
     KnowledgeGraph,
     Triple,
+    _find_cycle,
     graph_stats,
     lcs_distance,
     load_graph,
     n_hop_neighborhood,
 )
 from kginfuse.synth import generate_benchmark
+from kginfuse.text import normalize_label, tokenize, tokenize_all
 
 
 def write_kg(tmp_path, text, name="kg.tsv"):
@@ -57,6 +60,150 @@ def brute_lcs(kg, a, b):
     hb = enumerate_ancestor_hops(kg, b)
     common = ha.keys() & hb.keys()
     return min((ha[c] + hb[c] for c in common), default=None)
+
+
+# Reference parser: the graph as it was built before each raw label was
+# normalized once and acyclicity was checked by Kahn's pass. Returns what
+# the graph derives: (concepts, triples, neighbors, parents, token_index).
+def reference_from_labeled_triples(rows, taxonomy_predicate="isa"):
+    concepts = {}
+
+    def intern(label):
+        cid = normalize_label(label)
+        if not cid:
+            raise ValidationError("empty concept label")
+        if cid not in concepts:
+            concepts[cid] = Concept(cid, label.strip())
+        return cid
+
+    triples = set()
+    for subject, predicate, obj in rows:
+        predicate = normalize_label(predicate)
+        if not predicate:
+            raise ValidationError("empty predicate")
+        triples.add(Triple(intern(subject), predicate, intern(obj)))
+    return reference_graph(triples, concepts, taxonomy_predicate)
+
+
+def reference_graph(triples, concepts, taxonomy_predicate="isa"):
+    triples, concepts = frozenset(triples), dict(concepts)
+    for t in triples:
+        if t.subject not in concepts or t.object not in concepts:
+            raise ValidationError(f"triple references unknown concept: {t}")
+    neighbors = {c: set() for c in concepts}
+    parents = {c: set() for c in concepts}
+    for t in triples:
+        neighbors[t.subject].add(t.object)
+        neighbors[t.object].add(t.subject)
+        if t.predicate == taxonomy_predicate:
+            if t.subject == t.object:
+                raise TaxonomyCycleError([concepts[t.subject].label])
+            parents[t.subject].add(t.object)
+    cycle = _find_cycle(parents)
+    if cycle is not None:
+        raise TaxonomyCycleError([concepts[c].label for c in cycle])
+    index = {}
+    for cid, concept in concepts.items():
+        tokens = tuple(tokenize(concept.label))
+        if tokens:
+            index.setdefault(tokens, []).append(cid)
+    return concepts, triples, neighbors, parents, index
+
+
+def derived(kg):
+    return kg.concepts, kg.triples, kg._neighbors, kg._parents, kg.token_index
+
+
+def outcome(build):
+    """What build() derives, or the type, message and cycle members it raises."""
+    try:
+        concepts, *rest = build()
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "members", None)
+    return [(cid, c.label) for cid, c in concepts.items()], *rest
+
+
+# Labels that differ only in case and whitespace share an id; "red-fox"
+# and "red fox" differ in id but not in tokens.
+BASE_LABELS = ["cat", "big dog", "red-fox", "red fox", "ΟΔΟΣ ΣΟΦΟΣ", "naïve café", "x1"]
+PREDICATES = ["isa", "ISA", " isa ", "related", "Part Of", "part \t of"]
+
+
+@st.composite
+def raw_label(draw, index):
+    base = BASE_LABELS[index]
+    cased = "".join(ch.upper() if draw(st.booleans()) else ch for ch in base)
+    gap = draw(st.sampled_from([" ", "  ", "\t", " \u00a0"]))
+    pad = draw(st.sampled_from(["", " ", "  "]))
+    return pad + gap.join(cased.split(" ")) + pad
+
+
+@st.composite
+def labeled_rows(draw):
+    """Rows with duplicates, several predicates and multi-parent
+    taxonomies; an acyclic draw points every taxonomy edge at an earlier
+    base label, any other draw may hold self-loops and cycles. One draw
+    in five holds a row with an empty label or predicate."""
+    acyclic = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = (draw(st.integers(0, len(BASE_LABELS) - 1)) for _ in range(2))
+        predicate = draw(st.sampled_from(PREDICATES))
+        if acyclic and normalize_label(predicate) == "isa":
+            if a == b:
+                continue
+            a, b = max(a, b), min(a, b)
+        rows.append((draw(raw_label(a)), predicate, draw(raw_label(b))))
+    empty = draw(st.sampled_from([None] * 8 + [(" ", "isa", "cat"), ("cat", " ", "x1")]))
+    if empty is not None:
+        rows.insert(draw(st.integers(0, len(rows))), empty)
+    return rows
+
+
+class TestParserOracle:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(labeled_rows())
+    def test_graph_equals_the_reference_parser(self, rows):
+        expected = outcome(lambda: reference_from_labeled_triples(rows))
+        assert outcome(lambda: derived(KnowledgeGraph.from_labeled_triples(rows))) == expected
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(labeled_rows(), st.lists(st.tuples(st.sampled_from(["cat", "ghost"]),
+                                              st.sampled_from(["isa", "linked"]),
+                                              st.sampled_from(["cat", "x1", "ghost"])),
+                                    max_size=3))
+    def test_constructor_equals_the_reference_on_unknown_concepts(self, rows, extra):
+        # An unknown concept is reported even where a taxonomy cycle is also present.
+        try:
+            concepts, triples, *_ = reference_from_labeled_triples(rows)
+        except ValidationError:
+            return
+        triples = set(triples) | {Triple(*t) for t in extra}
+        expected = outcome(lambda: reference_graph(triples, concepts))
+        assert outcome(lambda: derived(KnowledgeGraph(triples, concepts))) == expected
+
+    def test_cycles_are_named_like_the_reference(self):
+        rows = [("a", "isa", "b"), ("b", "isa", "c"), ("c", "isa", "a"), ("d", "isa", "a"),
+                ("e", "isa", "e"), ("e", "linked", "f")]
+        for drop in (None, 4):
+            kept = [row for i, row in enumerate(rows) if i != drop]
+            expected = outcome(lambda: reference_from_labeled_triples(kept))
+            assert expected[0] is TaxonomyCycleError
+            assert outcome(lambda: derived(KnowledgeGraph.from_labeled_triples(kept))) == expected
+
+
+class TestTokenIndex:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.text(), st.sampled_from(["ΟΔΟΣ", "ΣΑΣ'Σ", "aΣ\nΣb", "\n"])),
+                    max_size=8))
+    def test_one_pass_tokens_equal_per_label_tokens(self, labels):
+        assert tokenize_all(labels) == [tokenize(label) for label in labels]
+        concepts = {f"c{i}": Concept(f"c{i}", label) for i, label in enumerate(labels)}
+        index = {}
+        for cid, concept in concepts.items():
+            if concept.tokens:
+                index.setdefault(concept.tokens, []).append(cid)
+        assert KnowledgeGraph([], concepts).token_index == index
 
 
 class TestLoadGraph:

@@ -531,6 +531,26 @@ class TestCorruptBuildArtifacts:
         with pytest.raises(StorageError, match=re.escape(f"{path}:1: {cut!r} is not a concept")):
             update_kg(built, ckpt)
 
+    def test_a_stored_label_in_another_case_and_spacing_loads_alike(self, built):
+        # Stored labels resolve by the graph's own labels first; any other
+        # spelling falls back to normalize_label.
+        path = os.path.join(built.out_dir, "subkg", "triples.tsv")
+        before = stored_subgraph(built)
+        subject, predicate, obj = open(path, encoding="utf-8").readline().rstrip("\n").split("\t")
+        respelled = "  " + subject.upper() + " "
+        _rewrite(path, _replace_line(1, f"{respelled}\t{predicate}\t{obj}".encode()))
+        after = stored_subgraph(built)
+        assert after.subkg.triples == before.subkg.triples
+        assert after.subkg.frontier_depth == before.subkg.frontier_depth
+        assert after.relevance == before.relevance
+        assert after.embedded_concepts == before.embedded_concepts
+        assert np.array_equal(after.embedding_matrix, before.embedding_matrix)
+
+        _rewrite(path, _replace_line(1, f"nowhere\t{predicate}\t{obj}".encode()))
+        with pytest.raises(StorageError,
+                           match=re.escape(f"{path}:1: 'nowhere' is not a concept of the graph")):
+            stored_subgraph(built)
+
     @pytest.mark.parametrize("name, transform, message", [
         ("concepts.tsv", lambda b: b + b"place\n", "embeddings.kign: shape"),
         ("concepts.tsv", lambda b: b + b"nowhere\n", "is not a concept"),
