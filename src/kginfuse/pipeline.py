@@ -8,6 +8,7 @@ bytes are a pure function of config + seed + inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -222,26 +223,35 @@ def _write_rows(path, rows) -> None:
     atomic_write_text(path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
 
 
-def _read_rows(path, *types) -> list:
-    """The rows _write_rows wrote, each field converted by its type. A wrong
-    field count, a ValueError from a type, a cut last line or bytes that
-    are not UTF-8 raise StorageError naming path:line."""
+def _read_columns(path, *types) -> list:
+    """The columns of the rows _write_rows wrote, each converted by its
+    type. A wrong field count, a ValueError from a type, a cut last line or
+    bytes that are not UTF-8 raise StorageError naming path:line; of
+    several faults, the first line's wins, its field count before its
+    fields."""
     try:
         lines = read_text(path).split("\n")
     except ValidationError as exc:
         raise StorageError(str(exc)) from exc
-    if lines[-1]:
-        raise StorageError(f"{path}:{len(lines)}: line not terminated (truncated file?)")
-    rows = []
-    for number, line in enumerate(lines[:-1], start=1):
-        fields = line.split("\t")
-        if len(fields) != len(types):
-            raise StorageError(f"{path}:{number}: expected {len(types)} fields, got {len(fields)}")
+    if lines.pop():
+        raise StorageError(f"{path}:{len(lines) + 1}: line not terminated (truncated file?)")
+    width = len(types)
+    if set(map(str.count, lines, itertools.repeat("\t"))) <= {width - 1}:
+        cells = "\t".join(lines).split("\t") if lines else []
         try:
-            rows.append(tuple(kind(value) for kind, value in zip(types, fields)))
+            return [list(map(kind, cells[j::width])) for j, kind in enumerate(types)]
+        except ValueError:
+            pass  # named by the row-order rescan below
+    for number, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise StorageError(f"{path}:{number}: expected {width} fields, got {len(fields)}")
+        try:
+            for kind, value in zip(types, fields):
+                kind(value)
         except ValueError as exc:
             raise StorageError(f"{path}:{number}: {exc}") from exc
-    return rows
+    raise AssertionError(f"{path}: a column failed to convert but no row does")
 
 
 def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededSubKG,
@@ -264,10 +274,16 @@ def _save_model(paths: dict, model: DimensionModel) -> None:
 
 def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
     vocab_path = paths[f"{name}.vocab"]
-    rows = _read_rows(vocab_path, str, int)
-    if [idx for _, idx in rows] != list(range(len(rows))):
-        raise StorageError(f"{vocab_path}: indices are not 0..{len(rows) - 1} in order")
-    vocab = dict(rows)
+    tokens, indices = _read_columns(vocab_path, str, int)
+    if indices != list(range(len(indices))):
+        raise StorageError(f"{vocab_path}: indices are not 0..{len(indices) - 1} in order")
+    vocab = dict(zip(tokens, indices))
+    if len(vocab) != len(tokens):
+        first = {}
+        for number, token in enumerate(tokens, start=1):
+            if first.setdefault(token, number) != number:
+                raise StorageError(f"{vocab_path}:{number}: repeated token "
+                                   f"(first on line {first[token]}): {token!r}")
     vectors = _load_shaped(paths[f"{name}.vectors"], (len(vocab), cfg.d_sub[name]))
     return DimensionModel(name, vocab, vectors, d_sub=cfg.d_sub[name])
 
@@ -314,14 +330,15 @@ def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSu
         cid = ids.get(text)  # a stored label is the concept's own
         return concept(normalize_label(text)) if cid is None else cid
 
-    triples = _read_rows(paths["subkg_triples"], label, normalize_label, label)
-    depths = _read_rows(paths["subkg_depths"], concept, int)
-    relevance = _read_rows(paths["subkg_scores"], concept, float)
-    embedded = tuple(cid for cid, in _read_rows(paths["subkg_concepts"], concept))
+    subjects, predicates, objects = _read_columns(paths["subkg_triples"], label,
+                                                  normalize_label, label)
+    depths = _read_columns(paths["subkg_depths"], concept, int)
+    relevance = _read_columns(paths["subkg_scores"], concept, float)
+    embedded = tuple(_read_columns(paths["subkg_concepts"], concept)[0])
     matrix = _load_shaped(paths["subkg_matrix"], (content_width(models), len(embedded)))
-    subkg = SubKG(parent=kg, triples=frozenset(Triple(*t) for t in triples),
-                  frontier_depth=dict(depths))
-    return kg, SeededSubKG(subkg, dict(relevance), matrix, embedded)
+    subkg = SubKG(parent=kg, triples=frozenset(map(Triple, subjects, predicates, objects)),
+                  frontier_depth=dict(zip(*depths)))
+    return kg, SeededSubKG(subkg, dict(zip(*relevance)), matrix, embedded)
 
 
 # ---------------------------------------------------------------------------

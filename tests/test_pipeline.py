@@ -4,11 +4,12 @@ import json
 import logging
 import os
 import re
+import tempfile
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kginfuse import pipeline
@@ -29,7 +30,7 @@ from kginfuse.pipeline import (
     train,
     update_kg,
 )
-from kginfuse.storage import save_checkpoint, sha256_file
+from kginfuse.storage import read_text, save_checkpoint, sha256_file
 from kginfuse.text import normalize_label, tokenize
 from dataclasses import replace
 
@@ -498,6 +499,13 @@ def _replace_line(number, new):
     return transform
 
 
+def _repeat_first_token(blob):
+    """Transform that gives line 2 of a vocabulary line 1's token."""
+    lines = blob.split(b"\n")
+    lines[1] = lines[0].split(b"\t")[0] + b"\t1"
+    return b"\n".join(lines)
+
+
 class TestCorruptBuildArtifacts:
     @pytest.fixture
     def built(self, tiny_project):
@@ -513,8 +521,9 @@ class TestCorruptBuildArtifacts:
         (_replace_line(2, b"token\t7"), ": indices are not 0.."),
         (lambda b: b[:b.rindex(b"\n", 0, -1) + 1], "vectors.kign: shape"),
         (lambda b: b + b"zzz\t" + str(b.count(b"\n")).encode() + b"\n", "vectors.kign: shape"),
+        (_repeat_first_token, "main.vocab.tsv:2: repeated token (first on line 1)"),
     ], ids=["cut-mid-line", "latin-1", "one-field", "text-index", "index-out-of-order",
-            "row-dropped", "row-added"])
+            "row-dropped", "row-added", "repeated-token"])
     def test_bad_vocabulary_rejected(self, built, transform, message):
         path = os.path.join(built.out_dir, "models", "main.vocab.tsv")
         _rewrite(path, transform)
@@ -597,6 +606,75 @@ class TestCorruptBuildArtifacts:
                 build(built)
             except StorageError:
                 pass
+
+
+def _read_rows(path, *types) -> list:
+    """Reference: the row-by-row reader pipeline._read_columns replaced."""
+    try:
+        lines = read_text(path).split("\n")
+    except ValidationError as exc:
+        raise StorageError(str(exc)) from exc
+    if lines[-1]:
+        raise StorageError(f"{path}:{len(lines)}: line not terminated (truncated file?)")
+    rows = []
+    for number, line in enumerate(lines[:-1], start=1):
+        fields = line.split("\t")
+        if len(fields) != len(types):
+            raise StorageError(f"{path}:{number}: expected {len(types)} fields, got {len(fields)}")
+        try:
+            rows.append(tuple(kind(value) for kind, value in zip(types, fields)))
+        except ValueError as exc:
+            raise StorageError(f"{path}:{number}: {exc}") from exc
+    return rows
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["0", "7", "-3", "1_0", " 4 ", "1.5", "nan", "-inf", "1e3", "x", "", "café",
+                     "\r", "\t", "\n"]),
+    st.text(alphabet="0123456789.-e x", max_size=3)).map(str.encode)
+
+
+@st.composite
+def _tables(draw):
+    """(file bytes, types): rows mostly of the right width, with bad cells,
+    stray tabs and newlines, and now and then a missing final newline or a
+    byte that is not UTF-8."""
+    types = draw(st.sampled_from([(str, int), (str, float), (str, str, str), (str,)]))
+    row = st.lists(_CELLS, min_size=len(types), max_size=len(types))
+    lines = draw(st.lists(st.one_of(row, row, row, st.lists(_CELLS, max_size=4))
+                          .map(b"\t".join), max_size=8))
+    blob = b"".join(line + b"\n" for line in lines)
+    rarely = st.sampled_from([False] * 4 + [True])
+    if draw(rarely):
+        blob = blob[:-1]
+    if draw(rarely):
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + blob[at:]
+    return blob, types
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(table=_tables())
+@example(table=(b"a\t1\tb\n2\n", (str, int)))  # field counts that balance out
+@example(table=(b"x\ty\tz\tq\nw\tv\n", (str, str, str)))
+def test_read_columns_equals_the_row_reader(table):
+    blob, types = table
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "table.tsv")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        try:
+            expected = repr(_read_rows(path, *types))
+        except StorageError as exc:
+            expected = str(exc)
+        try:
+            columns = pipeline._read_columns(path, *types)
+        except StorageError as exc:
+            assert str(exc) == expected
+            return
+    assert len(columns) == len(types)
+    assert all(type(column) is list and len(column) == len(columns[0]) for column in columns)
+    assert repr(list(zip(*columns))) == expected
 
 
 def test_link_concepts_matches_multiword_labels():
