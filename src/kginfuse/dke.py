@@ -155,6 +155,7 @@ def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG,
         raise ValidationError("a mapping solution is required to absorb new concepts")
 
     old = seeded.subkg
+    width = seeded.embedding_matrix.shape[0]
     merged_depth = dict(diff.frontier_depth)
     merged_depth.update(old.frontier_depth)
     new_subkg = SubKG(
@@ -163,24 +164,26 @@ def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG,
         frontier_depth=merged_depth,
     )
 
-    vectors = {
-        cid: seeded.embedding_matrix[:, i]
-        for i, cid in enumerate(seeded.embedded_concepts)
-    }
-    for i, cid in enumerate(diff.new_concepts):
-        mapped = solution.w @ diff.embedding_matrix[:, i]
-        norm = float(np.linalg.norm(mapped))
+    # One matvec per column: a single product over all columns would sum
+    # in another order and change bits. A norm is sqrt(v.dot(v)), what
+    # np.linalg.norm computes for a 1-d vector.
+    mapped = np.empty((len(diff.new_concepts), width))
+    for i in range(len(mapped)):
+        mapped[i] = solution.w @ diff.embedding_matrix[:, i]
+    norms = np.sqrt(np.array([v.dot(v) for v in mapped]))
+    for cid, norm in zip(diff.new_concepts, norms):
         if norm == 0.0:
             log.warning("mapped embedding for %s collapsed to zero; skipped", cid)
-            continue
-        vectors[cid] = mapped / norm
-
-    embedded = tuple(sorted(vectors))
-    width = seeded.embedding_matrix.shape[0]
-    matrix = (
-        np.stack([vectors[c] for c in embedded], axis=1)
-        if embedded else np.zeros((width, 0))
-    )
+    kept = np.flatnonzero(norms != 0.0)
+    # Columns of the old matrix, then the kept mapped ones; a concept's last
+    # column wins, and the result lists every concept once, sorted.
+    columns = np.concatenate([seeded.embedding_matrix, (mapped[kept] / norms[kept, None]).T],
+                             axis=1)
+    source = dict(zip(seeded.embedded_concepts, range(len(seeded.embedded_concepts))))
+    source.update(zip((diff.new_concepts[i] for i in kept),
+                      range(len(seeded.embedded_concepts), columns.shape[1])))
+    embedded = tuple(sorted(source))
+    matrix = np.ascontiguousarray(columns[:, [source[c] for c in embedded]])
 
     relevance = dict(seeded.relevance)
     for cid, depth in diff.frontier_depth.items():

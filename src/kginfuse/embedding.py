@@ -8,10 +8,13 @@ which is the truncated SVD of that matrix. An eigenvalue of multiplicity
 > 1 has no unique basis, but the basis returned is the same from run to
 run. A piece of content is embedded per dimension and the sub-vectors
 are concatenated. Token lists are embedded in one batch, so each concept
-is embedded once per call; its vectors are added in sorted token order,
-the summation order of one np.mean per concept. The knowledge embedding
-summarizes a seeded subgraph as one vector in the same concatenated
-space: a distance-weighted sum over concept pairs, L2-normalized.
+is embedded once per call: one lexsort puts every list's tokens in
+sorted order and one np.add.at per model adds them in that order, the
+summation order of one np.mean per concept. Concept tokens are the
+graph's own (kg.KnowledgeGraph.label_tokens), tokenized once per graph.
+The knowledge embedding summarizes a seeded subgraph as one vector in
+the same concatenated space: a distance-weighted sum over concept pairs,
+L2-normalized.
 """
 
 from __future__ import annotations
@@ -147,22 +150,33 @@ def embed_token_lists(models, token_lists) -> tuple[np.ndarray, np.ndarray]:
     under permutations of its list. For a model of two or more columns
     this is the sum np.mean makes of the same vectors; along a single
     column of more than eight vectors NumPy sums pairwise instead.
+
+    All lists are handled in one pass: each distinct token is ranked in
+    string order and looked up once per model, one lexsort orders every
+    (list, token rank) pair, and one np.add.at per model adds the vectors
+    in that order, which is each list's sorted order.
     """
     if not models:
         raise ValidationError("at least one dimension model is required")
     n = len(token_lists)
+    if n == 0:
+        return np.zeros((0, content_width(models))), np.zeros(0, dtype=np.int64)
+    flat = [t for tokens in token_lists for t in tokens]
+    distinct = sorted(set(flat))
+    rank = {t: i for i, t in enumerate(distinct)}
+    ranks = np.fromiter(map(rank.__getitem__, flat), dtype=np.intp, count=len(flat))
+    owners = np.repeat(np.arange(n), [len(tokens) for tokens in token_lists])
+    order = np.lexsort((ranks, owners))
+    ranks, owners = ranks[order], owners[order]
     pieces = []
     hits = np.zeros(n, dtype=np.int64)
     for model in models:
-        owners, rows = [], []
-        for i, tokens in enumerate(token_lists):
-            matched = sorted(t for t in tokens if t in model.vocab)
-            owners += [i] * len(matched)
-            rows += [model.vocab[t] for t in matched]
-        owners = np.asarray(owners, dtype=np.intp)
+        rows = np.fromiter((model.vocab.get(t, -1) for t in distinct), dtype=np.intp,
+                           count=len(distinct))[ranks]
+        known = rows >= 0
         sums = np.zeros((n, model.d_sub))
-        np.add.at(sums, owners, model.vectors[np.asarray(rows, dtype=np.intp)])
-        counts = np.bincount(owners, minlength=n)
+        np.add.at(sums, owners[known], model.vectors[rows[known]])
+        counts = np.bincount(owners[known], minlength=n)
         pieces.append(sums / np.maximum(counts, 1)[:, None])
         hits += counts
     return np.concatenate(pieces, axis=1), hits
@@ -173,20 +187,16 @@ def embed_concepts(kg, concept_ids, models) -> tuple[np.ndarray, tuple[str, ...]
     concept_ids, in the given order; returns (matrix, embedded ids).
 
     Each concept is embedded once, from its label tokens; a concept
-    whose tokens resolve against no dimension is left out.
+    whose tokens resolve against no dimension is left out. A row's norm
+    is sqrt(row.dot(row)), what np.linalg.norm computes for it, and all
+    rows are divided by their norms at once.
     """
     concept_ids = list(concept_ids)
-    values, hits = embed_token_lists(models, [kg.concepts[c].tokens for c in concept_ids])
-    columns = []
-    embedded = []
-    for cid, row, hit_count in zip(concept_ids, values, hits):
-        norm = float(np.linalg.norm(row))
-        if hit_count == 0 or norm == 0.0:
-            continue
-        columns.append(row / norm)
-        embedded.append(cid)
-    matrix = np.stack(columns, axis=1) if columns else np.zeros((content_width(models), 0))
-    return matrix, tuple(embedded)
+    values, hits = embed_token_lists(models, [kg.label_tokens[c] for c in concept_ids])
+    norms = np.sqrt(np.array([row.dot(row) for row in values]))
+    keep = np.flatnonzero((hits > 0) & (norms != 0.0))
+    matrix = np.ascontiguousarray((values[keep] / norms[keep, None]).T)
+    return matrix, tuple(concept_ids[i] for i in keep)
 
 
 def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
@@ -212,12 +222,14 @@ def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
                if allowlist is None or t.predicate in allowlist]
     ids = sorted({c for t in triples for c in (t.subject, t.object)})
     row = {cid: i for i, cid in enumerate(ids)}
-    values, hits = embed_token_lists(models, [kg.concepts[c].tokens for c in ids])
-    pairs = [t for t in triples if hits[row[t.subject]] and hits[row[t.object]]]
+    values, hits = embed_token_lists(models, [kg.label_tokens[c] for c in ids])
+    subjects = np.array([row[t.subject] for t in triples], dtype=np.intp)
+    objects = np.array([row[t.object] for t in triples], dtype=np.intp)
+    resolved = np.flatnonzero((hits[subjects] > 0) & (hits[objects] > 0))
+    subjects, objects = subjects[resolved], objects[resolved]
+    pairs = [triples[i] for i in resolved.tolist()]
     dists = [lcs_distance(kg, t.subject, t.object) for t in pairs]
     weights = 1.0 / (1.0 + np.array([1 if d is None else d for d in dists], dtype=float))
-    subjects = np.array([row[t.subject] for t in pairs], dtype=np.intp)
-    objects = np.array([row[t.object] for t in pairs], dtype=np.intp)
     terms = (weights * 0.5)[:, None] * (values[subjects] + values[objects])
     acc = np.zeros((1, width))
     np.add.at(acc, np.zeros(len(pairs), dtype=np.intp), terms)  # one after another, in order

@@ -5,9 +5,11 @@ set; a designated predicate (default "isa") carries the taxonomy, which
 must be a DAG. Concept ids are normalized labels, so they are stable
 across runs for identical input files; a load normalizes each distinct
 raw label and predicate once. Because nothing changes after load, the
-graph also caches what is derived from it: the index from label tokens
-to concept ids (built on first use) and each concept's ancestor depths
-(computed on first query).
+graph also caches what is derived from it: every label's tokens (one
+tokenize_all pass on first need, read by the token index, seeding and
+the concept embedder alike), the index from label tokens to concept ids
+(built on first use) and each concept's ancestor depths (computed on
+first query).
 """
 
 from __future__ import annotations
@@ -119,17 +121,23 @@ class KnowledgeGraph:
         return cls(triples, concepts, taxonomy_predicate)
 
     @cached_property
+    def label_tokens(self) -> dict[str, tuple[str, ...]]:
+        """Each concept's label tokens (Concept.tokens) by id, from one
+        tokenize_all pass; linking, seeding and embedding all read these."""
+        labels = [concept.label for concept in self.concepts.values()]
+        return dict(zip(self.concepts, map(tuple, tokenize_all(labels))))
+
+    @cached_property
     def token_index(self) -> dict[tuple[str, ...], list[str]]:
         """Concept ids by label tokens; a label with no tokens is left out.
 
         Two labels can tokenize alike ("red fox", "red-fox"), so each
         entry lists every id with those tokens.
         """
-        labels = [concept.label for concept in self.concepts.values()]
         index: dict[tuple[str, ...], list[str]] = {}
-        for cid, tokens in zip(self.concepts, tokenize_all(labels)):
+        for cid, tokens in self.label_tokens.items():
             if tokens:
-                index.setdefault(tuple(tokens), []).append(cid)
+                index.setdefault(tokens, []).append(cid)
         return index
 
     @cached_property
@@ -237,17 +245,18 @@ def lcs_distance(kg: KnowledgeGraph, a: str, b: str):
 
     Minimized over all common ancestors (the taxonomy is a DAG, so a
     concept may have several). Returns None when the two concepts share
-    no ancestor. A concept is its own ancestor at distance 0.
+    no ancestor. A concept is its own ancestor at distance 0. An unknown
+    concept raises UnknownConceptError.
     """
-    for cid in (a, b):
-        if not kg.has_concept(cid):
-            raise UnknownConceptError(cid)
     da = _ancestor_depths(kg, a)
     db = _ancestor_depths(kg, b)
-    common = da.keys() & db.keys()
-    if not common:
-        return None
-    return min(da[c] + db[c] for c in common)
+    if len(db) < len(da):
+        da, db = db, da
+    best = None
+    for c, depth in da.items():
+        if c in db and (best is None or depth + db[c] < best):
+            best = depth + db[c]
+    return best
 
 
 def _ancestor_depths(kg: KnowledgeGraph, start: str) -> dict[str, int]:
@@ -258,6 +267,8 @@ def _ancestor_depths(kg: KnowledgeGraph, start: str) -> dict[str, int]:
     memo = kg._ancestors.get(start)
     if memo is not None:
         return memo
+    if start not in kg.concepts:
+        raise UnknownConceptError(start)
     depths = {start: 0}
     queue = deque([start])
     while queue:

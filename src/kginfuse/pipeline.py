@@ -138,7 +138,7 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
                            if sha is None or recorded.get(rel) != sha)
             if not stale:
                 log.info("build artifacts up to date in %s", out_dir)
-                art = load_build(cfg)
+                art = load_build(cfg, cfg_sha)
                 art.up_to_date = True
                 # One row per triple, concept and embedded concept, as the
                 # manifest's sha256s have just confirmed.
@@ -218,13 +218,15 @@ def _load_shaped(path, shape) -> np.ndarray:
     return array
 
 
-def _write_rows(path, rows) -> None:
-    """One line per row, its fields joined by tabs."""
-    atomic_write_text(path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
+def _write_columns(path, *columns) -> None:
+    """One line per row of the equal-length columns, each field str() of
+    its value and the fields joined by tabs: what _read_columns reads."""
+    lines = list(map("\t".join, zip(*(map(str, column) for column in columns))))
+    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
 def _read_columns(path, *types) -> list:
-    """The columns of the rows _write_rows wrote, each converted by its
+    """The columns _write_columns wrote, each converted by its
     type. A wrong field count, a ValueError from a type, a cut last line or
     bytes that are not UTF-8 raise StorageError naming path:line; of
     several faults, the first line's wins, its field count before its
@@ -268,7 +270,8 @@ def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededS
 
 def _save_model(paths: dict, model: DimensionModel) -> None:
     name = model.dimension_name
-    _write_rows(paths[f"{name}.vocab"], sorted(model.vocab.items(), key=lambda kv: kv[1]))
+    tokens = sorted(model.vocab, key=model.vocab.get)
+    _write_columns(paths[f"{name}.vocab"], tokens, map(model.vocab.get, tokens))
     save_array(paths[f"{name}.vectors"], model.vectors)
 
 
@@ -289,17 +292,23 @@ def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
 
 
 def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
-    label = {cid: concept.label for cid, concept in kg.concepts.items()}
-    _write_rows(paths["subkg_triples"], ((label[t.subject], t.predicate, label[t.object])
-                                         for t in sorted(seeded.subkg.triples)))
-    _write_rows(paths["subkg_scores"], sorted(seeded.relevance.items()))
-    _write_rows(paths["subkg_depths"], sorted(seeded.subkg.frontier_depth.items()))
-    _write_rows(paths["subkg_concepts"], ((cid,) for cid in seeded.embedded_concepts))
+    triples = sorted(seeded.subkg.triples)
+    concepts = kg.concepts
+    _write_columns(paths["subkg_triples"], [concepts[t.subject].label for t in triples],
+                   [t.predicate for t in triples], [concepts[t.object].label for t in triples])
+    for key, values in (("subkg_scores", seeded.relevance),
+                        ("subkg_depths", seeded.subkg.frontier_depth)):
+        ids = sorted(values)
+        _write_columns(paths[key], ids, map(values.get, ids))
+    _write_columns(paths["subkg_concepts"], seeded.embedded_concepts)
     save_array(paths["subkg_matrix"], seeded.embedding_matrix)
 
 
-def load_build(cfg: PipelineConfig) -> BuildArtifacts:
-    """Load the dimension models and the knowledge embedding of a build."""
+def load_build(cfg: PipelineConfig, cfg_sha: str | None = None) -> BuildArtifacts:
+    """Load the dimension models and the knowledge embedding of a build.
+
+    cfg_sha is config_hash(cfg), when the caller has already computed it.
+    """
     paths = _artifact_paths(cfg)
     if not all(map(os.path.isfile, paths.values())):
         raise ValidationError(
@@ -310,7 +319,8 @@ def load_build(cfg: PipelineConfig) -> BuildArtifacts:
     pair_count = _read_json(paths["ke_meta"]).get("pair_count")
     if type(pair_count) is not int or pair_count < 0:
         raise StorageError(f"{paths['ke_meta']}: pair_count is not a count")
-    return BuildArtifacts(models, ke_values, pair_count, config_hash(cfg))
+    return BuildArtifacts(models, ke_values, pair_count,
+                          config_hash(cfg) if cfg_sha is None else cfg_sha)
 
 
 def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSubKG]:

@@ -74,17 +74,22 @@ def relevance_score(concept, stats: CorpusStats, target_class: str) -> float:
     and q the smoothed probability over all documents; the score is the
     sum of p*ln(p/q). Smoothing keeps unseen tokens finite.
     """
+    return _label_relevance(concept.label, concept.tokens, stats, target_class)
+
+
+def _label_relevance(label: str, tokens, stats: CorpusStats, target_class: str) -> float:
+    """relevance_score of the concept whose label has these tokens."""
     if target_class not in stats.class_token_counts:
         raise ValidationError(f"unknown target class: {target_class!r}")
     if stats.total_tokens == 0:
         raise ValidationError("corpus has no tokens")
-    if not concept.tokens:
-        raise ValidationError(f"concept label has no tokens: {concept.label!r}")
+    if not tokens:
+        raise ValidationError(f"concept label has no tokens: {label!r}")
     vocab_size = len(stats.vocab)
     target_counts = stats.class_token_counts[target_class]
     target_total = stats.class_totals[target_class]
     score = 0.0
-    for token in concept.tokens:
+    for token in tokens:
         p = (target_counts[token] + 1.0) / (target_total + vocab_size)
         q = (stats.overall_count(token) + 1.0) / (stats.total_tokens + vocab_size)
         score += p * math.log(p / q)
@@ -106,9 +111,11 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
     if hops < 0:
         raise ValidationError("hops must be >= 0")
     scores: dict[str, float] = {}
+    label_tokens = kg.label_tokens
     for cid, concept in sorted(kg.concepts.items()):
-        if concept.tokens and all(t in stats.vocab for t in concept.tokens):
-            scores[cid] = relevance_score(concept, stats, target_class)
+        tokens = label_tokens[cid]
+        if tokens and stats.vocab.issuperset(tokens):
+            scores[cid] = _label_relevance(concept.label, tokens, stats, target_class)
     if not scores:
         raise ValidationError("no concept label matches the corpus vocabulary")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kginfuse.config import parse_config
+from kginfuse.embedding import DimensionModel, embed_concepts
 from kginfuse.errors import (
     GraphFormatError,
     TaxonomyCycleError,
@@ -24,6 +25,7 @@ from kginfuse.kg import (
     load_graph,
     n_hop_neighborhood,
 )
+from kginfuse.seeding import corpus_stats, extract_seeded_subkg
 from kginfuse.synth import generate_benchmark
 from kginfuse.text import normalize_label, tokenize, tokenize_all
 
@@ -204,6 +206,43 @@ class TestTokenIndex:
             if concept.tokens:
                 index.setdefault(concept.tokens, []).append(cid)
         assert KnowledgeGraph([], concepts).token_index == index
+
+
+class TestLabelTokens:
+    LABELS = ["Red-Fox!", "ΟΔΟΣ", "ΣΑΣ'Σ", "naïve Café", "日本 語", "...", "Straße", "ΣΑΣ"]
+
+    def test_a_loaded_graph_tokenizes_no_label_alone(self, tmp_path, monkeypatch):
+        path = write_kg(tmp_path, "".join(f"{label}\trel\t{self.LABELS[0]}\n"
+                                          for label in self.LABELS[1:]))
+        stats = corpus_stats([("pos", "red fox οδος"), ("neg", "日本 語 straße")])
+        model = DimensionModel("m", {"fox": 0, "red": 1, "日本": 2},
+                               np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]]), 2)
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr("kginfuse.text.tokenize", counted)
+        monkeypatch.setattr("kginfuse.kg.tokenize", counted)
+        kg = load_graph(path)
+        label_tokens = kg.label_tokens
+        index = kg.token_index
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=1, top_m=1, models=[model])
+        embed_concepts(kg, sorted(kg.concepts), [model])
+        assert calls == []
+        want = {cid: tuple(tokenize(concept.label)) for cid, concept in kg.concepts.items()}
+        assert label_tokens == want
+        assert all(label_tokens[cid] == concept.tokens for cid, concept in kg.concepts.items())
+        assert index[("red", "fox")] == ["red-fox!"] and () not in index
+        assert seeded.seeds == {"red-fox!"}
+
+    def test_a_label_holding_a_newline_takes_the_per_label_fallback(self):
+        labels = self.LABELS + ["north\nwind"]
+        concepts = {f"c{i}": Concept(f"c{i}", label) for i, label in enumerate(labels)}
+        kg = KnowledgeGraph([], concepts)
+        assert kg.label_tokens == {cid: tuple(tokenize(c.label)) for cid, c in concepts.items()}
+        assert kg.label_tokens["c8"] == ("north", "wind")
 
 
 class TestLoadGraph:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kginfuse import pipeline
-from kginfuse.config import parse_config
+from kginfuse.config import config_hash, parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
 from kginfuse.nlm import log_softmax
@@ -82,6 +82,20 @@ class TestBuild:
         again = build(cfg)
         assert again.up_to_date
         assert os.path.getmtime(marker) == stamp
+
+    def test_up_to_date_build_hashes_the_config_once(self, tiny_project, monkeypatch):
+        cfg = parse_config(tiny_project)
+        want = build(cfg).config_sha
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return config_hash(config)
+
+        monkeypatch.setattr(pipeline, "config_hash", counted)
+        again = build(cfg)
+        assert again.up_to_date and again.config_sha == want
+        assert calls == [cfg]
 
     @pytest.mark.parametrize("damage", ["flip a payload byte", "delete"])
     def test_damaged_artifact_triggers_rebuild(self, tiny_project, damage, caplog):
