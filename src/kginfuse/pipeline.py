@@ -12,7 +12,7 @@ import itertools
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -584,9 +584,12 @@ def load_trained(path) -> Checkpoint:
         raise StorageError(f"{path}: layers, hidden, input_width, n_classes must be positive")
     if infused and d != width:
         raise StorageError(f"{path}: an infused checkpoint needs hidden == input_width")
+    if meta["mode"] not in MODES:
+        raise StorageError(f"{path}: mode not in {MODES}")
     labels = meta["labels"]
-    if meta["mode"] not in MODES or not isinstance(labels, list) or len(labels) != n:
-        raise StorageError(f"{path}: mode not in {MODES} or labels not n_classes long")
+    if not (isinstance(labels, list) and all(type(label) is str for label in labels)
+            and len(set(labels)) == len(labels) == n):
+        raise StorageError(f"{path}: labels are not n_classes distinct strings")
     shapes = {"lstm.head.W": (n, d), "lstm.head.b": (n,), "ke": (width,)}
     for l in range(layers):
         shapes[f"lstm.layer{l}.W"] = (4 * d, (width if l == 0 else d) + d)
@@ -638,32 +641,41 @@ def evaluate(cfg: PipelineConfig, checkpoint_path, dataset_path=None,
         art = load_build(cfg)
     ckpt = load_trained(checkpoint_path)
     path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
-    rows = read_labeled_tsv(path)
-    unknown = {label for label, _ in rows} - set(ckpt.labels)
-    if unknown:
-        raise ValidationError(
-            "dataset labels outside the checkpoint's label set: "
-            + ", ".join(sorted(unknown))
-        )
-    y_true = [label for label, _ in rows]
-    encoded, _ = encode_dataset(art.models, rows,
-                                {label: i for i, label in enumerate(ckpt.labels)})
-    y_pred = ckpt.predict_labels(encoded.batch())
-    positive = cfg.target_class if cfg.target_class in ckpt.labels else ckpt.labels[-1]
-    report = evaluate_predictions(
-        y_true, y_pred, ckpt.labels, positive,
-        metadata={
-            "seed": ckpt.meta["seed"],
-            "mode": ckpt.mode,
-            "config_sha256": ckpt.meta["config_sha256"],
-            "dataset_sha256": sha256_file(path),
-        },
-    )
+    report = _score(cfg, ckpt, *_read_eval_set(art.models, path))
     if write_reports:
         base = os.path.join(cfg.out_dir, f"eval_{ckpt.mode}")
         atomic_write_text(base + ".txt", report_text(report))
         atomic_write_text(base + ".csv", report_csv(report))
     return report
+
+
+def _read_eval_set(models, path) -> tuple:
+    """A labeled dataset as _score takes it: (true labels, the encoded
+    Batch of all its documents, the file's sha256)."""
+    rows = read_labeled_tsv(path)
+    encoded = encode_texts(models, [text for _, text in rows])
+    return [label for label, _ in rows], encoded.batch(), sha256_file(path)
+
+
+def _score(cfg: PipelineConfig, ckpt: Checkpoint, y_true, batch, dataset_sha) -> EvalReport:
+    """The checkpoint's report on an eval set that _read_eval_set read."""
+    unknown = set(y_true) - set(ckpt.labels)
+    if unknown:
+        raise ValidationError(
+            "dataset labels outside the checkpoint's label set: "
+            + ", ".join(sorted(unknown))
+        )
+    y_pred = ckpt.predict_labels(batch)
+    positive = cfg.target_class if cfg.target_class in ckpt.labels else ckpt.labels[-1]
+    return evaluate_predictions(
+        y_true, y_pred, ckpt.labels, positive,
+        metadata={
+            "seed": ckpt.meta["seed"],
+            "mode": ckpt.mode,
+            "config_sha256": ckpt.meta["config_sha256"],
+            "dataset_sha256": dataset_sha,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -672,107 +684,94 @@ def evaluate(cfg: PipelineConfig, checkpoint_path, dataset_path=None,
 
 @dataclass
 class ComparisonReport:
-    modes: tuple
     n_seeds: int
     metrics: dict       # mode -> metric -> list of per-seed values
     summary: dict       # mode -> metric -> (mean, std)
-    deltas: dict        # metric -> mean(modes[1]) - mean(modes[0])
-    divergence: dict    # mode -> {"inner_iterations": mean, "final": mean}
+    deltas: dict        # metric -> mean(infused) - mean(vanilla)
+    divergence: dict    # infused runs: {"inner_iterations": mean, "final_divergence": mean}
 
 
 _COMPARE_METRICS = ("precision", "recall", "f1", "false_alarm", "accuracy")
 
 
-def compare(cfg: PipelineConfig, n_seeds=None, modes=("vanilla", "infused")) -> ComparisonReport:
-    """Train and evaluate both modes over several seeds; aggregate metrics."""
+def compare(cfg: PipelineConfig, n_seeds=None) -> ComparisonReport:
+    """Train one infused model per seed and score both modes from it: vanilla
+    from the LSTM's own head (the infusion loop leaves the LSTM as a vanilla
+    training makes it), infused from the gate and the refit head."""
     n = n_seeds if n_seeds is not None else cfg.compare_seeds
     if n < 2:
         raise ConfigError("compare needs at least 2 seeds for a spread estimate")
     if cfg.eval_dataset_path is None:
         raise ConfigError("compare requires an eval_dataset path")
     art = build(cfg)
+    eval_set = _read_eval_set(art.models, cfg.eval_dataset_path)
 
-    from dataclasses import replace
-
-    metrics = {m: {k: [] for k in _COMPARE_METRICS} for m in modes}
-    divergence = {m: {"inner_iterations": [], "final_divergence": []} for m in modes}
+    metrics = {m: {k: [] for k in _COMPARE_METRICS} for m in MODES}
+    divergence = {"inner_iterations": [], "final_divergence": []}
     for i in range(n):
         run_seed = derive_seed(cfg.seed, f"compare.run{i}") % (1 << 31)
-        for position, mode in enumerate(modes):
-            run_dir = os.path.join(cfg.out_dir, "compare", f"seed{i:02d}_{position}_{mode}")
-            run_cfg = replace(cfg, mode=mode, seed=run_seed, out_dir=run_dir)
-            result = train(run_cfg, art=art)
-            report = evaluate(run_cfg, result.checkpoint_path,
-                              dataset_path=cfg.eval_dataset_path, art=art,
-                              write_reports=False)
+        run_dir = os.path.join(cfg.out_dir, "compare", f"seed{i:02d}")
+        result = train(replace(cfg, mode="infused", seed=run_seed, out_dir=run_dir), art=art)
+        ckpt = load_trained(result.checkpoint_path)
+        for mode in MODES:
+            report = _score(cfg, replace(ckpt, mode=mode), *eval_set)
             pos = report.positive_label
             metrics[mode]["precision"].append(report.precision[pos])
             metrics[mode]["recall"].append(report.recall[pos])
             metrics[mode]["f1"].append(report.f1[pos])
             metrics[mode]["false_alarm"].append(report.false_alarm)
             metrics[mode]["accuracy"].append(report.accuracy)
-            if result.infusion_results:
-                divergence[mode]["inner_iterations"].append(
-                    float(np.mean([r.inner_iterations for r in result.infusion_results]))
-                )
-                finals = [
-                    r.divergence_trace[-1][1]
-                    for r in result.infusion_results
-                    if r.divergence_trace
-                ]
-                if finals:
-                    divergence[mode]["final_divergence"].append(float(np.mean(finals)))
+        divergence["inner_iterations"].append(
+            float(np.mean([r.inner_iterations for r in result.infusion_results]))
+        )
+        finals = [r.divergence_trace[-1][1] for r in result.infusion_results
+                  if r.divergence_trace]
+        if finals:
+            divergence["final_divergence"].append(float(np.mean(finals)))
 
     summary = {
         mode: {
             key: (float(np.mean(vals)), float(np.std(vals, ddof=1)))
             for key, vals in metrics[mode].items()
         }
-        for mode in modes
+        for mode in MODES
     }
     deltas = {
-        key: summary[modes[1]][key][0] - summary[modes[0]][key][0]
+        key: summary["infused"][key][0] - summary["vanilla"][key][0]
         for key in _COMPARE_METRICS
     }
-    div_summary = {
-        mode: {
-            key: (float(np.mean(vals)) if vals else float("nan"))
-            for key, vals in divergence[mode].items()
-        }
-        for mode in modes
-    }
-    report = ComparisonReport(tuple(modes), n, metrics, summary, deltas, div_summary)
+    div_summary = {key: (float(np.mean(vals)) if vals else float("nan"))
+                   for key, vals in divergence.items()}
+    report = ComparisonReport(n, metrics, summary, deltas, div_summary)
     atomic_write_text(os.path.join(cfg.out_dir, "compare.txt"), comparison_text(report))
     atomic_write_text(os.path.join(cfg.out_dir, "compare.csv"), comparison_csv(report))
     return report
 
 
 def comparison_text(report: ComparisonReport) -> str:
-    a, b = report.modes
+    a, b = MODES
     lines = [
         f"mode comparison over {report.n_seeds} seeds ({a} vs {b})",
         "",
-        "metric        " + "".join("%-22s" % m for m in report.modes) + "delta",
+        "metric        " + "".join("%-22s" % m for m in MODES) + "delta",
     ]
     for key in _COMPARE_METRICS:
         cells = "".join(
-            "%-22s" % ("%.4f +/- %.4f" % report.summary[m][key]) for m in report.modes
+            "%-22s" % ("%.4f +/- %.4f" % report.summary[m][key]) for m in MODES
         )
         lines.append("%-13s %s%+.4f" % (key, cells, report.deltas[key]))
     lines.append("")
-    for mode in report.modes:
-        div = report.divergence[mode]
-        if not np.isnan(div["inner_iterations"]):
-            lines.append(
-                "%s infusion: mean inner iterations %.2f, mean final divergence %s"
-                % (mode, div["inner_iterations"],
-                   "%.6f" % div["final_divergence"] if not np.isnan(div["final_divergence"]) else "n/a")
-            )
+    div = report.divergence
+    lines.append(
+        "infused infusion: mean inner iterations %.2f, mean final divergence %s"
+        % (div["inner_iterations"],
+           "%.6f" % div["final_divergence"] if not np.isnan(div["final_divergence"]) else "n/a")
+    )
     return "\n".join(lines) + "\n"
 
 
 def comparison_csv(report: ComparisonReport) -> str:
-    a, b = report.modes
+    a, b = MODES
     lines = [f"metric,{a}_mean,{a}_std,{b}_mean,{b}_std,delta"]
     for key in _COMPARE_METRICS:
         ma, sa = report.summary[a][key]

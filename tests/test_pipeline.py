@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kginfuse import pipeline
-from kginfuse.config import config_hash, parse_config
+from kginfuse.config import MODES, config_hash, parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
 from kginfuse.nlm import log_softmax
@@ -30,7 +30,8 @@ from kginfuse.pipeline import (
     train,
     update_kg,
 )
-from kginfuse.storage import read_text, save_checkpoint, sha256_file
+from kginfuse.rng import derive_seed
+from kginfuse.storage import load_checkpoint, read_text, save_checkpoint, sha256_file
 from kginfuse.text import normalize_label, tokenize
 from dataclasses import replace
 
@@ -388,13 +389,102 @@ class TestEvaluate:
             evaluate(cfg, result.checkpoint_path, dataset_path=str(bad), art=art)
 
 
+def compared_values(report):
+    """An EvalReport's values of compare's metrics, in their order."""
+    pos = report.positive_label
+    return [report.precision[pos], report.recall[pos], report.f1[pos], report.false_alarm,
+            report.accuracy]
+
+
+def reference_compare(cfg, n_seeds):
+    """compare as it was when it trained each mode at each seed and scored
+    each checkpoint through evaluate. Returns (compare.txt text, compare.csv
+    text, {mode: checkpoint path per seed})."""
+    art = build(cfg)
+    metrics = {m: {k: [] for k in pipeline._COMPARE_METRICS} for m in MODES}
+    divergence = {"inner_iterations": [], "final_divergence": []}
+    checkpoints = {m: [] for m in MODES}
+    for i in range(n_seeds):
+        run_seed = derive_seed(cfg.seed, f"compare.run{i}") % (1 << 31)
+        for position, mode in enumerate(MODES):
+            run_dir = os.path.join(cfg.out_dir, "reference", f"seed{i:02d}_{position}_{mode}")
+            run_cfg = replace(cfg, mode=mode, seed=run_seed, out_dir=run_dir)
+            result = train(run_cfg, art=art)
+            checkpoints[mode].append(result.checkpoint_path)
+            report = evaluate(run_cfg, result.checkpoint_path,
+                              dataset_path=cfg.eval_dataset_path, art=art,
+                              write_reports=False)
+            for key, value in zip(pipeline._COMPARE_METRICS, compared_values(report)):
+                metrics[mode][key].append(value)
+            if result.infusion_results:
+                divergence["inner_iterations"].append(
+                    float(np.mean([r.inner_iterations for r in result.infusion_results])))
+                finals = [r.divergence_trace[-1][1] for r in result.infusion_results
+                          if r.divergence_trace]
+                if finals:
+                    divergence["final_divergence"].append(float(np.mean(finals)))
+    summary = {mode: {key: (float(np.mean(vals)), float(np.std(vals, ddof=1)))
+                      for key, vals in metrics[mode].items()} for mode in MODES}
+    deltas = {key: summary["infused"][key][0] - summary["vanilla"][key][0]
+              for key in pipeline._COMPARE_METRICS}
+    div_summary = {key: float(np.mean(vals)) if vals else float("nan")
+                   for key, vals in divergence.items()}
+    report = pipeline.ComparisonReport(n_seeds, metrics, summary, deltas, div_summary)
+    return (pipeline.comparison_text(report), pipeline.comparison_csv(report),
+            checkpoints)
+
+
 class TestCompare:
-    def test_identical_modes_have_zero_deltas(self, tiny_project):
+    def test_deltas_are_infused_minus_vanilla_means(self, tiny_project):
         cfg = parse_config(tiny_project)
-        report = compare(cfg, n_seeds=2, modes=("vanilla", "vanilla"))
-        for value in report.deltas.values():
-            assert value == 0.0
+        report = compare(cfg, n_seeds=2)
+        for key, value in report.deltas.items():
+            assert value == (np.mean(report.metrics["infused"][key])
+                             - np.mean(report.metrics["vanilla"][key]))
         assert os.path.isfile(os.path.join(cfg.out_dir, "compare.txt"))
+
+    def test_trains_one_infused_model_per_seed(self, tiny_project, monkeypatch):
+        cfg = parse_config(tiny_project)
+        trained = []
+
+        def counting_train(run_cfg, art=None):
+            trained.append(run_cfg.mode)
+            return train(run_cfg, art=art)
+
+        monkeypatch.setattr(pipeline, "train", counting_train)
+        compare(cfg, n_seeds=3)
+        assert trained == ["infused"] * 3
+        runs = os.path.join(cfg.out_dir, "compare")
+        assert sorted(os.listdir(runs)) == ["seed00", "seed01", "seed02"]
+        for run in os.listdir(runs):
+            assert os.path.isfile(os.path.join(runs, run, "model_infused.kicp"))
+
+    def test_reports_match_training_each_mode(self, tiny_project):
+        cfg = parse_config(tiny_project)
+        text, csv, _ = reference_compare(cfg, n_seeds=2)
+        compare(cfg, n_seeds=2)
+        assert read_text(os.path.join(cfg.out_dir, "compare.txt")) == text
+        assert read_text(os.path.join(cfg.out_dir, "compare.csv")) == csv
+
+    def test_vanilla_is_the_infused_checkpoints_lstm(self, tiny_project):
+        # compare relies on this: the infusion loop leaves the LSTM and the
+        # stored knowledge embedding as a vanilla training at the seed makes them.
+        cfg = parse_config(tiny_project)
+        _, _, checkpoints = reference_compare(cfg, n_seeds=2)
+        report = compare(cfg, n_seeds=2)
+        for i, (vanilla, infused) in enumerate(zip(checkpoints["vanilla"],
+                                                   checkpoints["infused"])):
+            vanilla_arrays = load_checkpoint(vanilla)[1]
+            infused_arrays = load_checkpoint(infused)[1]
+            shared = [name for name in vanilla_arrays
+                      if name.startswith("lstm.") or name == "ke"]
+            assert shared == list(vanilla_arrays)
+            for name in shared:
+                assert vanilla_arrays[name].tobytes() == infused_arrays[name].tobytes()
+            standalone = evaluate(cfg, vanilla, dataset_path=cfg.eval_dataset_path,
+                                  write_reports=False)
+            got = [report.metrics["vanilla"][key][i] for key in pipeline._COMPARE_METRICS]
+            assert got == compared_values(standalone)
 
     def test_single_seed_rejected(self, tiny_project):
         cfg = parse_config(tiny_project)

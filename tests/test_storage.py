@@ -178,7 +178,7 @@ class TestCorruptArtifacts:
 
     @pytest.mark.parametrize("key, value", [
         ("layers", "2"), ("hidden", 0), ("n_classes", 2.0), ("labels", ["neg"]),
-        ("mode", "hybrid"),
+        ("mode", "hybrid"), ("labels", [1, 2]), ("labels", ["neg", "neg"]),
     ])
     def test_invalid_metadata_rejected_by_load_trained(self, trained_project, tmp_path,
                                                        key, value):
