@@ -71,6 +71,27 @@ def _check_vector(name: str, v) -> np.ndarray:
     return arr
 
 
+def _gate(joint, params: InfusionParams) -> np.ndarray:
+    """The gate's one kernel: logistic sigmoid of the affine map of joint,
+    h ++ k or a batch of such rows. The map is an einsum, which sums each
+    row on its own."""
+    return _sigmoid(np.einsum("...k,gk->...g", joint, params.gate_weights) + params.gate_bias)
+
+
+def _kl(lp, lq) -> float:
+    """KL divergence in nats between two log-probability vectors."""
+    return float(np.sum(np.exp(lp) * (lp - lq)))
+
+
+def _kl_gradient(joint, gate, lq):
+    """(divergence, dW, db) for a gate that _gate computed from joint, with
+    lq = log_softmax(k). The chain runs back through softmax and sigmoid."""
+    lp = log_softmax(gate)
+    d = _kl(lp, lq)
+    dz = np.exp(lp) * (lp - lq - d) * gate * (1.0 - gate)
+    return d, np.outer(dz, joint), dz
+
+
 def kl_divergence(p_raw, q_raw) -> float:
     """KL divergence in nats after softmax-mapping both vectors.
 
@@ -81,17 +102,14 @@ def kl_divergence(p_raw, q_raw) -> float:
     q_raw = _check_vector("q", q_raw)
     if p_raw.shape != q_raw.shape:
         raise ValidationError("width mismatch")
-    lp = log_softmax(p_raw)
-    lq = log_softmax(q_raw)
-    return float(np.sum(np.exp(lp) * (lp - lq)))
+    return _kl(log_softmax(p_raw), log_softmax(q_raw))
 
 
 def fuse_step(h, k, params: InfusionParams) -> np.ndarray:
     """Gate: logistic sigmoid of the affine map of h ++ k.
 
     h is one hidden vector or an (n, d) batch of them, one per row. The
-    gate has h's shape; row i is bit-identical to the gate of h[i] alone,
-    since the affine map is an einsum, which sums each row on its own.
+    gate has h's shape; row i is bit-identical to the gate of h[i] alone.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim not in (1, 2):
@@ -104,8 +122,7 @@ def fuse_step(h, k, params: InfusionParams) -> np.ndarray:
         raise ValidationError(
             f"fuse_step widths ({h.shape[-1]}, {k.shape[0]}) != gate width {d}"
         )
-    joint = np.concatenate([h, np.broadcast_to(k, h.shape)], axis=-1)
-    return _sigmoid(np.einsum("...k,gk->...g", joint, params.gate_weights) + params.gate_bias)
+    return _gate(np.concatenate([h, np.broadcast_to(k, h.shape)], axis=-1), params)
 
 
 def gate_gradient(h, knowledge, params: InfusionParams):
@@ -116,16 +133,8 @@ def gate_gradient(h, knowledge, params: InfusionParams):
     """
     h = _check_vector("h", h)
     knowledge = _check_vector("knowledge", knowledge)
-    u = np.concatenate([h, knowledge])
-    z = params.gate_weights @ u + params.gate_bias
-    a = _sigmoid(z)
-    lp = log_softmax(a)
-    lq = log_softmax(knowledge)
-    p = np.exp(lp)
-    r = lp - lq
-    da = p * (r - float(p @ r))
-    dz = da * a * (1.0 - a)
-    return np.outer(dz, u), dz
+    joint = np.concatenate([h, knowledge])
+    return _kl_gradient(joint, _gate(joint, params), log_softmax(knowledge))[1:]
 
 
 def gradient_check(h, k, params: InfusionParams) -> float:
@@ -156,59 +165,53 @@ def knowledge_infusion(h_final, h_prev, knowledge, params: InfusionParams, *,
     h0 = _check_vector("h_final", h_final)
     h_prev = _check_vector("h_prev", h_prev)
     knowledge = _check_vector("knowledge", knowledge)
-    if not h0.shape == h_prev.shape == knowledge.shape:
-        raise ValidationError("width mismatch")
+    if not h0.shape == h_prev.shape == knowledge.shape == params.gate_bias.shape:
+        raise ValidationError(f"width mismatch: vectors {h0.shape[0]}, {h_prev.shape[0]}, "
+                              f"{knowledge.shape[0]}; gate {params.gate_bias.shape[0]}")
     if not np.any(knowledge):
         raise InfusionError(
             "knowledge embedding is the zero vector (no resolvable concept "
             "pairs); infusion refused"
         )
 
+    joint = np.concatenate([h0, knowledge])
+    lq = log_softmax(knowledge)
+    d_prev = _kl(log_softmax(h_prev), lq)
+    # The epsilon test lags one step: it reads the divergence from before
+    # the latest step, the raw h0's before the first. Accepted steps only
+    # widen d_prev - d_cur, so once steps start the bound usually ends it.
+    d_tested = _kl(log_softmax(h0), lq)
     work = params.copy()
-    d_prev = kl_divergence(h_prev, knowledge)
     trace: list[tuple[float, float]] = []
-    h_cur = h0
-    iterations = 0
-    exit_reason = "iteration_bound"
-    while True:
-        if d_prev - kl_divergence(h_cur, knowledge) <= epsilon:
-            exit_reason = "epsilon"
-            break
-        if iterations >= max_inner_iters:
+    exit_reason = "epsilon"
+    while d_prev - d_tested > epsilon:
+        if len(trace) >= max_inner_iters:
             exit_reason = "iteration_bound"
             break
-        h_cur = fuse_step(h0, knowledge, work)
-        d_cur = kl_divergence(h_cur, knowledge)
+        d_cur, grad_w, grad_b = _kl_gradient(joint, _gate(joint, work), lq)
         if not np.isfinite(d_cur):
-            raise InfusionError(f"non-finite divergence at iteration {iterations}; trace={trace}")
+            raise InfusionError(f"non-finite divergence at iteration {len(trace)}; trace={trace}")
         trace.append((d_prev, d_cur))
-        iterations += 1
-
-        grad_w, grad_b = gate_gradient(h0, knowledge, work)
         step = gate_lr
         for _ in range(_BACKTRACK_LIMIT):
-            cand = work.copy()
-            cand.gate_weights -= step * grad_w
-            cand.gate_bias -= step * grad_b
-            if kl_divergence(fuse_step(h0, knowledge, cand), knowledge) <= d_cur + _ACCEPT_TOL:
+            cand = InfusionParams(work.gate_weights - step * grad_w,
+                                  work.gate_bias - step * grad_b)
+            if _kl(log_softmax(_gate(joint, cand)), lq) <= d_cur + _ACCEPT_TOL:
                 work = cand
                 break
             step *= 0.5
         # If no step was accepted the parameters stay put; the loop then
         # idles at a fixed divergence until the epsilon test or the
         # iteration bound fires.
+        d_tested = d_cur
 
-    return InfusionResult(
-        inner_iterations=iterations,
-        divergence_trace=trace,
-        exit_reason=exit_reason,
-        params=work,
-    )
+    return InfusionResult(len(trace), trace, exit_reason, work)
 
 
-def trace_csv(trace) -> str:
-    """Divergence trace as CSV text: iteration, penultimate, current."""
-    lines = ["iteration,d_prev,d_current"]
-    for i, (dp, dc) in enumerate(trace, start=1):
-        lines.append(f"{i},{dp!r},{dc!r}")
+def trace_csv(traces) -> str:
+    """Per-epoch divergence traces as CSV text: epoch, iteration,
+    penultimate, current. An epoch that took no step has no row."""
+    lines = ["epoch,iteration,d_prev,d_current"]
+    for epoch, trace in enumerate(traces, start=1):
+        lines.extend(f"{epoch},{i},{dp!r},{dc!r}" for i, (dp, dc) in enumerate(trace, start=1))
     return "\n".join(lines) + "\n"

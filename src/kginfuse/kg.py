@@ -77,15 +77,16 @@ class KnowledgeGraph:
                 child_count[obj] += 1
         if self_loop is not None:
             raise TaxonomyCycleError([self.concepts[self_loop].label])
-        # Kahn's pass: peel off concepts that no remaining child points at.
-        # Only a cycle leaves some behind; the DFS then names its members.
-        peeled = [c for c, n in child_count.items() if not n]
-        for node in peeled:
+        # Kahn's pass: peel off concepts that no remaining child points at,
+        # which orders every child before its parents. Only a cycle leaves
+        # some behind; the DFS then names its members.
+        self._children_first = [c for c, n in child_count.items() if not n]
+        for node in self._children_first:
             for parent in self._parents[node]:
                 child_count[parent] -= 1
                 if not child_count[parent]:
-                    peeled.append(parent)
-        if len(peeled) < len(self.concepts):
+                    self._children_first.append(parent)
+        if len(self._children_first) < len(self.concepts):
             cycle = _find_cycle(self._parents)
             raise TaxonomyCycleError([self.concepts[c].label for c in cycle])
         self._ancestors: dict[str, dict[str, int]] = {}
@@ -154,24 +155,9 @@ class KnowledgeGraph:
     def taxonomy_depth(self) -> int:
         """Length of the longest child-to-ancestor chain."""
         depth: dict[str, int] = {}
-
-        def resolve(node: str) -> int:
-            stack = [node]
-            while stack:
-                cur = stack[-1]
-                if cur in depth:
-                    stack.pop()
-                    continue
-                pending = [p for p in self._parents[cur] if p not in depth]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                parents = self._parents[cur]
-                depth[cur] = 1 + max((depth[p] for p in parents), default=-1)
-                stack.pop()
-            return depth[node]
-
-        return max((resolve(c) for c in self.concepts), default=0)
+        for node in reversed(self._children_first):  # parents first
+            depth[node] = 1 + max((depth[p] for p in self._parents[node]), default=-1)
+        return max(depth.values(), default=0)
 
 
 @dataclass

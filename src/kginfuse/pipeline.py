@@ -62,11 +62,11 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 
-# Each infused epoch refits the head on the gated hidden vectors by damped
-# Newton steps (_calibrate_head) until the gradient norm is at most
-# HEAD_CALIBRATION_GRAD_TOL. The small L2 penalty keeps the refit head
-# conservative on ambiguous examples. Synth epochs converge in under ten
-# steps; the caps only bound a problem that does not.
+# An infused training refits the head once, after its last epoch, on the
+# gated hidden vectors by damped Newton steps (_calibrate_head) until the
+# gradient norm is at most HEAD_CALIBRATION_GRAD_TOL. The small L2 penalty
+# keeps the refit head conservative on ambiguous examples. Synth refits
+# converge in under ten steps; the caps only bound a problem that does not.
 HEAD_CALIBRATION_L2 = 0.001
 HEAD_CALIBRATION_GRAD_TOL = 1e-9
 HEAD_CALIBRATION_MAX_ITERS = 50
@@ -495,8 +495,6 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
     batches = _batch_stream(stream_rng(cfg.seed, "nlm.batches"), len(encoded),
                             cfg.batch_size)
 
-    fusion = None
-    head_w = head_b = None
     if infused:
         fusion = InfusionParams.init(cfg.hidden, stream_rng(cfg.seed, "infusion.init"))
 
@@ -520,21 +518,21 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
             )
             fusion = result.params
             infusion_results.append(result)
-            gates = fuse_step(finals, art.ke_values, fusion)
-            head_w, head_b, head_iterations, head_grad_norm = _calibrate_head(
-                finals * gates, targets, len(labels), params.w_out, params.b_out,
-            )
-            trace_path = os.path.join(
-                cfg.out_dir, f"traces_{cfg.mode}", f"epoch_{epoch:03d}.csv"
-            )
-            atomic_write_text(trace_path, trace_csv(result.divergence_trace))
-            log_rows.append(
-                f"{epoch},{epoch_loss!r},{result.inner_iterations},{result.exit_reason},"
-                f"{head_iterations},{head_grad_norm!r}"
-            )
+            log_rows.append(f"{epoch},{epoch_loss!r},{result.inner_iterations},"
+                            f"{result.exit_reason},,")
         else:
             log_rows.append(f"{epoch},{epoch_loss!r},,,,")
 
+    if infused:
+        # A refit starts from the LSTM's head of its epoch, so only one after
+        # the last epoch reaches the checkpoint; the last row logs it.
+        head_w, head_b, head_iterations, head_grad_norm = _calibrate_head(
+            finals * fuse_step(finals, art.ke_values, fusion), targets, len(labels),
+            params.w_out, params.b_out,
+        )
+        log_rows[-1] = log_rows[-1].removesuffix(",,") + f",{head_iterations},{head_grad_norm!r}"
+        atomic_write_text(os.path.join(cfg.out_dir, "trace_infused.csv"),
+                          trace_csv([r.divergence_trace for r in infusion_results]))
     atomic_write_text(
         os.path.join(cfg.out_dir, f"training_log_{cfg.mode}.csv"),
         "\n".join(log_rows) + "\n",

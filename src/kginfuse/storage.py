@@ -179,6 +179,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         entries.append((name, shape))
     arrays = {}
     for name, shape in entries:
+        if name in arrays:
+            raise StorageError(f"{path}: repeated array name {name!r}")
         arrays[name], offset = _payload(path, blob, offset, shape)
     _check_end(path, blob, offset)
     return meta, arrays

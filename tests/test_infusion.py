@@ -210,8 +210,62 @@ class TestKnowledgeInfusion:
             knowledge_infusion(np.ones(2), np.ones(2), np.ones(2), make_params(d=2),
                                **{**SETTINGS, **bad})
 
+    def test_gate_width_unlike_the_vectors_rejected_before_any_step(self):
+        wide = np.array([0.2, 0.7, -0.1, 0.4])
+        gate = make_params(d=3)
+        # The epsilon test would fire before any step (h is the target) ...
+        with pytest.raises(ValidationError, match="gate 3"):
+            knowledge_infusion(wide, wide + 0.001, wide, gate, **SETTINGS)
+        # ... or a step would be taken first.
+        with pytest.raises(ValidationError, match="gate 3"):
+            knowledge_infusion(-wide, wide[::-1] * 5, wide, gate, **SETTINGS)
+
     def test_trace_csv_shape(self):
-        text = trace_csv([(0.5, 0.4), (0.5, 0.3)])
-        lines = text.strip().splitlines()
-        assert lines[0] == "iteration,d_prev,d_current"
-        assert len(lines) == 3
+        text = trace_csv([[(0.5, 0.4), (0.5, 0.3)], [], [(0.6, 0.2)]])
+        assert text.splitlines() == ["epoch,iteration,d_prev,d_current",
+                                     "1,1,0.5,0.4", "1,2,0.5,0.3", "3,1,0.6,0.2"]
+
+
+# An instance whose loop runs to its bound and backtracks on most steps.
+BOUND_CASE = (np.array([-0.4, 1.5, -0.6, 0.9]), np.array([3.1, -2.2, 0.5, -4.0]),
+              np.array([0.7, -0.3, 1.1, 0.2]))
+BOUND_SETTINGS = dict(gate_lr=200.0, epsilon=1e-9, max_inner_iters=8)
+
+
+def prefix_params(n):
+    """The gate after i = 0..n steps of the bound case's loop, each from a
+    run whose iteration bound is i."""
+    start = make_params(d=4, seed=1)
+    return [start] + [knowledge_infusion(*BOUND_CASE, start, **{**BOUND_SETTINGS,
+                                                               "max_inner_iters": i}).params
+                      for i in range(1, n + 1)]
+
+
+class TestOneGateKernel:
+    def test_trace_entries_are_the_divergence_of_the_gate_so_far(self):
+        h, _, k = BOUND_CASE
+        result = knowledge_infusion(*BOUND_CASE, make_params(d=4, seed=1), **BOUND_SETTINGS)
+        assert result.exit_reason == "iteration_bound"
+        n = result.inner_iterations
+        for (_, d_cur), gate in zip(result.divergence_trace, prefix_params(n - 1)):
+            assert d_cur == kl_divergence(fuse_step(h, k, gate), k)
+
+    def test_one_gate_evaluation_per_iteration_and_per_candidate(self, monkeypatch):
+        h, _, k = BOUND_CASE
+        n, lr = BOUND_SETTINGS["max_inner_iters"], BOUND_SETTINGS["gate_lr"]
+        expected = 0
+        points = prefix_params(n)
+        for before, after in zip(points, points[1:]):
+            grad_w, _ = gate_gradient(h, k, before)
+            tries = next((j + 1 for j in range(infusion._BACKTRACK_LIMIT)
+                          if np.array_equal(before.gate_weights - lr * 0.5 ** j * grad_w,
+                                            after.gate_weights)),
+                         infusion._BACKTRACK_LIMIT)
+            expected += 1 + tries  # the current point, then each candidate
+        assert expected > 2 * n  # some steps were halved
+        calls = []
+        gate = infusion._gate
+        monkeypatch.setattr(infusion, "_gate", lambda *a: calls.append(1) or gate(*a))
+        result = knowledge_infusion(*BOUND_CASE, make_params(d=4, seed=1), **BOUND_SETTINGS)
+        assert result.inner_iterations == n
+        assert len(calls) == expected

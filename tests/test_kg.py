@@ -421,3 +421,17 @@ def test_graph_stats():
     assert stats["concepts"] == 4
     assert stats["triples"] == 4
     assert stats["taxonomy_depth"] == 2
+    # Several parents per concept, and chains of unequal length to a root.
+    dag = KnowledgeGraph.from_labeled_triples([
+        ("kitten", "isa", "cat"),
+        ("cat", "isa", "pet"),
+        ("cat", "isa", "mammal"),
+        ("pet", "isa", "role"),
+        ("mammal", "isa", "animal"),
+        ("animal", "isa", "organism"),
+        ("pet", "isa", "organism"),
+        ("organism", "isa", "entity"),
+        ("role", "isa", "entity"),
+        ("dog", "isa", "pet"),
+    ])
+    assert graph_stats(dag)["taxonomy_depth"] == 5

@@ -188,19 +188,36 @@ class TestTrain:
         art = build(cfg)
         result = train(cfg, art=art)
         assert result.infusion_results == []
-        assert not os.path.isdir(os.path.join(cfg.out_dir, "traces_vanilla"))
+        assert not [name for name in os.listdir(cfg.out_dir) if name.startswith("trace")]
 
     def test_infused_mode_writes_traces_and_fusion(self, tiny_project):
         cfg = replace(parse_config(tiny_project), mode="infused")
         art = build(cfg)
         result = train(cfg, art=art)
         assert len(result.infusion_results) == cfg.epochs
-        assert os.path.isfile(
-            os.path.join(cfg.out_dir, "traces_infused", "epoch_001.csv")
-        )
+        with open(os.path.join(cfg.out_dir, "trace_infused.csv")) as handle:
+            rows = [line.split(",") for line in handle.read().splitlines()]
+        assert rows[0] == ["epoch", "iteration", "d_prev", "d_current"]
+        want = [[str(epoch), str(i), repr(dp), repr(dc)]
+                for epoch, r in enumerate(result.infusion_results, start=1)
+                for i, (dp, dc) in enumerate(r.divergence_trace, start=1)]
+        assert rows[1:] == want
+        assert {row[0] for row in want} == {str(e) for e in range(1, cfg.epochs + 1)}
         ckpt = load_trained(result.checkpoint_path)
         assert ckpt.fusion is not None
         assert ckpt.head_w is not None
+
+    def test_a_shorter_rerun_leaves_no_row_of_the_longer_one(self, tiny_project):
+        cfg = replace(parse_config(tiny_project), mode="infused", epochs=3)
+        art = build(cfg)
+        train(cfg, art=art)
+        names = ("trace_infused.csv", "training_log_infused.csv")
+        longer = [read_text(os.path.join(cfg.out_dir, name)) for name in names]
+        assert "\n3," in longer[0] and "\n3," in longer[1]
+        train(replace(cfg, epochs=2), art=art)
+        for name in names:
+            text = read_text(os.path.join(cfg.out_dir, name))
+            assert "\n3," not in text and "\n2," in text
 
     def test_same_seed_same_loss_and_bitwise_checkpoint(self, tiny_project):
         cfg = parse_config(tiny_project)
@@ -213,22 +230,31 @@ class TestTrain:
         assert r2.final_epoch_loss == loss1
         assert open(r2.checkpoint_path, "rb").read() == bytes1
 
-    def test_training_log_records_a_converged_head_refit_per_infused_epoch(self, tiny_project):
+    def test_training_log_holds_one_converged_head_refit(self, tiny_project, monkeypatch):
         base = parse_config(tiny_project)
         art = build(base)
+        refits = []
+
+        def counted(*args):
+            refits.append(args)
+            return _calibrate_head(*args)
+
+        monkeypatch.setattr(pipeline, "_calibrate_head", counted)
         logs = {}
         for mode in ("vanilla", "infused"):
             cfg = replace(base, mode=mode)
             train(cfg, art=art)
+            assert len(refits) == (mode == "infused")
             with open(os.path.join(cfg.out_dir, f"training_log_{mode}.csv")) as handle:
                 logs[mode] = [line.split(",") for line in handle.read().splitlines()]
         for rows in logs.values():
             assert rows[0][-2:] == ["head_iterations", "head_grad_norm"]
             assert len(rows) == base.epochs + 1
+            assert all(len(row) == 6 for row in rows)
         assert all(row[-2:] == ["", ""] for row in logs["vanilla"][1:])
-        for row in logs["infused"][1:]:
-            assert int(row[-2]) >= 1
-            assert float(row[-1]) <= 1e-9
+        assert all(row[-2:] == ["", ""] and row[2] for row in logs["infused"][1:-1])
+        assert int(logs["infused"][-1][-2]) >= 1
+        assert float(logs["infused"][-1][-1]) <= 1e-9
 
     def test_infused_refused_when_ke_is_empty(self, tiny_project):
         cfg = replace(parse_config(tiny_project), mode="infused")

@@ -121,6 +121,15 @@ class TestCorruptArtifacts:
         with pytest.raises(StorageError):
             load_checkpoint(path)
 
+    def test_repeated_array_name_rejected(self, tmp_path):
+        path = tmp_path / "twice.kicp"
+        entry = struct.pack("<I", 1) + b"x" + struct.pack("<2I", 1, 1)
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<2I", FORMAT_VERSION, 2) + b"{}"
+                         + struct.pack("<I", 2) + entry + entry
+                         + struct.pack("<2d", 1.0, 2.0))
+        with pytest.raises(StorageError, match="repeated array name 'x'"):
+            load_checkpoint(path)
+
     def test_missing_metadata_key_rejected_by_load_trained(self, trained_project, tmp_path):
         _, checkpoint = trained_project
         meta, arrays = load_checkpoint(checkpoint)
