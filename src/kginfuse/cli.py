@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Verbs: build, train, eval, compare, update-kg, gradcheck. Exit codes:
-0 on success, 1 for validation/config errors, 2 for runtime or numeric
-errors.
+0 on success (and after --help), 1 for usage, validation and config
+errors, 2 for runtime or numeric errors.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .errors import KginfuseError, ValidationError
 log = logging.getLogger(__name__)
 
 
-def _add_common(parser, config_required=True):
-    parser.add_argument("--config", required=config_required, help="pipeline config file")
+def _add_common(parser):
+    parser.add_argument("--config", required=True, help="pipeline config file")
     parser.add_argument("--mode", choices=MODES, default=None,
                         help="override the configured mode")
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
@@ -130,6 +130,8 @@ def cmd_gradcheck(args) -> int:
     from . import infusion
     from .nlm import gradient_check, init_params
 
+    if args.seed < 0:
+        raise ValidationError(f"gradcheck --seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     params = init_params(input_width=5, d=4, layers=2, n_classes=3, rng=rng)
     batch = [(rng.normal(size=(rng.integers(2, 6), 5)), int(rng.integers(3)))
@@ -161,7 +163,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or the help
+        return 0 if exc.code == 0 else 1
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="[%(levelname)s] %(name)s: %(message)s",

@@ -58,7 +58,7 @@ def knowledge_proximity(kg: KnowledgeGraph, datapoint_concepts, hops: int) -> Su
     concepts = set(datapoint_concepts)
     if not concepts:
         raise ValidationError("no concepts to retrieve around")
-    known = {c for c in concepts if kg.has_concept(c)}
+    known = {c for c in concepts if c in kg.concepts}
     unknown = concepts - known
     if unknown:
         log.warning("skipping unknown concepts: %s", ", ".join(sorted(unknown)))

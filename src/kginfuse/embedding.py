@@ -10,8 +10,8 @@ run. A piece of content is embedded per dimension and the sub-vectors
 are concatenated. Token lists are embedded in one batch, so each concept
 is embedded once per call: one lexsort puts every list's tokens in
 sorted order and one np.add.at per model adds them in that order, the
-summation order of one np.mean per concept. Concept tokens are the
-graph's own (kg.KnowledgeGraph.label_tokens), tokenized once per graph.
+summation order of one np.mean per concept. A concept's tokens are read
+from kg.KnowledgeGraph.label_tokens, the one tokenization of its label.
 The knowledge embedding summarizes a seeded subgraph as one vector in
 the same concatenated space: a distance-weighted sum over concept pairs,
 L2-normalized.

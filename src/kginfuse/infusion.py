@@ -133,6 +133,10 @@ def gate_gradient(h, knowledge, params: InfusionParams):
     """
     h = _check_vector("h", h)
     knowledge = _check_vector("knowledge", knowledge)
+    d = params.gate_bias.shape[0]
+    if not h.shape == knowledge.shape == (d,):
+        raise ValidationError(
+            f"gate_gradient widths ({h.shape[0]}, {knowledge.shape[0]}) != gate width {d}")
     joint = np.concatenate([h, knowledge])
     return _kl_gradient(joint, _gate(joint, params), log_softmax(knowledge))[1:]
 

@@ -2,14 +2,15 @@
 
 The graph is immutable after load. Triples are named tuples in a flat
 set; a designated predicate (default "isa") carries the taxonomy, which
-must be a DAG. Concept ids are normalized labels, so they are stable
-across runs for identical input files; a load normalizes each distinct
-raw label and predicate once. Because nothing changes after load, the
-graph also caches what is derived from it: every label's tokens (one
-tokenize_all pass on first need, read by the token index, seeding and
-the concept embedder alike), the index from label tokens to concept ids
-(built on first use) and each concept's ancestor depths (computed on
-first query).
+must be a DAG. A concept is an id and a label: `concepts` maps each id,
+a normalized label, to the first raw label seen for it, so ids are
+stable across runs for identical input files; a load normalizes each
+distinct raw label and predicate once. Because nothing changes after
+load, the graph also caches what is derived from it: every label's
+tokens (label_tokens, one tokenize_all pass on first need and the only
+tokenization of labels, read by the token index, seeding and the concept
+embedder alike), the index from label tokens to concept ids (built on
+first use) and each concept's ancestor depths (computed on first query).
 """
 
 from __future__ import annotations
@@ -26,20 +27,9 @@ from .errors import (
     ValidationError,
 )
 from .storage import read_text
-from .text import normalize_label, tokenize, tokenize_all
+from .text import normalize_label, tokenize_all
 
 DEFAULT_TAXONOMY_PREDICATE = "isa"
-
-
-@dataclass(frozen=True)
-class Concept:
-    id: str
-    label: str
-
-    @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """The label's tokens; every match of the concept against text uses these."""
-        return tuple(tokenize(self.label))
 
 
 class Triple(NamedTuple):
@@ -53,7 +43,7 @@ class KnowledgeGraph:
 
     def __init__(self, triples, concepts, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE):
         self.triples: frozenset[Triple] = frozenset(triples)
-        self.concepts: dict[str, Concept] = dict(concepts)
+        self.concepts: dict[str, str] = dict(concepts)  # id -> first-seen label
         self.taxonomy_predicate = taxonomy_predicate
         # Undirected adjacency over all predicates; directed child->parents
         # index over the taxonomy predicate only.
@@ -76,7 +66,7 @@ class KnowledgeGraph:
                 self._parents[subject].add(obj)
                 child_count[obj] += 1
         if self_loop is not None:
-            raise TaxonomyCycleError([self.concepts[self_loop].label])
+            raise TaxonomyCycleError([self.concepts[self_loop]])
         # Kahn's pass: peel off concepts that no remaining child points at,
         # which orders every child before its parents. Only a cycle leaves
         # some behind; the DFS then names its members.
@@ -88,7 +78,7 @@ class KnowledgeGraph:
                     self._children_first.append(parent)
         if len(self._children_first) < len(self.concepts):
             cycle = _find_cycle(self._parents)
-            raise TaxonomyCycleError([self.concepts[c].label for c in cycle])
+            raise TaxonomyCycleError([self.concepts[c] for c in cycle])
         self._ancestors: dict[str, dict[str, int]] = {}
 
     @classmethod
@@ -97,7 +87,7 @@ class KnowledgeGraph:
 
         Each distinct raw label and predicate is normalized once.
         """
-        concepts: dict[str, Concept] = {}
+        concepts: dict[str, str] = {}
         ids: dict[str, str] = {}  # raw label -> concept id
         predicates: dict[str, str] = {}  # raw predicate -> normalized
 
@@ -106,7 +96,7 @@ class KnowledgeGraph:
             if not cid:
                 raise ValidationError("empty concept label")
             if cid not in concepts:
-                concepts[cid] = Concept(cid, label.strip())
+                concepts[cid] = label.strip()
             ids[label] = cid
             return cid
 
@@ -123,10 +113,10 @@ class KnowledgeGraph:
 
     @cached_property
     def label_tokens(self) -> dict[str, tuple[str, ...]]:
-        """Each concept's label tokens (Concept.tokens) by id, from one
-        tokenize_all pass; linking, seeding and embedding all read these."""
-        labels = [concept.label for concept in self.concepts.values()]
-        return dict(zip(self.concepts, map(tuple, tokenize_all(labels))))
+        """Each concept's label tokens by id, from one tokenize_all pass:
+        the one tokenization of labels, which linking, seeding and
+        embedding all read."""
+        return dict(zip(self.concepts, map(tuple, tokenize_all(list(self.concepts.values())))))
 
     @cached_property
     def token_index(self) -> dict[tuple[str, ...], list[str]]:
@@ -145,9 +135,6 @@ class KnowledgeGraph:
     def longest_label(self) -> int:
         """Token count of the longest label in token_index (0 if it is empty)."""
         return max(map(len, self.token_index), default=0)
-
-    def has_concept(self, concept_id: str) -> bool:
-        return concept_id in self.concepts
 
     def predicates(self) -> set[str]:
         return {t.predicate for t in self.triples}
@@ -278,7 +265,7 @@ def n_hop_neighborhood(kg: KnowledgeGraph, seeds, n: int) -> SubKG:
         raise ValidationError("seed set is empty")
     if n < 0:
         raise ValidationError("hop count must be >= 0")
-    unknown = [s for s in seeds if not kg.has_concept(s)]
+    unknown = [s for s in seeds if s not in kg.concepts]
     if unknown:
         raise UnknownConceptError(unknown)
     depth = {s: 0 for s in seeds}

@@ -293,9 +293,9 @@ def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
 
 def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
     triples = sorted(seeded.subkg.triples)
-    concepts = kg.concepts
-    _write_columns(paths["subkg_triples"], [concepts[t.subject].label for t in triples],
-                   [t.predicate for t in triples], [concepts[t.object].label for t in triples])
+    label = kg.concepts
+    _write_columns(paths["subkg_triples"], [label[t.subject] for t in triples],
+                   [t.predicate for t in triples], [label[t.object] for t in triples])
     for key, values in (("subkg_scores", seeded.relevance),
                         ("subkg_depths", seeded.subkg.frontier_depth)):
         ids = sorted(values)
@@ -329,7 +329,7 @@ def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSu
     Returns (kg, seeded)."""
     paths = _artifact_paths(cfg)
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
-    ids = {concept.label: cid for cid, concept in kg.concepts.items()}
+    ids = {text: cid for cid, text in kg.concepts.items()}
 
     def concept(cid):
         if cid not in kg.concepts:

@@ -49,10 +49,6 @@ class SeededSubKG:
     embedding_matrix: np.ndarray
     embedded_concepts: tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def seeds(self) -> set[str]:
-        return {c for c, d in self.subkg.frontier_depth.items() if d == 0}
-
 
 def corpus_stats(dataset) -> CorpusStats:
     """Tokenized per-class counts for a list of (label, text) pairs."""
@@ -67,24 +63,20 @@ def corpus_stats(dataset) -> CorpusStats:
     return CorpusStats(class_counts, totals, vocab)
 
 
-def relevance_score(concept, stats: CorpusStats, target_class: str) -> float:
-    """Pointwise KL contribution of the concept's label tokens, in nats.
+def relevance_score(tokens, stats: CorpusStats, target_class: str) -> float:
+    """Pointwise KL contribution of a concept's label tokens, in nats.
 
-    Per token, p is the add-1 smoothed probability in the target class
-    and q the smoothed probability over all documents; the score is the
-    sum of p*ln(p/q). Smoothing keeps unseen tokens finite.
+    tokens are the label's tokens as KnowledgeGraph.label_tokens holds
+    them. Per token, p is the add-1 smoothed probability in the target
+    class and q the smoothed probability over all documents; the score
+    is the sum of p*ln(p/q). Smoothing keeps unseen tokens finite.
     """
-    return _label_relevance(concept.label, concept.tokens, stats, target_class)
-
-
-def _label_relevance(label: str, tokens, stats: CorpusStats, target_class: str) -> float:
-    """relevance_score of the concept whose label has these tokens."""
     if target_class not in stats.class_token_counts:
         raise ValidationError(f"unknown target class: {target_class!r}")
     if stats.total_tokens == 0:
         raise ValidationError("corpus has no tokens")
     if not tokens:
-        raise ValidationError(f"concept label has no tokens: {label!r}")
+        raise ValidationError("concept label has no tokens")
     vocab_size = len(stats.vocab)
     target_counts = stats.class_token_counts[target_class]
     target_total = stats.class_totals[target_class]
@@ -112,10 +104,10 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
         raise ValidationError("hops must be >= 0")
     scores: dict[str, float] = {}
     label_tokens = kg.label_tokens
-    for cid, concept in sorted(kg.concepts.items()):
+    for cid in sorted(kg.concepts):
         tokens = label_tokens[cid]
         if tokens and stats.vocab.issuperset(tokens):
-            scores[cid] = _label_relevance(concept.label, tokens, stats, target_class)
+            scores[cid] = relevance_score(tokens, stats, target_class)
     if not scores:
         raise ValidationError("no concept label matches the corpus vocabulary")
 

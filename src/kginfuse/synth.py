@@ -38,6 +38,12 @@ TRAVEL_CONCEPTS = ("harbor", "caravan", "compass", "lodge", "ferry", "trailhead"
                    "waypoint", "hostel")
 WEATHER_CONCEPTS = ("drizzle", "frost", "breeze", "haze", "thaw", "squall")
 
+TRAIN_DOCS = 400
+TEST_DOCS = 200
+DIAGNOSTIC_RATE = 0.02
+WEAK_SKEW = 0.95  # chance that a weak token comes from its document's own class
+DOC_LENGTH = 6
+
 
 @dataclass
 class BenchmarkPaths:
@@ -48,9 +54,8 @@ class BenchmarkPaths:
     config: str
 
 
-def generate_benchmark(out_dir, seed: int = 0, train_docs: int = 400,
-                       test_docs: int = 200, diagnostic_rate: float = 0.02,
-                       epochs: int = 8, iters: int = 25) -> BenchmarkPaths:
+def generate_benchmark(out_dir, seed: int = 0, epochs: int = 8,
+                       iters: int = 25) -> BenchmarkPaths:
     """Write the benchmark dataset, graphs, corpora, and config to out_dir."""
     os.makedirs(out_dir, exist_ok=True)
 
@@ -66,13 +71,8 @@ def generate_benchmark(out_dir, seed: int = 0, train_docs: int = 400,
 
     train_path = os.path.join(out_dir, "train.tsv")
     test_path = os.path.join(out_dir, "test.tsv")
-    write_labeled_tsv(
-        train_path,
-        _training_documents(stream_rng(seed, "synth.train"), train_docs, diagnostic_rate),
-    )
-    write_labeled_tsv(
-        test_path, _test_documents(stream_rng(seed, "synth.test"), test_docs)
-    )
+    write_labeled_tsv(train_path, _training_documents(stream_rng(seed, "synth.train")))
+    write_labeled_tsv(test_path, _test_documents(stream_rng(seed, "synth.test")))
 
     def rel(path):
         # parse_config resolves config paths against the config's directory.
@@ -152,32 +152,32 @@ def _general_corpus(rng: np.random.Generator) -> str:
     return "\n".join(lines[i] for i in order) + "\n"
 
 
-def _weak_doc(rng, skewed, other, p_skew=0.95, length=6):
+def _weak_doc(rng, skewed, other):
     """Mildly class-skewed document built from weak and filler tokens."""
     words = []
     for _ in range(2):
-        pool = skewed if rng.random() < p_skew else other
+        pool = skewed if rng.random() < WEAK_SKEW else other
         words.append(str(rng.choice(pool)))
-    while len(words) < length:
+    while len(words) < DOC_LENGTH:
         words.append(str(rng.choice(FILLERS)))
     rng.shuffle(words)
     return " ".join(words)
 
 
-def _diagnostic_doc(rng, token, length=6):
+def _diagnostic_doc(rng, token):
     words = [token]
-    while len(words) < length:
+    while len(words) < DOC_LENGTH:
         words.append(str(rng.choice(FILLERS)))
     rng.shuffle(words)
     return " ".join(words)
 
 
-def _training_documents(rng, total: int, diagnostic_rate: float):
-    per_class = total // 2
+def _training_documents(rng):
+    per_class = TRAIN_DOCS // 2
     docs = []
-    # Each diagnostic token is placed in at most diagnostic_rate of the
+    # Each diagnostic token is placed in at most DIAGNOSTIC_RATE of the
     # positive documents (2% of 200 -> 4 documents per token).
-    per_token = max(1, int(per_class * diagnostic_rate))
+    per_token = max(1, int(per_class * DIAGNOSTIC_RATE))
     diag_docs = []
     for token in DIAGNOSTIC_TOKENS:
         for _ in range(per_token):
@@ -191,8 +191,8 @@ def _training_documents(rng, total: int, diagnostic_rate: float):
     return [docs[i] for i in order]
 
 
-def _test_documents(rng, total: int):
-    per_class = total // 2
+def _test_documents(rng):
+    per_class = TEST_DOCS // 2
     docs = []
     # Most positive test documents carry only a sparse diagnostic token;
     # the benchmark probes whether the model catches them.

@@ -1,8 +1,9 @@
 """Text normalization shared by the corpus, graph, and embedding layers.
 
-tokenize splits documents, corpora and concept labels alike (a graph's
-labels all at once, through tokenize_all: kg.KnowledgeGraph.label_tokens);
-all label matching is exact token match, with no fuzzy entity linking.
+tokenize splits documents, corpora and concept labels alike. A graph's
+labels are tokenized in one place, all at once through tokenize_all
+(kg.KnowledgeGraph.label_tokens); all label matching is exact token
+match, with no fuzzy entity linking.
 normalize_label only forms concept ids and predicates.
 """
 

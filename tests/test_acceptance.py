@@ -158,7 +158,7 @@ def _brute_ke(seeded, models):
             hit = False
             for m in models:
                 hits = [m.vectors[m.vocab[tok]]
-                        for tok in sorted(tokenize(kg.concepts[cid].label))
+                        for tok in sorted(tokenize(kg.concepts[cid]))
                         if tok in m.vocab]
                 if hits:
                     pieces.append(np.mean(hits, axis=0))
@@ -207,9 +207,9 @@ def test_criterion_5_oracle_equivalence():
         dataset.append(("neg", names[-1]))
         stats = corpus_stats(dataset)
 
-        for cid, concept in kg.concepts.items():
-            got = relevance_score(concept, stats, "pos")
-            want = _brute_relevance(concept.label, dataset, "pos")
+        for cid, label in kg.concepts.items():
+            got = relevance_score(kg.label_tokens[cid], stats, "pos")
+            want = _brute_relevance(label, dataset, "pos")
             ok &= abs(got - want) < 1e-12
 
         model = DimensionModel(

@@ -4,6 +4,7 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 from kginfuse import kg, pipeline
 from kginfuse.cli import main
@@ -128,6 +129,19 @@ def test_compare_single_seed_exits_one(tiny_project, capsys):
     assert main(["build", "--config", str(tiny_project)]) == 0
     capsys.readouterr()
     assert main(["compare", "--config", str(tiny_project), "--n-seeds", "1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["train"], ["compare", "--config", "x", "--n-seeds", "abc"],
+                                  ["gradcheck", "--seed", "-1"]])
+def test_usage_error_exits_one(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["train", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_compare_two_seeds(tiny_project, capsys):

@@ -33,6 +33,7 @@ from kginfuse.errors import UnknownConceptError, ValidationError
 from kginfuse.kg import KnowledgeGraph, SubKG, Triple, lcs_distance, n_hop_neighborhood
 from kginfuse.seeding import SeededSubKG
 from kginfuse.synth import generate_benchmark
+from kginfuse.text import tokenize
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -65,7 +66,7 @@ def reference_embed_token_lists(models, token_lists):
 def reference_embed_concepts(kg, concept_ids, models):
     concept_ids = list(concept_ids)
     values, hits = reference_embed_token_lists(
-        models, [kg.concepts[c].tokens for c in concept_ids])
+        models, [tuple(tokenize(kg.concepts[c])) for c in concept_ids])
     columns = []
     embedded = []
     for cid, row, hit_count in zip(concept_ids, values, hits):
@@ -91,7 +92,7 @@ def reference_lcs_distance(kg, a, b):
         return depths
 
     for cid in (a, b):
-        if not kg.has_concept(cid):
+        if cid not in kg.concepts:
             raise UnknownConceptError(cid)
     da, db = depths_of(a), depths_of(b)
     common = da.keys() & db.keys()
@@ -110,7 +111,8 @@ def reference_knowledge_embedding(seeded, models, allowlist=None):
                if allowlist is None or t.predicate in allowlist]
     ids = sorted({c for t in triples for c in (t.subject, t.object)})
     row = {cid: i for i, cid in enumerate(ids)}
-    values, hits = reference_embed_token_lists(models, [kg.concepts[c].tokens for c in ids])
+    values, hits = reference_embed_token_lists(models,
+                                               [tuple(tokenize(kg.concepts[c])) for c in ids])
     pairs = [t for t in triples if hits[row[t.subject]] and hits[row[t.object]]]
     dists = [reference_lcs_distance(kg, t.subject, t.object) for t in pairs]
     weights = 1.0 / (1.0 + np.array([1 if d is None else d for d in dists], dtype=float))
@@ -161,7 +163,7 @@ def reference_save_seeded(paths, kg, seeded):
         pipeline.atomic_write_text(
             path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
 
-    label = {cid: concept.label for cid, concept in kg.concepts.items()}
+    label = kg.concepts
     write_rows(paths["subkg_triples"], ((label[t.subject], t.predicate, label[t.object])
                                         for t in sorted(seeded.subkg.triples)))
     write_rows(paths["subkg_scores"], sorted(seeded.relevance.items()))

@@ -24,7 +24,7 @@ from kginfuse.embedding import (
     train_dimension_model,
 )
 from kginfuse.errors import ValidationError
-from kginfuse.kg import Concept, KnowledgeGraph, n_hop_neighborhood
+from kginfuse.kg import KnowledgeGraph, n_hop_neighborhood
 from kginfuse.seeding import SeededSubKG
 from kginfuse.synth import generate_benchmark
 from kginfuse.text import tokenize
@@ -247,22 +247,27 @@ class TestEmbedTokenLists:
             embed_token_lists([], [["sun"]])
 
 
+def label_tokens(label):
+    """The label's tokens as a graph holds them (KnowledgeGraph.label_tokens)."""
+    return KnowledgeGraph([], {"c": label}).label_tokens["c"]
+
+
 class TestConceptEmbedding:
     """embed_token_lists on a concept's label tokens."""
 
     def test_unigram_label_equals_embed_text(self):
         model = make_model("m", {"sun": [1.0, 0.0]}, 2)
-        values, _ = embed_one([model], Concept("sun", "Sun").tokens)
+        values, _ = embed_one([model], label_tokens("Sun"))
         np.testing.assert_array_equal(values, embed_one([model], ["sun"])[0])
 
     def test_multiword_label_is_token_mean(self):
         model = make_model("m", {"red": [2.0], "fox": [4.0]}, 1)
-        values, _ = embed_one([model], Concept("red fox", "Red Fox").tokens)
+        values, _ = embed_one([model], label_tokens("Red Fox"))
         np.testing.assert_allclose(values, [3.0])
 
     def test_out_of_vocab_label_flagged_unresolvable(self):
         model = make_model("m", {"sun": [1.0]}, 1)
-        values, hits = embed_one([model], Concept("void", "Void").tokens)
+        values, hits = embed_one([model], label_tokens("Void"))
         assert hits == 0
         assert not values.any()
 
@@ -389,13 +394,13 @@ def brute_force_ke(seeded, models, weight_scale=1.0, allowlist=None):
         ok = True
         for cid in (t.subject, t.object):
             label_tokens = sorted(
-                tok for tok in tokenize(kg.concepts[cid].label)
+                tok for tok in tokenize(kg.concepts[cid])
                 if any(tok in m.vocab for m in models)
             )
             pieces = []
             any_hit = False
             for m in models:
-                hits = [m.vectors[m.vocab[tok]] for tok in sorted(tokenize(kg.concepts[cid].label)) if tok in m.vocab]
+                hits = [m.vectors[m.vocab[tok]] for tok in sorted(tokenize(kg.concepts[cid])) if tok in m.vocab]
                 if hits:
                     pieces.append(np.mean(hits, axis=0))
                     any_hit = True

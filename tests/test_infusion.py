@@ -148,6 +148,14 @@ class TestKlfGradient:
                             lambda *a: tuple(2.0 * g for g in gate_gradient(*a)))
         assert gradient_check(h, k, make_params(d=3)) > 0.3
 
+    @pytest.mark.parametrize("check", [gate_gradient, gradient_check])
+    def test_gate_width_unlike_the_vectors_rejected(self, check):
+        wide = np.array([0.2, 0.7, -0.1, 0.4])
+        with pytest.raises(ValidationError, match="gate width 3"):
+            check(wide, wide, make_params(d=3))
+        with pytest.raises(ValidationError, match="gate width 3"):
+            check(wide[:3], wide, make_params(d=3))
+
 
 class TestKnowledgeInfusion:
     def test_zero_iterations_when_gap_already_small(self):

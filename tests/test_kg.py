@@ -16,7 +16,6 @@ from kginfuse.errors import (
     ValidationError,
 )
 from kginfuse.kg import (
-    Concept,
     KnowledgeGraph,
     Triple,
     _find_cycle,
@@ -75,7 +74,7 @@ def reference_from_labeled_triples(rows, taxonomy_predicate="isa"):
         if not cid:
             raise ValidationError("empty concept label")
         if cid not in concepts:
-            concepts[cid] = Concept(cid, label.strip())
+            concepts[cid] = label.strip()
         return cid
 
     triples = set()
@@ -99,14 +98,14 @@ def reference_graph(triples, concepts, taxonomy_predicate="isa"):
         neighbors[t.object].add(t.subject)
         if t.predicate == taxonomy_predicate:
             if t.subject == t.object:
-                raise TaxonomyCycleError([concepts[t.subject].label])
+                raise TaxonomyCycleError([concepts[t.subject]])
             parents[t.subject].add(t.object)
     cycle = _find_cycle(parents)
     if cycle is not None:
-        raise TaxonomyCycleError([concepts[c].label for c in cycle])
+        raise TaxonomyCycleError([concepts[c] for c in cycle])
     index = {}
-    for cid, concept in concepts.items():
-        tokens = tuple(tokenize(concept.label))
+    for cid, label in concepts.items():
+        tokens = tuple(tokenize(label))
         if tokens:
             index.setdefault(tokens, []).append(cid)
     return concepts, triples, neighbors, parents, index
@@ -122,7 +121,7 @@ def outcome(build):
         concepts, *rest = build()
     except ValidationError as exc:
         return type(exc), str(exc), getattr(exc, "members", None)
-    return [(cid, c.label) for cid, c in concepts.items()], *rest
+    return list(concepts.items()), *rest
 
 
 # Labels that differ only in case and whitespace share an id; "red-fox"
@@ -200,11 +199,12 @@ class TestTokenIndex:
                     max_size=8))
     def test_one_pass_tokens_equal_per_label_tokens(self, labels):
         assert tokenize_all(labels) == [tokenize(label) for label in labels]
-        concepts = {f"c{i}": Concept(f"c{i}", label) for i, label in enumerate(labels)}
+        concepts = {f"c{i}": label for i, label in enumerate(labels)}
         index = {}
-        for cid, concept in concepts.items():
-            if concept.tokens:
-                index.setdefault(concept.tokens, []).append(cid)
+        for cid, label in concepts.items():
+            tokens = tuple(tokenize(label))
+            if tokens:
+                index.setdefault(tokens, []).append(cid)
         assert KnowledgeGraph([], concepts).token_index == index
 
 
@@ -223,25 +223,23 @@ class TestLabelTokens:
             calls.append(text)
             return tokenize(text)
 
-        monkeypatch.setattr("kginfuse.text.tokenize", counted)
-        monkeypatch.setattr("kginfuse.kg.tokenize", counted)
+        for module in ("text", "seeding", "embedding"):
+            monkeypatch.setattr(f"kginfuse.{module}.tokenize", counted)
         kg = load_graph(path)
         label_tokens = kg.label_tokens
         index = kg.token_index
         seeded = extract_seeded_subkg(kg, stats, "pos", hops=1, top_m=1, models=[model])
         embed_concepts(kg, sorted(kg.concepts), [model])
         assert calls == []
-        want = {cid: tuple(tokenize(concept.label)) for cid, concept in kg.concepts.items()}
-        assert label_tokens == want
-        assert all(label_tokens[cid] == concept.tokens for cid, concept in kg.concepts.items())
+        assert label_tokens == {cid: tuple(tokenize(label)) for cid, label in kg.concepts.items()}
         assert index[("red", "fox")] == ["red-fox!"] and () not in index
-        assert seeded.seeds == {"red-fox!"}
+        assert {c for c, d in seeded.subkg.frontier_depth.items() if d == 0} == {"red-fox!"}
 
     def test_a_label_holding_a_newline_takes_the_per_label_fallback(self):
         labels = self.LABELS + ["north\nwind"]
-        concepts = {f"c{i}": Concept(f"c{i}", label) for i, label in enumerate(labels)}
+        concepts = {f"c{i}": label for i, label in enumerate(labels)}
         kg = KnowledgeGraph([], concepts)
-        assert kg.label_tokens == {cid: tuple(tokenize(c.label)) for cid, c in concepts.items()}
+        assert kg.label_tokens == {cid: tuple(tokenize(label)) for cid, label in concepts.items()}
         assert kg.label_tokens["c8"] == ("north", "wind")
 
 

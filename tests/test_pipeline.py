@@ -839,8 +839,8 @@ def _scan_links(kg, text):
     """Reference: every label's tokens tried at every offset of the text."""
     tokens = tokenize(text)
     found = set()
-    for cid, concept in kg.concepts.items():
-        label = tokenize(concept.label)
+    for cid, raw in kg.concepts.items():
+        label = tokenize(raw)
         width = len(label)
         if label and any(tokens[i:i + width] == label for i in range(len(tokens) - width + 1)):
             found.add(cid)

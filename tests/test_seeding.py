@@ -7,7 +7,7 @@ import pytest
 
 from kginfuse.embedding import DimensionModel, embed_token_lists
 from kginfuse.errors import ValidationError
-from kginfuse.kg import Concept, KnowledgeGraph, n_hop_neighborhood
+from kginfuse.kg import KnowledgeGraph, n_hop_neighborhood
 from kginfuse.pipeline import link_concepts
 from kginfuse.seeding import corpus_stats, extract_seeded_subkg, relevance_score
 from kginfuse.text import tokenize
@@ -29,6 +29,10 @@ def brute_relevance(concept_label, dataset, target_class):
         q = (c_all + 1) / (all_total + len(vocab))
         score += p * math.log(p / q)
     return score
+
+
+def seeds(seeded):
+    return {c for c, d in seeded.subkg.frontier_depth.items() if d == 0}
 
 
 def zero_model(tokens, d_sub=2):
@@ -62,7 +66,7 @@ class TestRelevanceScore:
     def test_single_class_token_scores_zero(self):
         # With one class, target and background coincide, so p = q exactly.
         stats = corpus_stats([("pos", "a a b"), ("pos", "b a")])
-        assert relevance_score(Concept("a", "a"), stats, "pos") == 0.0
+        assert relevance_score(("a",), stats, "pos") == 0.0
 
     def test_hand_computed_smoothed_value(self):
         # Target tokens: a x9, b x1 (10 total). Other class: a x1, b x9.
@@ -70,28 +74,33 @@ class TestRelevanceScore:
         dataset = [("pos", " ".join(["a"] * 9 + ["b"])), ("neg", " ".join(["a"] + ["b"] * 9))]
         stats = corpus_stats(dataset)
         expected = (10 / 12) * math.log((10 / 12) / (1 / 2))
-        got = relevance_score(Concept("a", "a"), stats, "pos")
+        got = relevance_score(("a",), stats, "pos")
         assert abs(got - expected) < 1e-15
         assert abs(brute_relevance("a", dataset, "pos") - expected) < 1e-15
 
     def test_absent_label_is_finite(self):
         stats = corpus_stats([("pos", "a b"), ("neg", "b c")])
-        score = relevance_score(Concept("zzz", "zzz"), stats, "pos")
+        score = relevance_score(("zzz",), stats, "pos")
         assert math.isfinite(score)
 
     def test_multi_token_label_adds_up(self):
         dataset = [("pos", "red fox runs"), ("neg", "blue bird sits")]
         stats = corpus_stats(dataset)
-        combined = relevance_score(Concept("red fox", "red fox"), stats, "pos")
-        parts = relevance_score(Concept("red", "red"), stats, "pos") + relevance_score(
-            Concept("fox", "fox"), stats, "pos"
+        combined = relevance_score(("red", "fox"), stats, "pos")
+        parts = relevance_score(("red",), stats, "pos") + relevance_score(
+            ("fox",), stats, "pos"
         )
         assert abs(combined - parts) < 1e-15
 
     def test_unknown_target_class_rejected(self):
         stats = corpus_stats([("pos", "a")])
         with pytest.raises(ValidationError):
-            relevance_score(Concept("a", "a"), stats, "nope")
+            relevance_score(("a",), stats, "nope")
+
+    def test_label_without_tokens_rejected(self):
+        stats = corpus_stats([("pos", "a")])
+        with pytest.raises(ValidationError):
+            relevance_score((), stats, "pos")
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = np.random.default_rng(23)
@@ -106,7 +115,7 @@ class TestRelevanceScore:
                 dataset.append(("pos", "w0"))
             stats = corpus_stats(dataset)
             for w in words:
-                got = relevance_score(Concept(w, w), stats, "pos")
+                got = relevance_score((w,), stats, "pos")
                 want = brute_relevance(w, dataset, "pos")
                 assert abs(got - want) < 1e-12
 
@@ -138,12 +147,12 @@ class TestExtractSeededSubkg:
         kg, dataset, stats, model = self.make_inputs()
         seeded = extract_seeded_subkg(kg, stats, "pos", hops=2, top_m=1, models=[model])
         brute = {
-            cid: brute_relevance(kg.concepts[cid].label, dataset, "pos")
+            cid: brute_relevance(kg.concepts[cid], dataset, "pos")
             for cid in kg.concepts
-            if all(t in stats.vocab for t in tokenize(kg.concepts[cid].label))
+            if all(t in stats.vocab for t in tokenize(kg.concepts[cid]))
         }
         best = max(brute, key=lambda c: (brute[c], c))
-        assert seeded.seeds == {best} == {"jihad"}
+        assert seeds(seeded) == {best} == {"jihad"}
         expected = n_hop_neighborhood(kg, {"jihad"}, 2)
         assert seeded.subkg.triples == expected.triples
 
@@ -153,7 +162,7 @@ class TestExtractSeededSubkg:
         stats = corpus_stats([("pos", "solo solo"), ("neg", "filler")])
         model = zero_model(["solo", "filler"])
         seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=1, models=[model])
-        assert seeded.seeds == {"solo"}
+        assert seeds(seeded) == {"solo"}
         assert {(t.subject, t.object) for t in seeded.subkg.triples} == {("solo", "solo")}
 
     def test_boundary_ties_are_included(self):
@@ -165,7 +174,7 @@ class TestExtractSeededSubkg:
         stats = corpus_stats(dataset)
         model = zero_model(["x", "y", "z"])
         seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=1, models=[model])
-        assert seeded.seeds == {"x", "y"}
+        assert seeds(seeded) == {"x", "y"}
 
     def test_document_order_never_changes_seeds(self):
         kg, dataset, stats, model = self.make_inputs()
@@ -175,7 +184,7 @@ class TestExtractSeededSubkg:
             shuffled = list(dataset)
             rng.shuffle(shuffled)
             again = extract_seeded_subkg(kg, corpus_stats(shuffled), "pos", 1, 2, [model])
-            assert again.seeds == base.seeds
+            assert seeds(again) == seeds(base)
             assert again.subkg.triples == base.subkg.triples
 
     def test_non_ascii_labels_are_linked_seeded_and_embedded(self):
@@ -189,9 +198,9 @@ class TestExtractSeededSubkg:
         model = zero_model(stats.vocab)
         assert link_concepts(kg, text) == {"strasse", "οδοσ"}
         seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=2, models=[model])
-        assert seeded.seeds == {"strasse", "οδοσ"}
+        assert seeds(seeded) == {"strasse", "οδοσ"}
         assert seeded.embedded_concepts == ("strasse", "οδοσ")
-        _, hits = embed_token_lists([model], [kg.concepts[c].tokens
+        _, hits = embed_token_lists([model], [kg.label_tokens[c]
                                              for c in seeded.embedded_concepts])
         assert hits.all()
 
