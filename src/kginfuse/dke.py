@@ -164,13 +164,13 @@ def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG,
         frontier_depth=merged_depth,
     )
 
-    # One matvec per column: a single product over all columns would sum
-    # in another order and change bits. A norm is sqrt(v.dot(v)), what
-    # np.linalg.norm computes for a 1-d vector.
-    mapped = np.empty((len(diff.new_concepts), width))
-    for i in range(len(mapped)):
-        mapped[i] = solution.w @ diff.embedding_matrix[:, i]
-    norms = np.sqrt(np.array([v.dot(v) for v in mapped]))
+    # One BLAS vector-matrix product per column, and one dot product per
+    # mapped row for its norm: each sums as w @ v and v.dot(v) do for that
+    # column alone (np.linalg.norm of a 1-d vector is sqrt(v.dot(v))), so
+    # a concept's vector does not depend on what else is absorbed with it.
+    mapped = (np.matmul(diff.embedding_matrix.T[:, None, :], solution.w.T)[:, 0]
+              if diff.new_concepts else np.empty((0, width)))
+    norms = np.sqrt(np.matmul(mapped[:, None, :], mapped[:, :, None])[:, 0, 0])
     for cid, norm in zip(diff.new_concepts, norms):
         if norm == 0.0:
             log.warning("mapped embedding for %s collapsed to zero; skipped", cid)

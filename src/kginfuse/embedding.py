@@ -188,12 +188,13 @@ def embed_concepts(kg, concept_ids, models) -> tuple[np.ndarray, tuple[str, ...]
 
     Each concept is embedded once, from its label tokens; a concept
     whose tokens resolve against no dimension is left out. A row's norm
-    is sqrt(row.dot(row)), what np.linalg.norm computes for it, and all
-    rows are divided by their norms at once.
+    is sqrt(row.dot(row)), what np.linalg.norm computes for it, taken as
+    one dot product per row, and all rows are divided by their norms at
+    once.
     """
     concept_ids = list(concept_ids)
     values, hits = embed_token_lists(models, [kg.label_tokens[c] for c in concept_ids])
-    norms = np.sqrt(np.array([row.dot(row) for row in values]))
+    norms = np.sqrt(np.matmul(values[:, None, :], values[:, :, None])[:, 0, 0])
     keep = np.flatnonzero((hits > 0) & (norms != 0.0))
     matrix = np.ascontiguousarray((values[keep] / norms[keep, None]).T)
     return matrix, tuple(concept_ids[i] for i in keep)

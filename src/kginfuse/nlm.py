@@ -10,8 +10,9 @@ check's loss and prediction: the recurrence runs over a time-major
 zero-padded batch with a length mask; one sequence is a batch of one.
 Its time loops hold only the recurrence; what does not depend on it
 (the gate-derivative factors, the weight gradient) is formed over all
-steps at once. Every per-row product is an einsum; only the weight
-gradient, a sum over the batch, is a BLAS matmul.
+steps at once. Every per-row product is one BLAS vector-matrix product
+per row (a stacked np.matmul), so a row's values depend only on that row;
+the weight gradient, a sum over the batch, is one batched matmul.
 The batched entry points take that padded Batch, which the pipeline
 gathers straight from its encoded dataset; a list of (steps, width)
 arrays, as the tests and the gradient check pass, is padded first.
@@ -190,20 +191,25 @@ def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
     Each layer runs in one time-major joint buffer J (T + 1, B, in + d):
     J[t] is step t's input beside the hidden state the step starts from,
     so the inputs are copied in once and each step writes its h into the
-    tail of J[t + 1]. One tanh serves all four gates: the sigmoid blocks
-    are halved going in and mapped by t * 0.5 + 0.5 coming out, which,
-    halving being exact, equals _sigmoid's 0.5 * (1 + t) to the bit. The
-    bias, the scale and the offset are tiled to (B, 4d), so each of these
-    operations runs over whole contiguous arrays. Past a sequence's end
-    (mask False) its h carries forward unchanged, so its final row is its
-    state at its last step; a step where every row is live skips the
-    carry. Its c runs on unread: padding only follows a sequence's end,
-    and _backprop zeroes dz at masked steps. Every product is an einsum, whose sums run over one row at a
-    time: a row's values do not depend on what else is in the batch (a
-    BLAS matmul's do). Given a list as cache, each layer appends its
-    stacks (J, gates, c, tanh(c)) for backpropagation: gates (T, B, 4d)
-    holds the input, forget and output sigmoids and the modulation tanh,
-    c (T + 1, B, d) the cell state before the first step and after each.
+    tail of J[t + 1]. One tanh serves all four gates: the sigmoid blocks'
+    weight rows and biases are halved once per call (W_half), and their
+    tanh is mapped by t * 0.5 + 0.5, which, halving being exact, equals
+    _sigmoid's 0.5 * (1 + t) to the bit. The bias, the scale and the
+    offset are tiled to (B, 4d), so each of these operations runs over
+    whole contiguous arrays. Past a sequence's end (mask False) its h
+    carries forward unchanged, so its final row is its state at its last
+    step; a step where every row is live skips the carry. Its c runs on
+    unread: padding only follows a sequence's end, and _backprop zeroes
+    dz at masked steps. A step's product stacks the (1, in + d) rows of
+    J[t] against W_half.T: numpy runs each row as its own BLAS
+    vector-matrix product of the same shape, so a row's values do not
+    depend on what else is in the batch. One matrix-matrix product per
+    step would not do: numpy sends a one-row product to gemv and a
+    many-row one to gemm, and the two sum in different orders. Given a
+    list as cache, each layer appends its stacks (J, gates, c, tanh(c))
+    for backpropagation: gates (T, B, 4d) holds the input, forget and
+    output sigmoids and the modulation tanh, c (T + 1, B, d) the cell
+    state before the first step and after each.
     """
     d = params.d
     steps, rows = mask.shape
@@ -224,13 +230,13 @@ def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
         gates = np.empty((kept, rows, 4 * d))
         C = np.zeros((kept + 1, rows, d))
         TC = np.empty((kept, rows, d))
-        bias = np.tile(b, (rows, 1))
+        W_half = W * scale[0, :, None]
+        bias = np.tile(b * scale[0], (rows, 1))
         for t in range(steps):
             a, tc = gates[t % kept], TC[t % kept]
             c, c_new = C[t % (kept + 1)], C[(t + 1) % (kept + 1)]
-            np.einsum("bk,gk->bg", J[t], W, out=a)
+            np.matmul(J[t][:, None, :], W_half.T, out=a[:, None, :])
             a += bias
-            a *= scale
             np.tanh(a, out=a)
             a *= scale
             a += offset
@@ -263,10 +269,11 @@ def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndar
     The step-local factors, go * (1 - tanh(c)^2) and the four gate
     derivatives, are formed for all steps at once, so the reverse time
     loop holds only the recurrence: dh, dc, the gate gradient dz and one
-    einsum of dz with W, which yields both the next step's dh and this
-    step's input gradient, row by row. dz is 0 at masked steps, and dh
-    and dc pass back through them unchanged: dh mirrors the forward h
-    carry, and dc stays 0 until the sequence's last step.
+    product of dz with W, which yields both the next step's dh and this
+    step's input gradient; like _recur's, it is one BLAS vector-matrix
+    product per row. dz is 0 at masked steps, and dh and dc pass back
+    through them unchanged: dh mirrors the forward h carry, and dc stays
+    0 until the sequence's last step.
     The weight gradient sums over the batch, so it is one batched BLAS
     matmul over all steps, whose per-step terms are then added in reverse
     time order; the bias gradient sums dz the same way.
@@ -298,7 +305,7 @@ def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndar
             np.multiply(np.concatenate([dc, dc, dh, dc], axis=1), factors[t], out=DZ[t])
             if idle[t] is not None:
                 np.copyto(DZ[t], 0.0, where=idle[t])
-            np.einsum("bg,gk->bk", DZ[t], W, out=DJ[t])
+            np.matmul(DZ[t][:, None, :], W, out=DJ[t][:, None, :])
             dh_next, dc_back = DJ[t, :, in_l:], dc * gf[t]
             if idle[t] is not None:
                 np.copyto(dh_next, dh, where=idle[t])

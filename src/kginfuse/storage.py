@@ -51,7 +51,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def read_text(path) -> str:
-    """A UTF-8 text file's contents, with newlines as open() reads them.
+    """A UTF-8 text file's contents, with newlines as open() reads them
+    and without a leading byte-order mark.
 
     Bytes that are not UTF-8 raise ValidationError naming path:line.
     """
@@ -64,7 +65,7 @@ def read_text(path) -> str:
         raise ValidationError(
             f"{path}:{line}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
         ) from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _pack_u32(*values: int) -> bytes:

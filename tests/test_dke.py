@@ -11,7 +11,7 @@ from kginfuse.dke import (
 )
 from kginfuse.embedding import DimensionModel, embed_concepts
 from kginfuse.errors import SolverError, UnknownConceptError, ValidationError
-from kginfuse.kg import KnowledgeGraph, Triple, n_hop_neighborhood
+from kginfuse.kg import KnowledgeGraph, SubKG, Triple, n_hop_neighborhood
 from kginfuse.seeding import SeededSubKG
 
 
@@ -211,6 +211,21 @@ class TestUpdateSeeded:
         diff = differential_subkg(retrieved, seeded, models)
         updated = update_seeded(seeded, diff, None)
         assert updated is seeded
+
+    def test_new_triples_among_seeded_concepts_need_no_solution(self):
+        kg = KnowledgeGraph.from_labeled_triples(
+            [("a", "linked", "b"), ("b", "linked", "c"), ("a", "near", "c")])
+        models = [model_for(["a", "b", "c"])]
+        matrix, embedded = embed_concepts(kg, ["a", "b", "c"], models)
+        linked = frozenset(t for t in kg.triples if t.predicate == "linked")
+        seeded = SeededSubKG(SubKG(kg, linked, {"a": 0, "b": 1, "c": 1}),
+                             {"a": 1.0}, matrix, embedded)
+        diff = differential_subkg(n_hop_neighborhood(kg, {"a"}, 1), seeded, models)
+        assert diff.triples == {Triple("a", "near", "c")} and not diff.new_concepts
+        updated = update_seeded(seeded, diff, None)
+        assert updated.subkg.triples == kg.triples
+        assert updated.embedded_concepts == embedded
+        assert np.array_equal(updated.embedding_matrix, matrix)
 
     def test_identity_map_keeps_normalized_embedding(self):
         from kginfuse.dke import MappingSolution

@@ -232,10 +232,22 @@ def test_minimum_layer_count_enforced():
         init_params(3, 4, 1, 2, np.random.default_rng(0))
 
 
-def reference_recur(params, x, mask, cache=None):
+def row_products(rows, W):
+    """rows @ W.T as the kernel forms it: one BLAS vector-matrix product
+    per row, against the same transposed view of W (a contiguous copy of
+    W.T reaches another BLAS kernel and can differ in the last bit)."""
+    return np.matmul(rows[:, None, :], W.T)[:, 0]
+
+
+def einsum_products(rows, W):
+    """rows @ W.T by einsum, which sums in its own order."""
+    return np.einsum("bk,gk->bg", rows, W)
+
+
+def reference_recur(params, x, mask, cache=None, product=row_products):
     """The step-by-step kernel the current one replaced, as an oracle: a
     concatenate, two activations and, when training, a cached tuple per
-    step."""
+    step. product(rows, W) forms each step's rows @ W.T."""
     d = params.d
     steps, rows = mask.shape
     finals = []
@@ -248,7 +260,7 @@ def reference_recur(params, x, mask, cache=None):
             cache.append([])
         for t in range(steps):
             joint = np.concatenate([inputs[t], h], axis=1)
-            z = np.einsum("bk,gk->bg", joint, W) + b
+            z = product(joint, W) + b
             sig = _sigmoid(z[:, :3 * d])
             gg = np.tanh(z[:, 3 * d:])
             c_new = sig[:, d:2 * d] * c + sig[:, :d] * gg
@@ -268,7 +280,9 @@ def reference_recur(params, x, mask, cache=None):
 
 def reference_backprop(params, cache, mask, h_last, dlogits):
     """The step-by-step backward pass that went with reference_recur: the
-    gate-derivative factors and a weight-gradient einsum in every step."""
+    gate-derivative factors and a weight-gradient einsum in every step,
+    and the input gradient as one BLAS product per row, as the kernel
+    forms it."""
     d = params.d
     steps, rows = mask.shape
     grads = {"head.W": np.einsum("bn,bd->nd", dlogits, h_last),
@@ -298,7 +312,7 @@ def reference_backprop(params, cache, mask, h_last, dlogits):
             dz = np.where(live, dz, 0.0)
             gW += np.einsum("bg,bk->gk", dz, joint)
             gb += dz.sum(axis=0)
-            djoint = np.einsum("bg,gk->bk", dz, W)
+            djoint = np.matmul(dz[:, None, :], W)[:, 0]
             dx[t] = djoint[:, :in_l]
             dh_next = np.where(live, djoint[:, in_l:], dh)
             dc_next = np.where(live, dc * gf, dc_next)
@@ -324,8 +338,8 @@ def equal_batches(draw):
     return [(rng.normal(size=(steps, 3)), int(rng.integers(3))) for _ in range(count)]
 
 
-def assert_rows_are_the_batches_of_one(batch):
-    params = small_params(seed=11)
+def assert_rows_are_the_batches_of_one(batch, params=None):
+    params = small_params(seed=11) if params is None else params
     sequences = [seq for seq, _ in batch]
     states, probs = forward_batch(params, sequences)
     for i, seq in enumerate(sequences):
@@ -338,8 +352,8 @@ def assert_rows_are_the_batches_of_one(batch):
         np.testing.assert_allclose(p, ref_probs, rtol=0, atol=1e-14)
 
 
-def assert_gradient_is_the_mean_of_the_batches_of_one(batch):
-    params = small_params(seed=12)
+def assert_gradient_is_the_mean_of_the_batches_of_one(batch, params=None):
+    params = small_params(seed=12) if params is None else params
     loss, grads = batch_gradients(params, batch)
     alone = [batch_gradients(params, [example]) for example in batch]
     assert abs(loss - np.mean([l for l, _ in alone])) <= 1e-12
@@ -405,6 +419,57 @@ class TestBatchedKernel:
     @given(equal_batches())
     def test_equal_lengths_match_the_step_by_step_kernel(self, batch):
         assert_matches_the_step_by_step_kernel(batch)
+
+
+def benchmark_sized_batch(seed, rows, lengths):
+    """rows labelled sequences of width 24 with lengths drawn from lengths."""
+    rng = np.random.default_rng(seed)
+    return [(rng.normal(size=(int(rng.choice(lengths)), 24)), int(rng.integers(3)))
+            for _ in range(rows)]
+
+
+class TestBenchmarkSizes:
+    """The batch-of-one properties at the benchmark's shapes, where BLAS
+    may take other paths than at width 3: 400 ragged rows of up to 6
+    steps, as many rows as a wide-graph training set, and 100 rows of 24
+    steps, as in a wide-graph eval."""
+
+    def params(self, seed):
+        return small_params(seed=seed, input_width=24, d=12)
+
+    def test_400_ragged_rows_are_the_batches_of_one(self):
+        batch = benchmark_sized_batch(1, 400, range(1, 7))
+        assert_rows_are_the_batches_of_one(batch, self.params(11))
+        assert_gradient_is_the_mean_of_the_batches_of_one(batch, self.params(12))
+
+    def test_100_rows_of_24_steps_are_the_batches_of_one(self):
+        batch = benchmark_sized_batch(2, 100, [24])
+        assert_rows_are_the_batches_of_one(batch, self.params(11))
+        assert_gradient_is_the_mean_of_the_batches_of_one(batch, self.params(12))
+
+
+def assert_close_to_an_einsum_product_kernel(params, sequences):
+    """Only the products' summation order separates the kernel from one
+    whose products are einsums."""
+    padded = _padded(params, sequences)
+    finals, logits = reference_recur(params, padded.x, padded.mask, product=einsum_products)
+    states, probs = forward_batch(params, padded)
+    for rows, ref_rows in zip(states.h, finals):
+        np.testing.assert_allclose(rows, ref_rows, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(probs, softmax(logits), rtol=0, atol=1e-14)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(ragged_batches())
+def test_forward_is_close_to_an_einsum_product_kernel(batch):
+    assert_close_to_an_einsum_product_kernel(small_params(seed=15, layers=3),
+                                             [seq for seq, _ in batch])
+
+
+def test_forward_at_benchmark_size_is_close_to_an_einsum_product_kernel():
+    batch = benchmark_sized_batch(3, 100, range(1, 25))
+    assert_close_to_an_einsum_product_kernel(small_params(seed=16, input_width=24, d=12),
+                                             [seq for seq, _ in batch])
 
 
 def test_sigmoid_is_finite_bounded_and_symmetric():

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kginfuse.config import parse_config
+from kginfuse.datasets import read_labeled_tsv
 from kginfuse.errors import StorageError, ValidationError
+from kginfuse.kg import load_graph
 from kginfuse.pipeline import build, load_trained, train
 from kginfuse.storage import (
     ARRAY_MAGIC,
@@ -268,3 +270,26 @@ def test_read_text_names_line_of_bad_byte(tmp_path):
     path.write_bytes("one\ntwo\nnaïve\n".encode("latin-1"))
     with pytest.raises(ValidationError, match=re.escape(f"{path}:3: not valid UTF-8")):
         read_text(path)
+
+
+def test_read_text_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeff\ufeffone\r\ntwo\ufeff".encode("utf-8"))
+    assert read_text(path) == "\ufeffone\ntwo\ufeff"
+
+
+def graph_contents(path):
+    kg = load_graph(path)
+    return kg.concepts, kg.triples
+
+
+@pytest.mark.parametrize("name, load", [
+    ("pipeline.cfg", parse_config),
+    ("kg.tsv", graph_contents),
+    ("train.tsv", read_labeled_tsv),
+], ids=["config", "graph", "dataset"])
+def test_input_with_a_byte_order_mark_loads_as_without_one(tiny_project, name, load):
+    path = tiny_project.parent / name
+    plain = load(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load(path) == plain
