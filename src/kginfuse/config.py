@@ -226,10 +226,13 @@ def parse_config_text(text: str, origin: str = "<config>", base_dir: str = ".") 
     return PipelineConfig(corpora=corpora, d_sub=d_sub, **values)
 
 
-def emit_config(cfg: PipelineConfig) -> str:
-    """Canonical text form; parsing it reproduces the same configuration."""
+def emit_config(cfg: PipelineConfig, sections=_SECTIONS) -> str:
+    """Canonical text form; parsing it reproduces the same configuration.
+
+    sections picks which sections to emit, in their emitted order.
+    """
     lines = []
-    for section in _SECTIONS:
+    for section in sections:
         lines += ["", f"[{section}]"]
         for row_section, key, name, _ in _KEYS:
             value = getattr(cfg, name)
@@ -246,6 +249,15 @@ def emit_config(cfg: PipelineConfig) -> str:
 
 def config_hash(cfg: PipelineConfig) -> str:
     return sha256_text(emit_config(cfg))
+
+
+def build_hash(cfg: PipelineConfig) -> str:
+    """sha256 of the settings a build reads: the [subkg] and [embedding]
+    sections and the corpus names. The build's input files are keyed
+    apart, by the sha256 of their contents, so neither [run], [nlm],
+    [infusion] and [dke] nor where the inputs lie change it."""
+    names = "".join(f"corpus.{name}\n" for name in sorted(cfg.corpora))
+    return sha256_text(emit_config(cfg, ("subkg", "embedding")) + names)
 
 
 def require_input_files(cfg: PipelineConfig) -> None:

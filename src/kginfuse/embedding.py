@@ -6,7 +6,10 @@ factorized by a symmetric eigendecomposition that keeps the d_sub
 eigenpairs of largest |eigenvalue| (the positive one first on a tie),
 which is the truncated SVD of that matrix. An eigenvalue of multiplicity
 > 1 has no unique basis, but the basis returned is the same from run to
-run. A piece of content is embedded per dimension and the sub-vectors
+run. A corpus is tokenized in one pass, and its co-occurrence is kept as
+distinct (pair id, count) arrays: PPMI is formed only at co-occurring
+pairs, so the one |vocab| x |vocab| array is the eigendecomposition's
+input. A piece of content is embedded per dimension and the sub-vectors
 are concatenated. Token lists are embedded in one batch, so each concept
 is embedded once per call: one lexsort puts every list's tokens in
 sorted order and one np.add.at per model adds them in that order, the
@@ -21,12 +24,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError
 from .kg import lcs_distance
-from .text import tokenize
+from .text import tokenize_all
 
 log = logging.getLogger(__name__)
 
@@ -55,34 +59,32 @@ def train_dimension_model(corpus, d_sub: int, window: int,
                           dimension_name: str = "default") -> DimensionModel:
     """Train one dimension model on a corpus of documents.
 
-    Symmetric co-occurrence counts within +/-window, positive PMI, then
-    the d_sub eigenpairs of the symmetric PPMI matrix with the largest
-    |eigenvalue|, each eigenvector scaled by sqrt(|eigenvalue|) and given
-    a fixed sign convention. A symmetric matrix's singular values are its
+    Symmetric co-occurrence counts within +/-window, kept per distinct
+    token pair, positive PMI at those pairs, then the d_sub eigenpairs of
+    the symmetric PPMI matrix with the largest |eigenvalue|, each
+    eigenvector scaled by sqrt(|eigenvalue|) and given a fixed sign
+    convention. A symmetric matrix's singular values are its
     |eigenvalues| and its singular vectors its eigenvectors, so this is
     the truncated SVD, computed exactly. Of two eigenvalues of equal
     magnitude the positive one is kept first. An eigenvalue of
     multiplicity > 1 has no unique basis of eigenvectors; which basis is
     returned depends on the LAPACK build, but it is the same from run to
     run. Nothing is random, so the model is a function of the corpus.
+    The documents are tokenized by one tokenize_all pass and mapped to
+    token ids by one np.fromiter; the PPMI matrix handed to eigh is the
+    only |vocab| x |vocab| array.
     """
     if d_sub < 1:
         raise ValidationError("d_sub must be >= 1")
     if window < 1:
         raise ValidationError("window must be >= 1")
-    docs = [tokenize(doc) for doc in corpus]
-    vocab_list = sorted({tok for doc in docs for tok in doc})
-    if not vocab_list:
+    vocab, ids, lengths = _token_ids(corpus)
+    if not vocab:
         raise ValidationError("corpus has no tokens")
-    if d_sub > len(vocab_list):
-        raise ValidationError(
-            f"d_sub={d_sub} exceeds vocabulary size {len(vocab_list)}"
-        )
-    vocab = {tok: i for i, tok in enumerate(vocab_list)}
-    counts = _cooccurrence_counts([[vocab[tok] for tok in doc] for doc in docs],
-                                  len(vocab), window)
-
-    w, v = np.linalg.eigh(_positive_pmi(counts))
+    if d_sub > len(vocab):
+        raise ValidationError(f"d_sub={d_sub} exceeds vocabulary size {len(vocab)}")
+    ppmi = _ppmi_matrix(*_cooccurrence_pairs(ids, lengths, len(vocab), window), len(vocab))
+    w, v = np.linalg.eigh(ppmi)
     top = np.lexsort((-w, -np.abs(w)))[:d_sub]
     vectors = _fix_signs(v[:, top]) * np.sqrt(np.abs(w[top]))
     return DimensionModel(
@@ -93,38 +95,53 @@ def train_dimension_model(corpus, d_sub: int, window: int,
     )
 
 
-def _cooccurrence_counts(docs, n: int, window: int) -> np.ndarray:
-    """n x n float counts of token-id pairs at most window apart in one document.
+def _token_ids(corpus) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """(vocab, ids, lengths) of a corpus: each token's id, its rank in
+    sorted order; all documents' token ids laid end to end; and each
+    document's token count."""
+    docs = tokenize_all(list(corpus))
+    vocab = {tok: i for i, tok in enumerate(sorted(set(chain.from_iterable(docs))))}
+    lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(docs)), dtype=np.int64,
+                      count=int(lengths.sum()))
+    return vocab, ids, lengths
 
-    Each pair of positions i != j with |i - j| <= window adds 1 to both
-    [id_i, id_j] and [id_j, id_i]. All documents are laid end to end;
-    for each offset, the pairs whose two positions lie in the same
-    document are counted at once by one bincount over flat pair ids.
+
+def _cooccurrence_pairs(ids: np.ndarray, lengths: np.ndarray, n: int,
+                        window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct flat pair ids id_i * n + id_j of token ids at most window
+    apart in one document, ascending, and each pair's float count.
+
+    ids holds all documents laid end to end, lengths their token counts.
+    Each pair of positions i != j with |i - j| <= window counts once for
+    [id_i, id_j] and once for [id_j, id_i]. For each offset, the pairs
+    whose two positions lie in the same document are taken at once.
     """
-    ids = np.array([t for doc in docs for t in doc], dtype=np.int64)
-    doc_of = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
-    longest = max((len(doc) for doc in docs), default=0)
+    doc_of = np.repeat(np.arange(len(lengths)), lengths)
+    longest = int(lengths.max(initial=0))
     pair_ids = [np.empty(0, dtype=np.int64)]
     for k in range(1, min(window, longest - 1) + 1):
         same = doc_of[k:] == doc_of[:-k]
         a, b = ids[:-k][same], ids[k:][same]
         pair_ids += [a * n + b, b * n + a]
-    flat = np.bincount(np.concatenate(pair_ids), minlength=n * n)
-    return flat.reshape(n, n).astype(float)
+    pairs, counts = np.unique(np.concatenate(pair_ids), return_counts=True)
+    return pairs, counts.astype(float)
 
 
-def _positive_pmi(counts: np.ndarray) -> np.ndarray:
-    total = counts.sum()
-    if total == 0:
-        # Single-token corpus: no co-occurrence at all.
-        return np.zeros_like(counts)
-    row = counts.sum(axis=1, keepdims=True)
-    col = counts.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pmi = np.log(counts * total / (row * col))
-    pmi[~np.isfinite(pmi)] = 0.0
-    np.maximum(pmi, 0.0, out=pmi)
-    return pmi
+def _ppmi_matrix(pairs: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """n x n PPMI matrix of the co-occurrence pair counts.
+
+    Entry [i, j] of a co-occurring pair is max(0, log(c * total / (row_i *
+    col_j))), the operations the dense matrix formula performs on that
+    entry, so it is the same float; every other entry is 0.0. The counts
+    are symmetric, so a token's row and column margins are one sum.
+    """
+    rows, cols = np.divmod(pairs, n)
+    margins = np.bincount(rows, weights=counts, minlength=n)
+    ppmi = np.zeros((n, n))
+    ppmi.flat[pairs] = np.maximum(
+        np.log(counts * counts.sum() / (margins[rows] * margins[cols])), 0.0)
+    return ppmi
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ first use) and each concept's ancestor depths (computed on first query).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -192,11 +193,21 @@ def _find_cycle(parents: dict[str, set[str]]):
 def load_graph(path, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE) -> KnowledgeGraph:
     """Load a graph from a tab-separated UTF-8 triple file.
 
-    One triple per line: subject, predicate, object. Lines starting with
-    "#" and blank lines are ignored. Duplicate triples collapse to one.
+    One triple per line: subject, predicate, object, each field stripped
+    of surrounding whitespace. Lines starting with "#" (after leading
+    whitespace) and blank lines are ignored. Duplicate triples collapse
+    to one. The kept lines are split once, by column: one join and one
+    split over all of them. Only a file with a fault is rescanned row by
+    row, to raise GraphFormatError naming its first faulty line.
     """
-    rows = []
-    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
+    lines = read_text(path).split("\n")
+    kept = [line for line in lines if line.lstrip()[:1] not in ("", "#")]
+    if set(map(str.count, kept, itertools.repeat("\t"))) <= {2}:
+        cells = list(map(str.strip, "\t".join(kept).split("\t"))) if kept else []
+        if all(cells):
+            return KnowledgeGraph.from_labeled_triples(
+                zip(cells[0::3], cells[1::3], cells[2::3]), taxonomy_predicate)
+    for line_number, line in enumerate(lines, start=1):
         head = line.lstrip()
         if not head or head.startswith("#"):
             continue
@@ -205,12 +216,9 @@ def load_graph(path, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE) -> Knowledge
             raise GraphFormatError(
                 path, line_number, f"expected 3 tab-separated fields, got {len(fields)}"
             )
-        subject, predicate, obj = fields
-        subject, predicate, obj = subject.strip(), predicate.strip(), obj.strip()
-        if not subject or not predicate or not obj:
+        if not all(field.strip() for field in fields):
             raise GraphFormatError(path, line_number, "empty field")
-        rows.append((subject, predicate, obj))
-    return KnowledgeGraph.from_labeled_triples(rows, taxonomy_predicate)
+    raise AssertionError(f"{path}: a column failed but no row does")
 
 
 def lcs_distance(kg: KnowledgeGraph, a: str, b: str):

@@ -17,7 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dke as dke_mod
-from .config import MODES, PipelineConfig, config_hash, emit_config, require_input_files
+from .config import (
+    MODES,
+    PipelineConfig,
+    build_hash,
+    config_hash,
+    emit_config,
+    require_input_files,
+)
 from .datasets import encode_dataset, encode_texts, read_labeled_tsv
 from .embedding import (
     DimensionModel,
@@ -121,17 +128,23 @@ def _artifact_paths(cfg: PipelineConfig) -> dict:
 
 def build(cfg: PipelineConfig) -> BuildArtifacts:
     """Build (or reuse) the KG, dimension models, seeded subgraph, and
-    knowledge embedding under the config's output directory."""
+    knowledge embedding under the config's output directory.
+
+    The stored build is reused when the manifest records the same
+    build_hash (the [subkg] and [embedding] settings and the corpus
+    names), the same input sha256s and the sha256 of every artifact.
+    """
     require_input_files(cfg)
     out_dir = cfg.out_dir
     paths = _artifact_paths(cfg)
     cfg_sha = config_hash(cfg)
+    build_sha = build_hash(cfg)
     inputs = _input_hashes(cfg)
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     if os.path.isfile(manifest_path):
         manifest = _read_json(manifest_path)
-        if manifest.get("config_sha256") == cfg_sha and manifest.get("inputs") == inputs:
+        if manifest.get("build_sha256") == build_sha and manifest.get("inputs") == inputs:
             recorded = manifest.get("artifacts")
             recorded = recorded if isinstance(recorded, dict) else {}
             stale = sorted(rel for rel, sha in _artifact_hashes(cfg, paths).items()
@@ -179,7 +192,7 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
         _save_model(paths, model)
     _save_seeded(paths, kg, seeded)
     ke = _write_knowledge_embedding(cfg, paths, seeded, models)
-    _write_manifest(cfg, paths, {"format": 1, "config_sha256": cfg_sha, "inputs": inputs})
+    _write_manifest(cfg, paths, {"format": 1, "build_sha256": build_sha, "inputs": inputs})
     counts = (len(seeded.subkg.triples), len(seeded.subkg.concepts()),
               seeded.embedding_matrix.shape[1])
     return BuildArtifacts(models, ke.values, ke.pair_count, cfg_sha, subgraph_counts=counts)

@@ -17,7 +17,7 @@ import numpy as np
 from .embedding import embed_concepts
 from .errors import ValidationError
 from .kg import KnowledgeGraph, SubKG, n_hop_neighborhood
-from .text import tokenize
+from .text import tokenize_all
 
 
 @dataclass
@@ -51,13 +51,14 @@ class SeededSubKG:
 
 
 def corpus_stats(dataset) -> CorpusStats:
-    """Tokenized per-class counts for a list of (label, text) pairs."""
+    """Tokenized per-class counts for a list of (label, text) pairs; the
+    texts are tokenized in one tokenize_all pass."""
     dataset = list(dataset)
     if not dataset:
         raise ValidationError("dataset is empty")
     class_counts: dict[str, Counter] = {}
-    for label, text in dataset:
-        class_counts.setdefault(label, Counter()).update(tokenize(text))
+    for (label, _), tokens in zip(dataset, tokenize_all([text for _, text in dataset])):
+        class_counts.setdefault(label, Counter()).update(tokens)
     totals = {label: sum(c.values()) for label, c in class_counts.items()}
     vocab = frozenset().union(*class_counts.values())
     return CorpusStats(class_counts, totals, vocab)
@@ -71,20 +72,37 @@ def relevance_score(tokens, stats: CorpusStats, target_class: str) -> float:
     class and q the smoothed probability over all documents; the score
     is the sum of p*ln(p/q). Smoothing keeps unseen tokens finite.
     """
-    if target_class not in stats.class_token_counts:
-        raise ValidationError(f"unknown target class: {target_class!r}")
-    if stats.total_tokens == 0:
-        raise ValidationError("corpus has no tokens")
+    term = _kl_term(stats, target_class)
     if not tokens:
         raise ValidationError("concept label has no tokens")
+    return _summed_terms(tokens, term)
+
+
+def _kl_term(stats: CorpusStats, target_class: str):
+    """The function token -> p*ln(p/q) that relevance_score sums, with the
+    class totals summed once."""
+    if target_class not in stats.class_token_counts:
+        raise ValidationError(f"unknown target class: {target_class!r}")
+    total = stats.total_tokens
+    if total == 0:
+        raise ValidationError("corpus has no tokens")
     vocab_size = len(stats.vocab)
     target_counts = stats.class_token_counts[target_class]
-    target_total = stats.class_totals[target_class]
+    target_denominator = stats.class_totals[target_class] + vocab_size
+    overall_denominator = total + vocab_size
+
+    def term(token: str) -> float:
+        p = (target_counts[token] + 1.0) / target_denominator
+        q = (stats.overall_count(token) + 1.0) / overall_denominator
+        return p * math.log(p / q)
+    return term
+
+
+def _summed_terms(tokens, term) -> float:
+    """term(token) summed over tokens one after another from 0.0."""
     score = 0.0
     for token in tokens:
-        p = (target_counts[token] + 1.0) / (target_total + vocab_size)
-        q = (stats.overall_count(token) + 1.0) / (stats.total_tokens + vocab_size)
-        score += p * math.log(p / q)
+        score += term(token)
     return score
 
 
@@ -92,24 +110,25 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
                          hops: int, top_m: int, models) -> SeededSubKG:
     """Score, seed, expand, and embed.
 
-    Every concept whose label tokens all occur in the corpus is scored;
-    the top_m scores (ties at the boundary included) become seeds and
-    are expanded to their hop-neighborhood. Ties and column order are
-    broken by concept id, so the result is independent of document
-    order.
+    Every concept whose label tokens all occur in the corpus is scored
+    by relevance_score's sum: each distinct token's term is computed
+    once and added, in label order, wherever it occurs. The top_m scores
+    (ties at the boundary included) become seeds and are expanded to
+    their hop-neighborhood. Ties and column order are broken by concept
+    id, so the result is independent of document order.
     """
     if top_m < 1:
         raise ValidationError("top_m must be >= 1")
     if hops < 0:
         raise ValidationError("hops must be >= 0")
-    scores: dict[str, float] = {}
     label_tokens = kg.label_tokens
-    for cid in sorted(kg.concepts):
-        tokens = label_tokens[cid]
-        if tokens and stats.vocab.issuperset(tokens):
-            scores[cid] = relevance_score(tokens, stats, target_class)
-    if not scores:
+    scored = [cid for cid in sorted(kg.concepts)
+              if label_tokens[cid] and stats.vocab.issuperset(label_tokens[cid])]
+    if not scored:
         raise ValidationError("no concept label matches the corpus vocabulary")
+    term = _kl_term(stats, target_class)
+    terms = {token: term(token) for token in {t for cid in scored for t in label_tokens[cid]}}
+    scores = {cid: _summed_terms(label_tokens[cid], terms.__getitem__) for cid in scored}
 
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     cutoff = ranked[min(top_m, len(ranked)) - 1][1]

@@ -2,8 +2,9 @@
 
 tokenize splits documents, corpora and concept labels alike. A graph's
 labels are tokenized in one place, all at once through tokenize_all
-(kg.KnowledgeGraph.label_tokens); all label matching is exact token
-match, with no fuzzy entity linking.
+(kg.KnowledgeGraph.label_tokens), and so are a build's corpora and its
+labeled training texts; all label matching is exact token match, with
+no fuzzy entity linking.
 normalize_label only forms concept ids and predicates.
 """
 

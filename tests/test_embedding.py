@@ -3,6 +3,7 @@
 import importlib
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,9 @@ from kginfuse import pipeline
 from kginfuse.config import parse_config
 from kginfuse.embedding import (
     DimensionModel,
-    _cooccurrence_counts,
+    _cooccurrence_pairs,
     _fix_signs,
-    _positive_pmi,
+    _ppmi_matrix,
     content_width,
     embed_concepts,
     embed_token_lists,
@@ -58,9 +59,8 @@ class TestTrainDimensionModel:
     def test_ppmi_of_two_token_corpus_by_hand(self):
         # Five documents "alpha beta": counts [[0,5],[5,0]], total 10,
         # margins all 5, so pmi = ln(5*10/25) = ln 2 off-diagonal.
-        counts = np.array([[0.0, 5.0], [5.0, 0.0]])
         expected = np.array([[0.0, math.log(2)], [math.log(2), 0.0]])
-        np.testing.assert_allclose(_positive_pmi(counts), expected, atol=1e-15)
+        np.testing.assert_allclose(pair_ppmi([[0, 1]] * 5, 2, 1), expected, atol=1e-15)
 
     def test_co_occurring_tokens_align(self):
         # alpha and beta co-occur in every document they appear in; the
@@ -96,12 +96,9 @@ class TestTrainDimensionModel:
         np.testing.assert_allclose(model.vectors, want, rtol=0, atol=1e-10)
 
     def test_matches_truncated_svd_on_a_wide_graph_corpus(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(BENCH)
-        workloads = importlib.import_module("workloads")
-        cfg = parse_config(workloads.generate("wide-graph", str(tmp_path), 0))
-        corpus = _corpus_lines(cfg.corpora["topical"])
-        model = train_dimension_model(corpus, d_sub=cfg.d_sub["topical"], window=cfg.window)
-        want = svd_oracle(corpus, cfg.d_sub["topical"], cfg.window)
+        corpus, d_sub, window = _wide_graph_corpus(tmp_path, monkeypatch)
+        model = train_dimension_model(corpus, d_sub=d_sub, window=window)
+        want = svd_oracle(corpus, d_sub, window)
         np.testing.assert_allclose(model.vectors, want, rtol=0, atol=1e-10)
 
 
@@ -118,9 +115,68 @@ class TestCooccurrenceCounts:
     @given(id_corpora(), st.integers(1, 6))
     def test_equal_to_the_loop(self, corpus, window):
         docs, n = corpus
-        got = _cooccurrence_counts(docs, n, window)
-        assert got.dtype == np.float64
+        pairs, counts = _cooccurrence_pairs(*flat_ids(docs), n, window)
+        assert counts.dtype == np.float64 and (counts > 0).all()
+        assert (np.diff(pairs) > 0).all()
+        got = np.zeros((n, n))
+        got.flat[pairs] = counts
         assert np.array_equal(got, loop_counts(docs, n, window))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(id_corpora(), st.integers(1, 6))
+    def test_ppmi_equals_the_dense_formula_bit_for_bit(self, corpus, window):
+        # Empty and one-token documents, and corpora with no co-occurring
+        # pair at all, are among the drawn cases.
+        docs, n = corpus
+        got = pair_ppmi(docs, n, window)
+        want = dense_positive_pmi(loop_counts(docs, n, window))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signbits included
+
+    def test_ppmi_of_a_wide_graph_corpus_equals_the_dense_formula(self, tmp_path, monkeypatch):
+        corpus, d_sub, window = _wide_graph_corpus(tmp_path, monkeypatch)
+        docs, n = _id_docs(corpus)
+        got = pair_ppmi(docs, n, window)
+        want = dense_positive_pmi(dense_cooccurrence_counts(docs, n, window))
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_dense_temporary_besides_the_eigh_input(self, tmp_path, monkeypatch):
+        # Counts and PMI kept as V x V arrays peak above 3 V^2 float64s.
+        corpus, d_sub, window = _wide_graph_corpus(tmp_path, monkeypatch)
+        v = _id_docs(corpus)[1]
+        tracemalloc.start()
+        try:
+            train_dimension_model(corpus, d_sub=d_sub, window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * v * v * 8
+
+
+def _wide_graph_corpus(tmp_path, monkeypatch):
+    """wide-graph's topical corpus at seed 0: (documents, d_sub, window)."""
+    monkeypatch.syspath_prepend(BENCH)
+    workloads = importlib.import_module("workloads")
+    cfg = parse_config(workloads.generate("wide-graph", str(tmp_path), 0))
+    return _corpus_lines(cfg.corpora["topical"]), cfg.d_sub["topical"], cfg.window
+
+
+def _id_docs(corpus):
+    """(documents as token ids, vocabulary size), ids in sorted token order."""
+    docs = [tokenize(doc) for doc in corpus]
+    vocab = {tok: i for i, tok in enumerate(sorted({tok for doc in docs for tok in doc}))}
+    return [[vocab[tok] for tok in doc] for doc in docs], len(vocab)
+
+
+def flat_ids(docs):
+    """(all token ids end to end, each document's length), as the model lays them out."""
+    ids = np.array([t for doc in docs for t in doc], dtype=np.int64)
+    return ids, np.array([len(doc) for doc in docs], dtype=np.intp)
+
+
+def pair_ppmi(docs, n, window):
+    """The model's PPMI matrix: pair counts, then PPMI at the pairs."""
+    return _ppmi_matrix(*_cooccurrence_pairs(*flat_ids(docs), n, window), n)
 
 
 def _corpus_lines(path):
@@ -141,12 +197,40 @@ def loop_counts(docs, n, window):
     return counts
 
 
+def dense_cooccurrence_counts(docs, n, window):
+    """Reference: n x n float counts, one bincount over flat pair ids per
+    offset, of the positions at most window apart in one document."""
+    ids = np.array([t for doc in docs for t in doc], dtype=np.int64)
+    doc_of = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+    longest = max((len(doc) for doc in docs), default=0)
+    pair_ids = [np.empty(0, dtype=np.int64)]
+    for k in range(1, min(window, longest - 1) + 1):
+        same = doc_of[k:] == doc_of[:-k]
+        a, b = ids[:-k][same], ids[k:][same]
+        pair_ids += [a * n + b, b * n + a]
+    flat = np.bincount(np.concatenate(pair_ids), minlength=n * n)
+    return flat.reshape(n, n).astype(float)
+
+
+def dense_positive_pmi(counts):
+    """Reference: the positive PMI of a dense count matrix, entry by entry."""
+    total = counts.sum()
+    if total == 0:
+        # Single-token corpus: no co-occurrence at all.
+        return np.zeros_like(counts)
+    row = counts.sum(axis=1, keepdims=True)
+    col = counts.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pmi = np.log(counts * total / (row * col))
+    pmi[~np.isfinite(pmi)] = 0.0
+    np.maximum(pmi, 0.0, out=pmi)
+    return pmi
+
+
 def svd_oracle(corpus, d_sub, window):
-    """Reference: loop counts, PPMI, then the full SVD truncated to d_sub columns."""
-    docs = [tokenize(doc) for doc in corpus]
-    vocab = {tok: i for i, tok in enumerate(sorted({tok for doc in docs for tok in doc}))}
-    counts = loop_counts([[vocab[tok] for tok in doc] for doc in docs], len(vocab), window)
-    u, s, _ = np.linalg.svd(_positive_pmi(counts))
+    """Reference: loop counts, dense PPMI, then the full SVD truncated to d_sub columns."""
+    docs, n = _id_docs(corpus)
+    u, s, _ = np.linalg.svd(dense_positive_pmi(loop_counts(docs, n, window)))
     return _fix_signs(u[:, :d_sub]) * np.sqrt(s[:d_sub])
 
 

@@ -25,6 +25,7 @@ from kginfuse.kg import (
     n_hop_neighborhood,
 )
 from kginfuse.seeding import corpus_stats, extract_seeded_subkg
+from kginfuse.storage import read_text
 from kginfuse.synth import generate_benchmark
 from kginfuse.text import normalize_label, tokenize, tokenize_all
 
@@ -223,8 +224,8 @@ class TestLabelTokens:
             calls.append(text)
             return tokenize(text)
 
-        for module in ("text", "seeding", "embedding"):
-            monkeypatch.setattr(f"kginfuse.{module}.tokenize", counted)
+        # seeding and embedding tokenize only through kginfuse.text.
+        monkeypatch.setattr("kginfuse.text.tokenize", counted)
         kg = load_graph(path)
         label_tokens = kg.label_tokens
         index = kg.token_index
@@ -243,7 +244,72 @@ class TestLabelTokens:
         assert kg.label_tokens["c8"] == ("north", "wind")
 
 
+def reference_rows(path):
+    """Reference: the file parsed row by row, as (subject, predicate, object)
+    rows of stripped fields; raises GraphFormatError at the first bad line."""
+    rows = []
+    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
+        head = line.lstrip()
+        if not head or head.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise GraphFormatError(
+                path, line_number, f"expected 3 tab-separated fields, got {len(fields)}"
+            )
+        subject, predicate, obj = (field.strip() for field in fields)
+        if not subject or not predicate or not obj:
+            raise GraphFormatError(path, line_number, "empty field")
+        rows.append((subject, predicate, obj))
+    return rows
+
+
+FILLER_LINES = ["", "  ", "\t", " \t ", "# comment", "  # indented\tcomment\tline", "#a\tb"]
+FAULTY_LINES = ["broken line", "a\tisa", "a\tisa\tb\tc", "\tisa\tcat", "cat\t \tx1",
+                "cat\tisa\t\u00a0", "\t\t\tx"]
+
+
+@st.composite
+def triple_files(draw):
+    """(bytes, faulty) of a kg.tsv: labeled_rows written with padded
+    fields (no tab inside a label), among comment, blank and
+    whitespace-only lines, with LF or CRLF ends and maybe a BOM; a faulty
+    draw holds one or more bad lines."""
+    rows = [row for row in draw(labeled_rows())
+            if all(field.strip() and "\t" not in field for field in row)]
+    lines = [draw(st.sampled_from(["", " "])) + "\t".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLER_LINES)))
+    faulty = draw(st.integers(0, 2)) if draw(st.booleans()) else 0
+    for _ in range(faulty):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FAULTY_LINES)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8"), bool(faulty)
+
+
 class TestLoadGraph:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(triple_files())
+    def test_equals_the_row_parser(self, tmp_path_factory, case):
+        blob, faulty = case
+        path = tmp_path_factory.getbasetemp() / "drawn_kg.tsv"
+        path.write_bytes(blob)
+        expected = outcome(lambda: reference_from_labeled_triples(reference_rows(path)))
+        assert outcome(lambda: derived(load_graph(path))) == expected
+        # outcome lists the concepts in order, or the error's type and message.
+        assert (expected[0] is GraphFormatError) == faulty
+
+    def test_the_first_of_several_faults_is_named(self, tmp_path):
+        path = write_kg(tmp_path, "# c\na\tisa\tb\n\n\ta\tisa\tb\tc\nx\t \ty\nbroken\n")
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert str(err.value) == f"{path}:4: expected 3 tab-separated fields, got 5"
+        path = write_kg(tmp_path, "a\tisa\tb\r\nx\t \ty\r\nbroken\r\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}:2: empty field")):
+            load_graph(path)
+
     def test_empty_file(self, tmp_path):
         kg = load_graph(write_kg(tmp_path, ""))
         assert len(kg.triples) == 0

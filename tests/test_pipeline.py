@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import tempfile
 import time
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kginfuse import pipeline
-from kginfuse.config import MODES, config_hash, parse_config
+from kginfuse.config import MODES, build_hash, config_hash, parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
 from kginfuse.nlm import log_softmax
@@ -71,7 +72,8 @@ class TestBuild:
         manifest = json.loads(
             open(os.path.join(cfg.out_dir, "manifest.json"), encoding="utf-8").read()
         )
-        assert manifest["config_sha256"] == art.config_sha
+        assert manifest["build_sha256"] == build_hash(cfg)
+        assert art.config_sha == config_hash(cfg)
         for rel in manifest["artifacts"]:
             assert os.path.isfile(os.path.join(cfg.out_dir, rel))
 
@@ -124,6 +126,46 @@ class TestBuild:
             handle.write("pos\tjihad banner anew\n")
         again = build(cfg)
         assert not again.up_to_date
+
+    def test_other_settings_keep_an_evolved_subgraph(self, tiny_project, tmp_path):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        bad = tmp_path / "update_eval.tsv"
+        bad.write_text("pos\tcomet in the sky\nneg\tgarden river calm\n", encoding="utf-8")
+        ckpt = constant_checkpoint(str(tmp_path / "const.kicp"))
+        assert update_kg(cfg, ckpt, dataset_path=str(bad)).new_triples == 2
+        subkg = os.path.join(cfg.out_dir, "subkg")
+        evolved = {name: sha256_file(os.path.join(subkg, name)) for name in os.listdir(subkg)}
+        other = replace(cfg, mode="infused", seed=7, eval_dataset_path=None, hidden=6,
+                        epochs=1, gate_lr=0.5, alpha=2.0, compare_seeds=3)
+        again = build(other)
+        assert again.up_to_date and again.config_sha == config_hash(other)
+        assert {name: sha256_file(os.path.join(subkg, name))
+                for name in os.listdir(subkg)} == evolved
+        assert build(cfg).up_to_date
+
+    def test_a_copied_project_is_up_to_date(self, tiny_project, tmp_path_factory):
+        build(parse_config(tiny_project))
+        copy = tmp_path_factory.mktemp("copy")
+        shutil.copytree(tiny_project.parent, copy, dirs_exist_ok=True)
+        assert build(parse_config(copy / tiny_project.name)).up_to_date
+
+    @pytest.mark.parametrize("change", [
+        {"window": 2}, {"d_sub": {"main": 3}}, {"top_m": 1}, {"subkg_hops": 1},
+        {"predicates": ("isa",)}, {"taxonomy_predicate": "related_to"},
+        {"target_class": "neg"},
+    ])
+    def test_a_build_setting_change_rebuilds(self, tiny_project, change):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        assert not build(replace(cfg, **change)).up_to_date
+
+    def test_a_corpus_change_rebuilds(self, tiny_project, tmp_path):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        with open(tmp_path / "corpus.txt", "a", encoding="utf-8") as handle:
+            handle.write("comet garden omen\n")
+        assert not build(cfg).up_to_date
 
     def test_deterministic_artifact_hashes(self, tiny_project):
         cfg = parse_config(tiny_project)

@@ -1,17 +1,26 @@
 """Corpus statistics, KL relevance scoring, and seeded extraction."""
 
+import importlib
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kginfuse.config import parse_config
+from kginfuse.datasets import read_labeled_tsv
 from kginfuse.embedding import DimensionModel, embed_token_lists
 from kginfuse.errors import ValidationError
-from kginfuse.kg import KnowledgeGraph, n_hop_neighborhood
+from kginfuse.kg import KnowledgeGraph, load_graph, n_hop_neighborhood
 from kginfuse.pipeline import link_concepts
+from kginfuse.synth import generate_benchmark
 from kginfuse.seeding import corpus_stats, extract_seeded_subkg, relevance_score
 from kginfuse.text import tokenize
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 def brute_relevance(concept_label, dataset, target_class):
     """Independent recomputation straight from the raw documents."""
@@ -60,6 +69,19 @@ class TestCorpusStats:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
             corpus_stats([])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["pos", "neg"]),
+                              st.text(alphabet="ab Σς.\n\t\r-_", max_size=12)), min_size=1))
+    @example([("pos", "alpha\nbeta ODΣ"), ("neg", "ΣΣ.\nbeta")])
+    def test_counts_equal_the_per_document_tokenize_counts(self, dataset):
+        stats = corpus_stats(dataset)
+        want = {}
+        for label, text in dataset:
+            want.setdefault(label, Counter()).update(tokenize(text))
+        assert stats.class_token_counts == want
+        assert stats.class_totals == {label: sum(c.values()) for label, c in want.items()}
+        assert stats.vocab == frozenset().union(*want.values())
 
 
 class TestRelevanceScore:
@@ -218,3 +240,45 @@ class TestExtractSeededSubkg:
         norms = np.linalg.norm(seeded.embedding_matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert set(seeded.relevance) <= seeded.subkg.concepts()
+
+
+def _synth_project(tmp_path, monkeypatch):
+    return generate_benchmark(str(tmp_path), seed=0).config
+
+
+def _wide_graph_project(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    return importlib.import_module("workloads").generate("wide-graph", str(tmp_path), 0)
+
+
+@pytest.mark.parametrize("project", [_synth_project, _wide_graph_project])
+def test_every_seeded_score_is_relevance_score_exactly(tmp_path, monkeypatch, project):
+    cfg = parse_config(project(tmp_path, monkeypatch))
+    kg = load_graph(cfg.kg_path, cfg.taxonomy_predicate)
+    stats = corpus_stats(read_labeled_tsv(cfg.dataset_path))
+    models = [zero_model(stats.vocab)]
+    # As configured, and with every scored concept a seed.
+    for hops, top_m in ((cfg.subkg_hops, cfg.top_m), (0, len(kg.concepts))):
+        seeded = extract_seeded_subkg(kg, stats, cfg.target_class, hops, top_m, models)
+        assert len(seeded.relevance) >= min(top_m, cfg.top_m)
+        for cid, score in seeded.relevance.items():
+            assert score == relevance_score(kg.label_tokens[cid], stats, cfg.target_class), cid
+    assert len(seeded.relevance) == sum(
+        stats.vocab.issuperset(tokens) for tokens in kg.label_tokens.values() if tokens)
+
+
+def test_long_labels_sum_their_terms_in_label_order():
+    # From three terms on, the order of a float sum shows in its value.
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(12)]
+    dataset = [("pos" if i % 3 else "neg", " ".join(rng.choice(words, size=8)))
+               for i in range(30)]
+    labels = [" ".join(rng.choice(words, size=rng.integers(3, 7))) for _ in range(40)]
+    kg = KnowledgeGraph.from_labeled_triples(
+        [(labels[i], "related", labels[i + 1]) for i in range(len(labels) - 1)])
+    stats = corpus_stats(dataset)
+    seeded = extract_seeded_subkg(kg, stats, "pos", 0, len(kg.concepts),
+                                  [zero_model(stats.vocab)])
+    assert len(seeded.relevance) == len(kg.concepts)
+    for cid, score in seeded.relevance.items():
+        assert score == relevance_score(kg.label_tokens[cid], stats, "pos"), cid
