@@ -1,7 +1,8 @@
 """Labeled dataset I/O and token-id encoding.
 
 Datasets are TSV files with two columns, label and text. A dataset is
-tokenized once: each distinct token gets one row of a table, its
+tokenized once, in one tokenize_all pass whose token lists are kept for
+concept linking: each distinct token gets one row of a table, its
 concatenated dimension vectors (zeros for a model that does not know
 it), and each document becomes a column of token ids. One extra zero row
 serves both out-of-vocabulary tokens and padding, and a document with no
@@ -21,7 +22,7 @@ from .embedding import content_width
 from .errors import ValidationError
 from .nlm import Batch
 from .storage import atomic_write_text, read_text
-from .text import tokenize
+from .text import tokenize_all
 
 
 def read_labeled_tsv(path) -> list:
@@ -50,11 +51,13 @@ class EncodedTexts:
     """Documents as token ids: table (U + 1, width) holds one row per
     distinct token known to some model and the zero row U, which serves
     unknown tokens and padding; ids (T, N) holds document n's ids in
-    column n, padded with U; lengths (N,) counts each document's steps."""
+    column n, padded with U; lengths (N,) counts each document's steps;
+    tokens lists each document's tokens, as tokenize gives them."""
 
     table: np.ndarray
     ids: np.ndarray
     lengths: np.ndarray
+    tokens: list
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -69,8 +72,9 @@ class EncodedTexts:
 
 
 def encode_texts(models, texts) -> EncodedTexts:
-    """Tokenize texts once and map every token to its table row."""
-    docs = [tokenize(text) for text in texts]
+    """Tokenize texts in one tokenize_all pass and map every token to its
+    table row."""
+    docs = tokenize_all(list(texts))
     tokens = list(dict.fromkeys(chain.from_iterable(docs)))
     # Each distinct token's vocabulary index in each model, -1 where unknown.
     indices = np.array([[model.vocab.get(token, -1) for token in tokens] for model in models],
@@ -88,7 +92,7 @@ def encode_texts(models, texts) -> EncodedTexts:
     ids = np.full((max(sizes.max(initial=0), 1), len(docs)), zero, dtype=np.intp)
     ids.T[np.arange(len(ids)) < sizes[:, None]] = np.fromiter(
         map(token_id.__getitem__, chain.from_iterable(docs)), dtype=np.intp, count=sizes.sum())
-    return EncodedTexts(table, ids, np.maximum(sizes, 1))
+    return EncodedTexts(table, ids, np.maximum(sizes, 1), docs)
 
 
 def token_sequence(models, text: str) -> np.ndarray:

@@ -236,7 +236,7 @@ def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
         raise ValidationError("seeded subgraph has no triples")
     kg = subkg.parent
     width = content_width(models)
-    triples = [t for t in sorted(subkg.triples)
+    triples = [t for t in subkg.sorted_triples
                if allowlist is None or t.predicate in allowlist]
     ids = sorted({c for t in triples for c in (t.subject, t.object)})
     row = {cid: i for i, cid in enumerate(ids)}

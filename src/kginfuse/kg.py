@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .storage import read_text
-from .text import normalize_label, tokenize_all
+from .text import normalize_all, tokenize_all
 
 DEFAULT_TAXONOMY_PREDICATE = "isa"
 
@@ -37,6 +37,12 @@ class Triple(NamedTuple):
     subject: str
     predicate: str
     object: str
+
+
+def make_triples(subjects, predicates, objects):
+    """Triple(s, p, o) for each row of the columns, each built by
+    tuple.__new__ without a Python call."""
+    return map(tuple.__new__, itertools.repeat(Triple), zip(subjects, predicates, objects))
 
 
 class KnowledgeGraph:
@@ -84,32 +90,38 @@ class KnowledgeGraph:
 
     @classmethod
     def from_labeled_triples(cls, rows, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE):
-        """Build a graph from (subject_label, predicate, object_label) rows.
+        """Build a graph from (subject_label, predicate, object_label) rows:
+        from_columns of their columns."""
+        columns = tuple(zip(*rows, strict=True)) or ((), (), ())
+        return cls.from_columns(*columns, taxonomy_predicate=taxonomy_predicate)
 
-        Each distinct raw label and predicate is normalized once.
+    @classmethod
+    def from_columns(cls, subjects, predicates, objects,
+                     taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE):
+        """Build a graph from the columns of (subject_label, predicate,
+        object_label) rows.
+
+        A concept's id is its first-seen raw label normalized, and its
+        label that raw label stripped. Each distinct raw label and
+        predicate is normalized once, and every step takes a whole column.
+        Of rows with an empty label or predicate, the first is named, its
+        predicate before its labels.
         """
-        concepts: dict[str, str] = {}
-        ids: dict[str, str] = {}  # raw label -> concept id
-        predicates: dict[str, str] = {}  # raw predicate -> normalized
-
-        def intern(label: str) -> str:
-            cid = normalize_label(label)
-            if not cid:
-                raise ValidationError("empty concept label")
-            if cid not in concepts:
-                concepts[cid] = label.strip()
-            ids[label] = cid
-            return cid
-
-        triples = set()
-        for subject, predicate, obj in rows:
-            normalized = predicates.get(predicate)
-            if normalized is None:
-                normalized = predicates[predicate] = normalize_label(predicate)
-            if not normalized:
-                raise ValidationError("empty predicate")
-            triples.add(Triple(ids.get(subject) or intern(subject), normalized,
-                               ids.get(obj) or intern(obj)))
+        raw = list(dict.fromkeys(itertools.chain.from_iterable(zip(subjects, objects))))
+        ids = dict(zip(raw, normalize_all(raw)))  # raw label -> concept id
+        # Ids in first-seen order; the reversed update writes each id's
+        # first-seen label last.
+        concepts = dict.fromkeys(ids.values())
+        concepts.update(zip(reversed(list(ids.values())), reversed(list(map(str.strip, raw)))))
+        normalized = normalize_all(predicates)
+        if not all(concepts) or not all(normalized):
+            for subject, predicate, obj in zip(subjects, normalized, objects):
+                if not predicate:
+                    raise ValidationError("empty predicate")
+                if not ids[subject] or not ids[obj]:
+                    raise ValidationError("empty concept label")
+        triples = set(make_triples(map(ids.__getitem__, subjects), normalized,
+                                   map(ids.__getitem__, objects)))
         return cls(triples, concepts, taxonomy_predicate)
 
     @cached_property
@@ -159,6 +171,13 @@ class SubKG:
     def concepts(self) -> set[str]:
         return set(self.frontier_depth)
 
+    @cached_property
+    def sorted_triples(self) -> list[Triple]:
+        """The triples in sorted order, sorted on first need: the knowledge
+        embedding adds its pair terms and the stored triples file lists
+        its rows in this order."""
+        return sorted(self.triples)
+
 
 def _find_cycle(parents: dict[str, set[str]]):
     """Return the members of one directed cycle, or None if acyclic."""
@@ -197,16 +216,19 @@ def load_graph(path, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE) -> Knowledge
     of surrounding whitespace. Lines starting with "#" (after leading
     whitespace) and blank lines are ignored. Duplicate triples collapse
     to one. The kept lines are split once, by column: one join and one
-    split over all of them. Only a file with a fault is rescanned row by
-    row, to raise GraphFormatError naming its first faulty line.
+    split over all of them, whose columns go to from_columns. Only a file
+    with a fault is rescanned row by row, to raise GraphFormatError naming
+    its first faulty line.
     """
     lines = read_text(path).split("\n")
     kept = [line for line in lines if line.lstrip()[:1] not in ("", "#")]
     if set(map(str.count, kept, itertools.repeat("\t"))) <= {2}:
-        cells = list(map(str.strip, "\t".join(kept).split("\t"))) if kept else []
-        if all(cells):
-            return KnowledgeGraph.from_labeled_triples(
-                zip(cells[0::3], cells[1::3], cells[2::3]), taxonomy_predicate)
+        cells = "\t".join(kept).split("\t") if kept else []
+        # Fields go unstripped: from_columns strips the labels it keeps and
+        # normalizes the rest. An empty or blank one goes to the rescan.
+        if all(cells) and not any(map(str.isspace, cells)):
+            return KnowledgeGraph.from_columns(cells[0::3], cells[1::3], cells[2::3],
+                                               taxonomy_predicate)
     for line_number, line in enumerate(lines, start=1):
         head = line.lstrip()
         if not head or head.startswith("#"):

@@ -41,7 +41,7 @@ from .infusion import (
     knowledge_infusion,
     trace_csv,
 )
-from .kg import KnowledgeGraph, SubKG, Triple, format_stats, load_graph
+from .kg import KnowledgeGraph, SubKG, format_stats, load_graph, make_triples
 from .metrics import EvalReport, evaluate_predictions, report_csv, report_text
 from .nlm import (
     LSTMParams,
@@ -63,7 +63,7 @@ from .storage import (
     save_checkpoint,
     sha256_file,
 )
-from .text import normalize_label, tokenize
+from .text import normalize_all, normalize_label
 
 log = logging.getLogger(__name__)
 
@@ -239,11 +239,14 @@ def _write_columns(path, *columns) -> None:
 
 
 def _read_columns(path, *types) -> list:
-    """The columns _write_columns wrote, each converted by its
-    type. A wrong field count, a ValueError from a type, a cut last line or
-    bytes that are not UTF-8 raise StorageError naming path:line; of
-    several faults, the first line's wins, its field count before its
-    fields."""
+    """The columns _write_columns wrote, each converted by its type: a
+    callable applied to each cell, or a (cell, column) pair of converters
+    whose column function converts the whole column in one call (a list of
+    cells in, the converted list out, ValueError where the cell function
+    would raise on some cell). A wrong field count, a ValueError from a
+    cell function, a cut last line or bytes that are not UTF-8 raise
+    StorageError naming path:line; of several faults, the first line's
+    wins, its field count before its fields."""
     try:
         lines = read_text(path).split("\n")
     except ValidationError as exc:
@@ -254,19 +257,27 @@ def _read_columns(path, *types) -> list:
     if set(map(str.count, lines, itertools.repeat("\t"))) <= {width - 1}:
         cells = "\t".join(lines).split("\t") if lines else []
         try:
-            return [list(map(kind, cells[j::width])) for j, kind in enumerate(types)]
+            return [_convert_column(kind, cells[j::width]) for j, kind in enumerate(types)]
         except ValueError:
             pass  # named by the row-order rescan below
+    cell_types = [kind[0] if isinstance(kind, tuple) else kind for kind in types]
     for number, line in enumerate(lines, start=1):
         fields = line.split("\t")
         if len(fields) != width:
             raise StorageError(f"{path}:{number}: expected {width} fields, got {len(fields)}")
         try:
-            for kind, value in zip(types, fields):
+            for kind, value in zip(cell_types, fields):
                 kind(value)
         except ValueError as exc:
             raise StorageError(f"{path}:{number}: {exc}") from exc
     raise AssertionError(f"{path}: a column failed to convert but no row does")
+
+
+def _convert_column(kind, cells: list) -> list:
+    """One column's cells converted by its _read_columns type."""
+    if isinstance(kind, tuple):
+        return kind[1](cells)
+    return cells if kind is str else list(map(kind, cells))
 
 
 def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededSubKG,
@@ -305,7 +316,7 @@ def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
 
 
 def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
-    triples = sorted(seeded.subkg.triples)
+    triples = seeded.subkg.sorted_triples
     label = kg.concepts
     _write_columns(paths["subkg_triples"], [label[t.subject] for t in triples],
                    [t.predicate for t in triples], [label[t.object] for t in triples])
@@ -341,27 +352,64 @@ def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSu
     embedding matrix must be as wide as the models' content vectors.
     Returns (kg, seeded)."""
     paths = _artifact_paths(cfg)
-    kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
-    ids = {text: cid for cid, text in kg.concepts.items()}
+    subkg = _load_subkg(cfg, paths)
+    return subkg.parent, _load_seeded(paths, subkg, models)
 
+
+def _load_subkg(cfg: PipelineConfig, paths: dict) -> SubKG:
+    """Stage one of load_subgraph: parse the graph and read the stored
+    triples and depths over it."""
+    kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
+    labels = _label_converters(kg)
+    subjects, predicates, objects = _read_columns(
+        paths["subkg_triples"], labels, (normalize_label, normalize_all), labels)
+    depths = _read_columns(paths["subkg_depths"], _concept_converters(kg), int)
+    return SubKG(parent=kg, triples=frozenset(make_triples(subjects, predicates, objects)),
+                 frontier_depth=dict(zip(*depths)))
+
+
+def _load_seeded(paths: dict, subkg: SubKG, models) -> SeededSubKG:
+    """Stage two of load_subgraph: the stored relevance scores, embedded
+    concepts and embedding matrix of subkg."""
+    concepts = _concept_converters(subkg.parent)
+    relevance = _read_columns(paths["subkg_scores"], concepts, float)
+    embedded = tuple(_read_columns(paths["subkg_concepts"], concepts)[0])
+    matrix = _load_shaped(paths["subkg_matrix"], (content_width(models), len(embedded)))
+    return SeededSubKG(subkg, dict(zip(*relevance)), matrix, embedded)
+
+
+def _concept_converters(kg: KnowledgeGraph) -> tuple:
+    """The (cell, column) converters for _read_columns of a column of the
+    graph's concept ids: the column is checked by one set comparison."""
     def concept(cid):
         if cid not in kg.concepts:
             raise ValueError(f"{cid!r} is not a concept of the graph")
         return cid
 
+    def concepts(cells):
+        if not kg.concepts.keys() >= set(cells):
+            raise ValueError("a cell is not a concept of the graph")
+        return cells
+
+    return concept, concepts
+
+
+def _label_converters(kg: KnowledgeGraph) -> tuple:
+    """The (cell, column) converters for _read_columns of a column of
+    stored labels, each turned into its concept's id: a label is looked up
+    among the graph's own labels, and only a miss is normalized."""
+    ids = dict(zip(kg.concepts.values(), kg.concepts))  # label -> concept id
+    concept = _concept_converters(kg)[0]
+
     def label(text):
         cid = ids.get(text)  # a stored label is the concept's own
         return concept(normalize_label(text)) if cid is None else cid
 
-    subjects, predicates, objects = _read_columns(paths["subkg_triples"], label,
-                                                  normalize_label, label)
-    depths = _read_columns(paths["subkg_depths"], concept, int)
-    relevance = _read_columns(paths["subkg_scores"], concept, float)
-    embedded = tuple(_read_columns(paths["subkg_concepts"], concept)[0])
-    matrix = _load_shaped(paths["subkg_matrix"], (content_width(models), len(embedded)))
-    subkg = SubKG(parent=kg, triples=frozenset(map(Triple, subjects, predicates, objects)),
-                  frontier_depth=dict(zip(*depths)))
-    return kg, SeededSubKG(subkg, dict(zip(*relevance)), matrix, embedded)
+    def labels(cells):
+        found = list(map(ids.get, cells))
+        return list(map(label, cells)) if None in found else found
+
+    return label, labels
 
 
 # ---------------------------------------------------------------------------
@@ -795,16 +843,18 @@ def comparison_csv(report: ComparisonReport) -> str:
 # knowledge update cycle
 
 
-def link_concepts(kg: KnowledgeGraph, text: str) -> set:
-    """Concepts whose label tokens occur in the text as a contiguous token run.
+def link_concepts(kg: KnowledgeGraph, tokens) -> set:
+    """Concepts whose label tokens occur in a document's tokens as a
+    contiguous run.
 
-    Each run of up to kg.longest_label tokens is looked up in kg.token_index.
+    The runs of up to kg.longest_label tokens are formed one width at a
+    time and met with kg.token_index by one set intersection.
     """
-    tokens = tokenize(text)
-    longest = kg.longest_label
-    runs = {tuple(tokens[i:j]) for i in range(len(tokens))
-            for j in range(i + 1, min(i + longest, len(tokens)) + 1)}
-    return {cid for run in runs for cid in kg.token_index.get(run, ())}
+    index = kg.token_index
+    runs = set()
+    for width in range(1, kg.longest_label + 1):
+        runs.update(zip(*(tokens[k:] for k in range(width))))
+    return {cid for run in index.keys() & runs for cid in index[run]}
 
 
 @dataclass
@@ -821,19 +871,25 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     """One differential-knowledge cycle driven by misclassified examples.
 
     Evolves the stored seeded subgraph, refreshes the knowledge
-    embedding, and appends one line to the update audit log.
+    embedding, and appends one line to the update audit log. The stored
+    triples and depths are read first; the scores, embedded concepts and
+    embedding matrix only once the retrieved triples are not all stored
+    already, so a cycle with nothing to absorb never reads them.
     """
     art = load_build(cfg)
-    kg, seeded = load_subgraph(cfg, art.models)
+    paths = _artifact_paths(cfg)
+    subkg = _load_subkg(cfg, paths)
+    kg = subkg.parent
     ckpt = load_trained(checkpoint_path)
     path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
     rows = read_labeled_tsv(path)
 
     encoded = encode_texts(art.models, [text for _, text in rows])
     predicted = ckpt.predict_labels(encoded.batch())
-    missed = [text for (label, text), guess in zip(rows, predicted) if guess != label]
+    missed = [tokens for (label, _), guess, tokens in zip(rows, predicted, encoded.tokens)
+              if guess != label]
     misclassified = len(missed)
-    missed_concepts = set().union(*(link_concepts(kg, text) for text in missed))
+    missed_concepts = set().union(*(link_concepts(kg, tokens) for tokens in missed))
 
     if misclassified == 0:
         return _finish_update(cfg, UpdateOutcome(0, 0, 0, "no misclassifications"))
@@ -843,11 +899,12 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         )
 
     retrieved = dke_mod.knowledge_proximity(kg, missed_concepts, cfg.proximity_hops)
-    diff = dke_mod.differential_subkg(retrieved, seeded, art.models)
-    if not diff.triples:
+    if retrieved.triples <= subkg.triples:
         return _finish_update(
             cfg, UpdateOutcome(misclassified, 0, 0, "difference already absorbed")
         )
+    seeded = _load_seeded(paths, subkg, art.models)
+    diff = dke_mod.differential_subkg(retrieved, seeded, art.models)
 
     solution = None
     if diff.new_concepts:
@@ -863,7 +920,6 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         )
     updated = dke_mod.update_seeded(seeded, diff, solution)
 
-    paths = _artifact_paths(cfg)
     _save_seeded(paths, kg, updated)
     _write_knowledge_embedding(cfg, paths, updated, art.models)
     manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)

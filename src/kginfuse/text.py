@@ -2,10 +2,11 @@
 
 tokenize splits documents, corpora and concept labels alike. A graph's
 labels are tokenized in one place, all at once through tokenize_all
-(kg.KnowledgeGraph.label_tokens), and so are a build's corpora and its
-labeled training texts; all label matching is exact token match, with
+(kg.KnowledgeGraph.label_tokens), and so are a build's corpora and
+every labeled dataset; all label matching is exact token match, with
 no fuzzy entity linking.
-normalize_label only forms concept ids and predicates.
+normalize_label, and normalize_all over a column, only form concept ids
+and predicates.
 """
 
 import re
@@ -29,7 +30,7 @@ def tokenize_all(texts: list[str]) -> list[list[str]]:
     lines = _NON_WORD.sub(" ", "\n".join(texts).lower()).split("\n")
     if len(lines) != len(texts):
         return [tokenize(text) for text in texts]
-    return [line.split() for line in lines]
+    return list(map(str.split, lines))
 
 
 def normalize_label(label: str) -> str:
@@ -39,3 +40,11 @@ def normalize_label(label: str) -> str:
     produce identical ids. Never used to match a label against text.
     """
     return " ".join(label.casefold().split())
+
+
+def normalize_all(labels) -> list[str]:
+    """[normalize_label(label) for label in labels], each distinct label
+    normalized once and without a Python call per label."""
+    distinct = list(set(labels))
+    normal = dict(zip(distinct, map(" ".join, map(str.split, map(str.casefold, distinct)))))
+    return list(map(normal.__getitem__, labels))

@@ -94,6 +94,36 @@ def test_a_corrupt_subgraph_fails_update_kg_but_not_eval(tiny_project, capsys):
     assert capsys.readouterr().out == report
 
 
+@pytest.mark.parametrize("name", ["depths.tsv", "triples.tsv"])
+def test_a_no_op_update_kg_exits_two_on_a_cut_triples_or_depths_file(tiny_project, capsys,
+                                                                     name):
+    config = ["--config", str(tiny_project)]
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 0
+    assert "outcome: updated" in capsys.readouterr().out
+    assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 0
+    assert "outcome: difference already absorbed" in capsys.readouterr().out
+
+    path = tiny_project.parent / "out" / "subkg" / name
+    path.write_bytes(path.read_bytes()[:-3])
+    assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"{re.escape(str(path))}:\d+: line not terminated", err)
+
+
+@pytest.mark.parametrize("name, row", [("scores.tsv", b"nowhere\t0.5\n"),
+                                       ("concepts.tsv", b"nowhere\n")])
+def test_an_absorbing_update_kg_exits_two_naming_the_bad_line(tiny_project, capsys, name, row):
+    config = ["--config", str(tiny_project)]
+    checkpoint = _train_vanilla(tiny_project, capsys)
+    path = tiny_project.parent / "out" / "subkg" / name
+    line = path.read_bytes().count(b"\n") + 1
+    with open(path, "ab") as handle:
+        handle.write(row)
+    assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 2
+    assert f"{path}:{line}: 'nowhere' is not a concept of the graph" in capsys.readouterr().err
+
+
 def test_train_infused_via_mode_flag(tiny_project, capsys):
     assert main(["build", "--config", str(tiny_project)]) == 0
     assert main(["train", "--config", str(tiny_project), "--mode", "infused"]) == 0

@@ -82,6 +82,16 @@ class TestEncoder:
             want = reference_batch(models, [texts[i] for i in index])
             assert_same_batch(encoded.batch(index), want)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(ragged_texts.map(" ".join), st.text(),
+                              st.sampled_from(["ΟΔΟΣ ΣΟΦΟΣ", "Straße Café", "日本 語", "ΣΑΣ'Σ"])),
+                    max_size=10))
+    @example(["", "?! ... --", "pos\tneg", "a\u2028b c\x1cd"])  # empty, punctuation-only
+    @example(["Οδός Σ", "ς", "Σ"])  # a final sigma at the end of each document
+    @example(["north\nwind", "calm"])  # a document holding a newline
+    def test_kept_tokens_equal_per_document_tokenize(self, texts):
+        assert encode_texts(two_models(), texts).tokens == [tokenize(text) for text in texts]
+
     def test_one_zero_row_serves_oov_tokens_and_padding(self):
         encoded = encode_texts(two_models(), ["alpha oov", "", "delta"])
         assert not encoded.table[-1].any()

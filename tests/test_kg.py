@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kginfuse.config import parse_config
@@ -165,6 +165,8 @@ def labeled_rows(draw):
 class TestParserOracle:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(labeled_rows())
+    @example([("cat", "isa", "x1"), (" ", " ", "x1"), ("", "isa", "cat")])  # predicate first
+    @example([("cat", "isa", " "), ("cat", "", "x1")])  # the first faulty row
     def test_graph_equals_the_reference_parser(self, rows):
         expected = outcome(lambda: reference_from_labeled_triples(rows))
         assert outcome(lambda: derived(KnowledgeGraph.from_labeled_triples(rows))) == expected

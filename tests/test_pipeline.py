@@ -17,6 +17,7 @@ from kginfuse import pipeline
 from kginfuse.config import MODES, build_hash, config_hash, parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
+from kginfuse.kg import KnowledgeGraph, Triple
 from kginfuse.nlm import log_softmax
 from kginfuse.pipeline import (
     HEAD_CALIBRATION_L2,
@@ -33,7 +34,7 @@ from kginfuse.pipeline import (
 )
 from kginfuse.rng import derive_seed
 from kginfuse.storage import load_checkpoint, read_text, save_checkpoint, sha256_file
-from kginfuse.text import normalize_label, tokenize
+from kginfuse.text import normalize_all, normalize_label, tokenize
 from dataclasses import replace
 
 
@@ -655,6 +656,104 @@ class TestUpdateKg:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
+def _tree_bytes(root) -> dict:
+    """{path relative to root: bytes} of every file under root."""
+    found = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = handle.read()
+    return found
+
+
+class TestStagedReads:
+    EXTRAS = {"scores.tsv", "concepts.tsv", "embeddings.kign"}
+
+    @pytest.fixture
+    def project(self, tiny_project, tmp_path):
+        """A built project, a checkpoint that misses the comet document,
+        and a dataset holding it: the first update absorbs, the next not."""
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        data = tmp_path / "update_eval.tsv"
+        data.write_text("pos\tcomet in the sky\nneg\tgarden river calm\n", encoding="utf-8")
+        return cfg, constant_checkpoint(str(tmp_path / "const.kicp")), str(data)
+
+    def test_a_no_op_appends_one_audit_line_and_changes_no_other_file(self, project):
+        cfg, ckpt, data = project
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        before = _tree_bytes(cfg.out_dir)
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "difference already absorbed"
+        after = _tree_bytes(cfg.out_dir)
+        logged, added = before.pop("update_audit.log"), after.pop("update_audit.log")
+        assert added.startswith(logged)
+        assert added[len(logged):].startswith(b"cycle=2 ")
+        assert added[len(logged):].count(b"\n") == 1 and added.endswith(b"\n")
+        assert after == before
+
+    def test_only_an_absorbing_update_opens_the_scores_concepts_and_matrix(self, project,
+                                                                           monkeypatch):
+        cfg, ckpt, data = project
+        opened = set()
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.add(os.path.basename(str(file)))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        assert {"triples.tsv", "depths.tsv"} | self.EXTRAS <= opened
+        opened.clear()
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "difference already absorbed"
+        assert {"triples.tsv", "depths.tsv"} <= opened
+        assert not opened & self.EXTRAS
+
+    def test_an_absorbing_update_sorts_the_seeded_triples_once(self, project, monkeypatch):
+        cfg, ckpt, data = project
+        absorbed = len(stored_subgraph(cfg).subkg.triples) + 2
+        sorts = []
+        by_value = sorted
+
+        def counted(iterable, *args, **kwargs):
+            got = by_value(iterable, *args, **kwargs)
+            if len(got) == absorbed and all(isinstance(t, Triple) for t in got):
+                sorts.append(got)
+            return got
+
+        monkeypatch.setattr("builtins.sorted", counted)
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        assert len(sorts) == 1
+
+    def test_loading_normalizes_the_stored_predicates_as_a_column_and_no_label(
+            self, project, monkeypatch):
+        cfg, ckpt, data = project
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        path = os.path.join(cfg.out_dir, "subkg", "triples.tsv")
+        predicates = [line.split("\t")[1] for line in read_text(path).splitlines()]
+        columns = []
+
+        def alone(text):
+            raise AssertionError(f"{text!r} normalized alone")
+
+        def counted(cells):
+            columns.append(list(cells))
+            return normalize_all(cells)
+
+        models = load_build(cfg).models
+        monkeypatch.setattr(pipeline, "normalize_label", alone)
+        monkeypatch.setattr(pipeline, "normalize_all", counted)
+        load_subgraph(cfg, models)
+        assert columns == [predicates]
+
+    def test_a_no_op_passes_over_a_cut_scores_file(self, project):
+        cfg, ckpt, data = project
+        update_kg(cfg, ckpt, dataset_path=data)
+        _rewrite(os.path.join(cfg.out_dir, "subkg", "scores.tsv"), lambda b: b[:-3])
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "difference already absorbed"
+
+
 def _rewrite(path, transform):
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -849,21 +948,86 @@ def test_read_columns_equals_the_row_reader(table):
     assert repr(list(zip(*columns))) == expected
 
 
+# A graph whose labels differ from their ids, and stored-table cells:
+# its labels in their own and in other spellings, its ids, its predicates
+# and others, numbers, and cells that are none of these.
+_STORED_GRAPH = KnowledgeGraph.from_labeled_triples([
+    ("Red Fox", "isa", "animal"), ("ΟΔΟΣ", "Part  Of", "place"), ("river", "isa", "place")])
+_STORED_CELLS = st.one_of(
+    st.sampled_from(["Red Fox", "red fox", " RED  fox ", "ΟΔΟΣ", "οδοσ", "animal", "river",
+                     "place", "nowhere", "isa", "Part  Of", "part of", " ISA ", "0", "3", "-1",
+                     "1.5", "nan", "x", "", "\r", "\t", "\n"]),
+    st.text(alphabet="ab 1.-", max_size=3)).map(str.encode)
+# Per stored subgraph file, its _read_columns types over the graph.
+_LABELS = pipeline._label_converters(_STORED_GRAPH)
+_CONCEPTS = pipeline._concept_converters(_STORED_GRAPH)
+_STORED_FILES = {
+    "triples": (_LABELS, (normalize_label, normalize_all), _LABELS),
+    "depths": (_CONCEPTS, int),
+    "scores": (_CONCEPTS, float),
+    "concepts": (_CONCEPTS,),
+}
+
+
+@st.composite
+def _stored_tables(draw):
+    """(file bytes, types) of a stored subgraph file, drawn as _tables
+    draws, from cells that are mostly valid."""
+    types = _STORED_FILES[draw(st.sampled_from(sorted(_STORED_FILES)))]
+    row = st.lists(_STORED_CELLS, min_size=len(types), max_size=len(types))
+    lines = draw(st.lists(st.one_of(row, row, row, st.lists(_STORED_CELLS, max_size=4))
+                          .map(b"\t".join), max_size=8))
+    blob = b"".join(line + b"\n" for line in lines)
+    rarely = st.sampled_from([False] * 4 + [True])
+    if draw(rarely):
+        blob = blob[:-1]
+    if draw(rarely):
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + b"\xff" + blob[at:]
+    return blob, types
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(table=_stored_tables())
+@example(table=(b"Red Fox\tisa\tanimal\nriver\tisa\tplace\n", _STORED_FILES["triples"]))
+@example(table=(" RED  fox \tPart  Of\tοδοσ\n".encode(), _STORED_FILES["triples"]))
+@example(table=(b"red fox\t2\nnowhere\tx\n", _STORED_FILES["depths"]))  # the first fault wins
+@example(table=(b"red fox\t2\nplace\t1\tx\nnowhere\t1\n", _STORED_FILES["depths"]))
+def test_column_converters_equal_the_row_reader(table):
+    blob, types = table
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "table.tsv")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        try:
+            cells = (kind[0] if isinstance(kind, tuple) else kind for kind in types)
+            expected = repr(_read_rows(path, *cells))
+        except StorageError as exc:
+            expected = str(exc)
+        try:
+            columns = pipeline._read_columns(path, *types)
+        except StorageError as exc:
+            assert str(exc) == expected
+            return
+    assert all(type(column) is list and len(column) == len(columns[0]) for column in columns)
+    assert repr(list(zip(*columns))) == expected
+
+
 def test_link_concepts_matches_multiword_labels():
-    from kginfuse.kg import KnowledgeGraph
+    from kginfuse.kg import KnowledgeGraph, Triple
 
     kg = KnowledgeGraph.from_labeled_triples([
         ("red fox", "isa", "animal"),
         ("fox", "isa", "animal"),
         ("river", "isa", "place"),
     ])
-    found = link_concepts(kg, "A Red Fox crossed the river!")
+    found = link_concepts(kg, tokenize("A Red Fox crossed the river!"))
     assert found == {"red fox", "fox", "river"}
-    assert link_concepts(kg, "nothing here") == set()
+    assert link_concepts(kg, tokenize("nothing here")) == set()
 
 
 def test_link_concepts_links_every_id_of_a_label_and_no_tokenless_label():
-    from kginfuse.kg import KnowledgeGraph
+    from kginfuse.kg import KnowledgeGraph, Triple
 
     kg = KnowledgeGraph.from_labeled_triples([
         ("red fox", "isa", "animal"),
@@ -872,9 +1036,9 @@ def test_link_concepts_links_every_id_of_a_label_and_no_tokenless_label():
     ])
     assert sorted(kg.token_index[("red", "fox")]) == ["red fox", "red-fox"]
     assert () not in kg.token_index
-    assert link_concepts(kg, "A red fox!") == {"red fox", "red-fox"}
-    assert link_concepts(kg, "!!! an animal !!!") == {"animal"}
-    assert link_concepts(kg, "") == set()
+    assert link_concepts(kg, tokenize("A red fox!")) == {"red fox", "red-fox"}
+    assert link_concepts(kg, tokenize("!!! an animal !!!")) == {"animal"}
+    assert link_concepts(kg, tokenize("")) == set()
 
 
 def _scan_links(kg, text):
@@ -898,10 +1062,10 @@ _WORDS = st.one_of(st.sampled_from(["red", "Red", "fox", "river", "x-y", "Straß
                        .filter(normalize_label), min_size=1, max_size=8),
        text=st.lists(_WORDS, max_size=12).map(" ".join))
 def test_link_concepts_equals_the_scan(labels, text):
-    from kginfuse.kg import KnowledgeGraph
+    from kginfuse.kg import KnowledgeGraph, Triple
 
     kg = KnowledgeGraph.from_labeled_triples([(label, "isa", "zroot") for label in labels])
-    assert link_concepts(kg, text) == _scan_links(kg, text)
+    assert link_concepts(kg, tokenize(text)) == _scan_links(kg, text)
 
 
 def test_read_labeled_tsv_names_line_of_non_utf8_byte(tmp_path):

@@ -218,7 +218,7 @@ class TestExtractSeededSubkg:
         text = "die straße und οδος"
         stats = corpus_stats([("pos", text), ("neg", "ein weg")])
         model = zero_model(stats.vocab)
-        assert link_concepts(kg, text) == {"strasse", "οδοσ"}
+        assert link_concepts(kg, tokenize(text)) == {"strasse", "οδοσ"}
         seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=2, models=[model])
         assert seeds(seeded) == {"strasse", "οδοσ"}
         assert seeded.embedded_concepts == ("strasse", "οδοσ")
