@@ -49,7 +49,11 @@ class KnowledgeGraph:
     """Immutable directed labeled triple store with a taxonomy sub-relation."""
 
     def __init__(self, triples, concepts, taxonomy_predicate=DEFAULT_TAXONOMY_PREDICATE):
-        self.triples: frozenset[Triple] = frozenset(triples)
+        """Of several faulty triples, the one named is the first in the
+        order triples gives them (a file's order, for from_columns): an
+        unknown concept before any taxonomy self-loop."""
+        given = list(triples)
+        self.triples: frozenset[Triple] = frozenset(given)
         self.concepts: dict[str, str] = dict(concepts)  # id -> first-seen label
         self.taxonomy_predicate = taxonomy_predicate
         # Undirected adjacency over all predicates; directed child->parents
@@ -57,23 +61,23 @@ class KnowledgeGraph:
         self._neighbors: dict[str, set[str]] = {c: set() for c in self.concepts}
         self._parents: dict[str, set[str]] = {c: set() for c in self.concepts}
         child_count = dict.fromkeys(self.concepts, 0)
-        self_loop = None
-        for t in self.triples:
-            subject, predicate, obj = t
+        self_loop = False
+        for subject, predicate, obj in self.triples:
             if subject not in self.concepts or obj not in self.concepts:
-                raise ValidationError(f"triple references unknown concept: {t}")
+                unknown = next(t for t in given
+                               if t[0] not in self.concepts or t[2] not in self.concepts)
+                raise ValidationError(f"triple references unknown concept: {unknown}")
             self._neighbors[subject].add(obj)
             self._neighbors[obj].add(subject)
             if predicate == taxonomy_predicate:
                 if subject == obj:
-                    # Raised after the loop: an unknown concept is reported first.
-                    if self_loop is None:
-                        self_loop = subject
+                    self_loop = True  # raised after the loop, as unknown concepts come first
                     continue
                 self._parents[subject].add(obj)
                 child_count[obj] += 1
-        if self_loop is not None:
-            raise TaxonomyCycleError([self.concepts[self_loop]])
+        if self_loop:
+            looped = next(s for s, p, o in given if p == taxonomy_predicate and s == o)
+            raise TaxonomyCycleError([self.concepts[looped]])
         # Kahn's pass: peel off concepts that no remaining child points at,
         # which orders every child before its parents. Only a cycle leaves
         # some behind; the DFS then names its members.
@@ -120,9 +124,9 @@ class KnowledgeGraph:
                     raise ValidationError("empty predicate")
                 if not ids[subject] or not ids[obj]:
                     raise ValidationError("empty concept label")
-        triples = set(make_triples(map(ids.__getitem__, subjects), normalized,
-                                   map(ids.__getitem__, objects)))
-        return cls(triples, concepts, taxonomy_predicate)
+        triples = make_triples(map(ids.__getitem__, subjects), normalized,
+                               map(ids.__getitem__, objects))
+        return cls(triples, concepts, taxonomy_predicate)  # in row order
 
     @cached_property
     def label_tokens(self) -> dict[str, tuple[str, ...]]:

@@ -867,6 +867,15 @@ class UpdateOutcome:
     imbalance: float | None = None
 
 
+ABSORBED = "difference already absorbed"
+
+# The manifest key of the record an absorbing update leaves, and the
+# artifacts a no-op update does not read: the build's config and stats,
+# and the three seeded-subgraph files it opens only to absorb.
+UPDATE_RECORD = "last_update"
+_UNREAD_BY_NO_OP = ("config", "stats", "subkg_scores", "subkg_concepts", "subkg_matrix")
+
+
 def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> UpdateOutcome:
     """One differential-knowledge cycle driven by misclassified examples.
 
@@ -875,13 +884,27 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     triples and depths are read first; the scores, embedded concepts and
     embedding matrix only once the retrieved triples are not all stored
     already, so a cycle with nothing to absorb never reads them.
+
+    An absorbing update records in the manifest what its outcome read
+    (_update_inputs) and how many documents it missed. An update that
+    repeats it, with every artifact present and every one a no-op reads
+    (the models, the knowledge embedding, the stored triples and depths)
+    unchanged since, finds every retrieved triple stored, because the
+    absorbing update unioned them all in. It is answered from the record
+    and appends the same audit line as the computed no-op, reading no
+    table, checkpoint or graph.
     """
-    art = load_build(cfg)
     paths = _artifact_paths(cfg)
+    path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
+    repeated = _repeated_misses(cfg, paths, checkpoint_path, path)
+    if repeated is not None:
+        log.info("update repeats the last absorbing update recorded in %s", MANIFEST_NAME)
+        return _finish_update(cfg, UpdateOutcome(repeated, 0, 0, ABSORBED))
+
+    art = load_build(cfg)
     subkg = _load_subkg(cfg, paths)
     kg = subkg.parent
     ckpt = load_trained(checkpoint_path)
-    path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
     rows = read_labeled_tsv(path)
 
     encoded = encode_texts(art.models, [text for _, text in rows])
@@ -900,9 +923,7 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
 
     retrieved = dke_mod.knowledge_proximity(kg, missed_concepts, cfg.proximity_hops)
     if retrieved.triples <= subkg.triples:
-        return _finish_update(
-            cfg, UpdateOutcome(misclassified, 0, 0, "difference already absorbed")
-        )
+        return _finish_update(cfg, UpdateOutcome(misclassified, 0, 0, ABSORBED))
     seeded = _load_seeded(paths, subkg, art.models)
     diff = dke_mod.differential_subkg(retrieved, seeded, art.models)
 
@@ -924,7 +945,9 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     _write_knowledge_embedding(cfg, paths, updated, art.models)
     manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
     if os.path.isfile(manifest_path):
-        _write_manifest(cfg, paths, {**_read_json(manifest_path), "evolved": True})
+        record = {**_update_inputs(cfg, checkpoint_path, path), "misclassified": misclassified}
+        _write_manifest(cfg, paths, {**_read_json(manifest_path), "evolved": True,
+                                     UPDATE_RECORD: record})
 
     outcome = UpdateOutcome(
         misclassified=misclassified,
@@ -935,6 +958,38 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         imbalance=solution.imbalance if solution else None,
     )
     return _finish_update(cfg, outcome)
+
+
+def _update_inputs(cfg: PipelineConfig, checkpoint_path, dataset_path) -> dict:
+    """What an update reads besides the stored build: the sha256 of the
+    checkpoint, the dataset and the graph, the build settings (among them
+    the taxonomy predicate and the model widths) and the retrieval hops."""
+    return {"checkpoint": sha256_file(checkpoint_path), "dataset": sha256_file(dataset_path),
+            "kg": sha256_file(cfg.kg_path), "build_sha256": build_hash(cfg),
+            "proximity_hops": cfg.proximity_hops}
+
+
+def _repeated_misses(cfg: PipelineConfig, paths: dict, checkpoint_path, dataset_path):
+    """The misclassified count the manifest records for the last absorbing
+    update, when this update repeats it: the same inputs, every artifact
+    present, and each one a no-op reads as the manifest records it. None
+    otherwise, also when the manifest or an input cannot be read, so that
+    the computed update meets and reports any fault."""
+    try:
+        manifest = _read_json(os.path.join(cfg.out_dir, MANIFEST_NAME))
+        record, recorded = manifest.get(UPDATE_RECORD), manifest.get("artifacts")
+        if not (isinstance(record, dict) and isinstance(recorded, dict)
+                and all(map(os.path.isfile, paths.values()))):
+            return None
+        count = record.get("misclassified")
+        if (type(count) is not int or count < 1 or record != {
+                **_update_inputs(cfg, checkpoint_path, dataset_path), "misclassified": count}):
+            return None
+        read = {key: p for key, p in paths.items() if key not in _UNREAD_BY_NO_OP}
+        hashes = _artifact_hashes(cfg, read)
+    except (StorageError, OSError):
+        return None
+    return count if all(recorded.get(rel) == sha for rel, sha in hashes.items()) else None
 
 
 def _finish_update(cfg: PipelineConfig, outcome: UpdateOutcome) -> UpdateOutcome:

@@ -1,12 +1,16 @@
 """Graph store: loading, taxonomy distances, hop neighborhoods."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kginfuse
 from kginfuse.config import parse_config
 from kginfuse.embedding import DimensionModel, embed_concepts
 from kginfuse.errors import (
@@ -78,23 +82,25 @@ def reference_from_labeled_triples(rows, taxonomy_predicate="isa"):
             concepts[cid] = label.strip()
         return cid
 
-    triples = set()
+    triples = {}  # in row order, which names the first faulty triple
     for subject, predicate, obj in rows:
         predicate = normalize_label(predicate)
         if not predicate:
             raise ValidationError("empty predicate")
-        triples.add(Triple(intern(subject), predicate, intern(obj)))
+        triples[Triple(intern(subject), predicate, intern(obj))] = None
     return reference_graph(triples, concepts, taxonomy_predicate)
 
 
 def reference_graph(triples, concepts, taxonomy_predicate="isa"):
-    triples, concepts = frozenset(triples), dict(concepts)
-    for t in triples:
+    """Faults are named in the order triples gives them: the first
+    unknown concept, else the first taxonomy self-loop."""
+    ordered, concepts = list(triples), dict(concepts)
+    for t in ordered:
         if t.subject not in concepts or t.object not in concepts:
             raise ValidationError(f"triple references unknown concept: {t}")
     neighbors = {c: set() for c in concepts}
     parents = {c: set() for c in concepts}
-    for t in triples:
+    for t in ordered:
         neighbors[t.subject].add(t.object)
         neighbors[t.object].add(t.subject)
         if t.predicate == taxonomy_predicate:
@@ -109,7 +115,7 @@ def reference_graph(triples, concepts, taxonomy_predicate="isa"):
         tokens = tuple(tokenize(label))
         if tokens:
             index.setdefault(tokens, []).append(cid)
-    return concepts, triples, neighbors, parents, index
+    return concepts, frozenset(ordered), neighbors, parents, index
 
 
 def derived(kg):
@@ -331,6 +337,37 @@ class TestLoadGraph:
         with pytest.raises(TaxonomyCycleError) as err:
             load_graph(write_kg(tmp_path, "a\tisa\ta\n"))
         assert err.value.members == ("a",)
+
+    def test_the_first_fault_in_file_order_is_named_under_any_hash_seed(self, tmp_path):
+        # Each hash seed iterates the triple set in another order; the
+        # messages must follow the file's order instead.
+        path = write_kg(tmp_path, "".join(f"{c}\tisa\t{c}\n" for c in "mbqc"))
+        script = (
+            "import sys\n"
+            "from kginfuse.kg import KnowledgeGraph, Triple, load_graph\n"
+            "from kginfuse.errors import ValidationError\n"
+            "try:\n"
+            "    load_graph(sys.argv[1])\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n"
+            "rows = [('a', 'isa', 'a'), ('a', 'rel', 'ghost3'), ('ghost1', 'isa', 'a'),\n"
+            "        ('ghost2', 'rel', 'ghost4')]\n"
+            "try:\n"
+            "    KnowledgeGraph([Triple(*row) for row in rows], {'a': 'a'})\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(kginfuse.__file__))
+        for seed in range(1, 6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert run.stdout.splitlines() == [
+                "taxonomy cycle through {m}",
+                "triple references unknown concept: "
+                "Triple(subject='a', predicate='rel', object='ghost3')",
+            ], f"PYTHONHASHSEED={seed}"
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write_kg(tmp_path, "a\tisa\tb\nbroken line\n")

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kginfuse import pipeline
+from kginfuse.cli import main as cli_main
 from kginfuse.config import MODES, build_hash, config_hash, parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.errors import ConfigError, StorageError, ValidationError
@@ -667,24 +668,54 @@ def _tree_bytes(root) -> dict:
     return found
 
 
+REPEAT_LOG = "update repeats the last absorbing update"
+
+
+@pytest.fixture
+def update_project(tiny_project, tmp_path):
+    """A built project, a checkpoint that misses the comet document, and a
+    dataset holding it: the first update absorbs, the next not."""
+    cfg = parse_config(tiny_project)
+    build(cfg)
+    data = tmp_path / "update_eval.tsv"
+    data.write_text("pos\tcomet in the sky\nneg\tgarden river calm\n", encoding="utf-8")
+    return cfg, constant_checkpoint(str(tmp_path / "const.kicp")), str(data)
+
+
+def _drop_record(out_dir):
+    """Remove the last absorbing update's record from the manifest, so the
+    next no-op is computed."""
+    path = os.path.join(out_dir, "manifest.json")
+    manifest = json.loads(read_text(path))
+    manifest.pop(pipeline.UPDATE_RECORD, None)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _no_op(cfg, ckpt, data, way, caplog):
+    """A no-op update after an absorbing one, taken the named way: as a
+    repeat answered from the manifest's record, or computed without it."""
+    if way == "computed":
+        _drop_record(cfg.out_dir)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="kginfuse.pipeline"):
+        outcome = update_kg(cfg, ckpt, dataset_path=data)
+    assert (REPEAT_LOG in caplog.text) == (way == "repeat")
+    return outcome
+
+
 class TestStagedReads:
     EXTRAS = {"scores.tsv", "concepts.tsv", "embeddings.kign"}
+    WAY = "repeat"  # how _no_op takes the no-ops; TestComputedStagedReads computes them
 
-    @pytest.fixture
-    def project(self, tiny_project, tmp_path):
-        """A built project, a checkpoint that misses the comet document,
-        and a dataset holding it: the first update absorbs, the next not."""
-        cfg = parse_config(tiny_project)
-        build(cfg)
-        data = tmp_path / "update_eval.tsv"
-        data.write_text("pos\tcomet in the sky\nneg\tgarden river calm\n", encoding="utf-8")
-        return cfg, constant_checkpoint(str(tmp_path / "const.kicp")), str(data)
-
-    def test_a_no_op_appends_one_audit_line_and_changes_no_other_file(self, project):
-        cfg, ckpt, data = project
+    def test_a_no_op_appends_one_audit_line_and_changes_no_other_file(self, update_project,
+                                                                      caplog):
+        cfg, ckpt, data = update_project
         assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        if self.WAY == "computed":
+            _drop_record(cfg.out_dir)
         before = _tree_bytes(cfg.out_dir)
-        assert update_kg(cfg, ckpt, dataset_path=data).reason == "difference already absorbed"
+        assert _no_op(cfg, ckpt, data, self.WAY, caplog).reason == "difference already absorbed"
         after = _tree_bytes(cfg.out_dir)
         logged, added = before.pop("update_audit.log"), after.pop("update_audit.log")
         assert added.startswith(logged)
@@ -692,9 +723,9 @@ class TestStagedReads:
         assert added[len(logged):].count(b"\n") == 1 and added.endswith(b"\n")
         assert after == before
 
-    def test_only_an_absorbing_update_opens_the_scores_concepts_and_matrix(self, project,
-                                                                           monkeypatch):
-        cfg, ckpt, data = project
+    def test_only_an_absorbing_update_opens_the_scores_concepts_and_matrix(
+            self, update_project, caplog, monkeypatch):
+        cfg, ckpt, data = update_project
         opened = set()
         real_open = open
 
@@ -706,12 +737,13 @@ class TestStagedReads:
         assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
         assert {"triples.tsv", "depths.tsv"} | self.EXTRAS <= opened
         opened.clear()
-        assert update_kg(cfg, ckpt, dataset_path=data).reason == "difference already absorbed"
+        assert _no_op(cfg, ckpt, data, self.WAY, caplog).reason == "difference already absorbed"
         assert {"triples.tsv", "depths.tsv"} <= opened
         assert not opened & self.EXTRAS
 
-    def test_an_absorbing_update_sorts_the_seeded_triples_once(self, project, monkeypatch):
-        cfg, ckpt, data = project
+    def test_an_absorbing_update_sorts_the_seeded_triples_once(self, update_project,
+                                                               monkeypatch):
+        cfg, ckpt, data = update_project
         absorbed = len(stored_subgraph(cfg).subkg.triples) + 2
         sorts = []
         by_value = sorted
@@ -727,8 +759,8 @@ class TestStagedReads:
         assert len(sorts) == 1
 
     def test_loading_normalizes_the_stored_predicates_as_a_column_and_no_label(
-            self, project, monkeypatch):
-        cfg, ckpt, data = project
+            self, update_project, monkeypatch):
+        cfg, ckpt, data = update_project
         assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
         path = os.path.join(cfg.out_dir, "subkg", "triples.tsv")
         predicates = [line.split("\t")[1] for line in read_text(path).splitlines()]
@@ -747,11 +779,18 @@ class TestStagedReads:
         load_subgraph(cfg, models)
         assert columns == [predicates]
 
-    def test_a_no_op_passes_over_a_cut_scores_file(self, project):
-        cfg, ckpt, data = project
+    def test_a_no_op_passes_over_a_cut_scores_file(self, update_project, caplog):
+        cfg, ckpt, data = update_project
         update_kg(cfg, ckpt, dataset_path=data)
         _rewrite(os.path.join(cfg.out_dir, "subkg", "scores.tsv"), lambda b: b[:-3])
-        assert update_kg(cfg, ckpt, dataset_path=data).reason == "difference already absorbed"
+        assert _no_op(cfg, ckpt, data, self.WAY, caplog).reason == "difference already absorbed"
+
+
+class TestComputedStagedReads(TestStagedReads):
+    """TestStagedReads with each no-op computed: the manifest holds no
+    record of the absorbing update, so no repeat can answer."""
+
+    WAY = "computed"
 
 
 def _rewrite(path, transform):
@@ -775,6 +814,97 @@ def _repeat_first_token(blob):
     lines = blob.split(b"\n")
     lines[1] = lines[0].split(b"\t")[0] + b"\t1"
     return b"\n".join(lines)
+
+
+def _retrain(root):
+    path = os.path.join(root, "const.kicp")
+    meta, arrays = load_checkpoint(path)
+    save_checkpoint(path, {**meta, "seed": 1}, arrays)
+
+
+def _other_dataset(root):
+    path = os.path.join(root, "other_eval.tsv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("pos\tcomet in the sky\npos\tgarden river calm\n")
+    return ["--dataset", path]
+
+
+def _edit(name, transform):
+    return lambda root: _rewrite(os.path.join(root, name), transform)
+
+
+def _append(name, text):
+    return _edit(name, lambda b: b + text)
+
+
+class TestRepeatedUpdate:
+    """A repeat of the last absorbing update is answered from the
+    manifest's record; every other update is computed, as it would be
+    without the record."""
+
+    @pytest.fixture
+    def twins(self, update_project, tmp_path_factory):
+        """Two copies of a project after one absorbing update, the second
+        with no record in its manifest."""
+        cfg, ckpt, data = update_project
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        root = os.path.dirname(ckpt)
+        roots = []
+        for name in ("recorded", "bare"):
+            copy = str(tmp_path_factory.mktemp(name) / "project")
+            shutil.copytree(root, copy)
+            roots.append(copy)
+        _drop_record(os.path.join(roots[1], "out"))
+        return roots
+
+    @staticmethod
+    def _update(root, capsys, caplog, args=()):
+        """Run update-kg in root; returns (exit code, stdout, audit log
+        bytes, whether the repeat answered)."""
+        caplog.clear()
+        argv = ["update-kg", "--config", os.path.join(root, "pipeline.cfg"),
+                "--checkpoint", os.path.join(root, "const.kicp"),
+                "--dataset", os.path.join(root, "update_eval.tsv"), *args]
+        with caplog.at_level(logging.INFO, logger="kginfuse.pipeline"):
+            code = cli_main(argv)
+        with open(os.path.join(root, "out", "update_audit.log"), "rb") as handle:
+            logged = handle.read()
+        return code, capsys.readouterr().out, logged, REPEAT_LOG in caplog.text
+
+    def test_a_repeat_equals_the_computed_no_op_byte_for_byte(self, twins, capsys, caplog):
+        recorded, bare = twins
+        before = _tree_bytes(recorded)
+        repeat = self._update(recorded, capsys, caplog)
+        computed = self._update(bare, capsys, caplog)
+        assert repeat[:3] == computed[:3]
+        assert repeat[3] and not computed[3]
+        assert "outcome: difference already absorbed" in repeat[1]
+        after = _tree_bytes(recorded)
+        audit = os.path.join("out", "update_audit.log")
+        assert after.pop(audit).startswith(before.pop(audit))
+        assert after == before
+
+    @pytest.mark.parametrize("change", [
+        _retrain,
+        _other_dataset,
+        _append("kg.tsv", b"comet\tisa\tsky\n"),
+        _edit("pipeline.cfg", lambda b: b.replace(b"proximity_hops = 1", b"proximity_hops = 2")),
+        _edit("out/models/main.vectors.kign", lambda b: b[:-1] + bytes([b[-1] ^ 1])),
+        _edit("out/models/main.vocab.tsv", _replace_line(2, b"token\tone")),
+        _edit("out/knowledge/ke.json", lambda b: b'{"pair_count": "3"}\n'),
+        _edit("out/subkg/triples.tsv", lambda b: b[:b.rindex(b"\n", 0, -1) + 1]),
+        _edit("out/subkg/depths.tsv", lambda b: b[:-3]),
+        lambda root: os.remove(os.path.join(root, "out", "subkg", "scores.tsv")),
+    ], ids=["retrained-checkpoint", "other-dataset", "edited-graph", "other-hops",
+            "edited-vectors", "edited-vocabulary", "edited-ke", "edited-triples",
+            "cut-depths", "missing-artifact"])
+    def test_any_other_update_is_computed(self, twins, change, capsys, caplog):
+        # Each change applies to both copies; one returns the CLI arguments
+        # it adds.
+        outcomes = [self._update(root, capsys, caplog, change(root) or ()) for root in twins]
+        (code, out, logged, repeated), bare = outcomes
+        assert not repeated
+        assert (code, out, logged) == bare[:3]
 
 
 class TestCorruptBuildArtifacts:
