@@ -68,6 +68,9 @@ from .text import normalize_all, normalize_label
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
+# The manifest keys of the records _reusable checks: what the build read,
+# and what the last absorbing update read and how many documents it missed.
+BUILD_RECORD, UPDATE_RECORD = "build", "last_update"
 
 # An infused training refits the head once, after its last epoch, on the
 # gated hidden vectors by damped Newton steps (_calibrate_head) until the
@@ -99,11 +102,14 @@ class BuildArtifacts:
 # build
 
 
-def _input_hashes(cfg: PipelineConfig) -> dict:
-    hashes = {"kg": sha256_file(cfg.kg_path), "dataset": sha256_file(cfg.dataset_path)}
+def _build_inputs(cfg: PipelineConfig) -> dict:
+    """What a build reads: the settings build_hash covers and the sha256
+    of each input file."""
+    inputs = {"build_sha256": build_hash(cfg), "kg": sha256_file(cfg.kg_path),
+              "dataset": sha256_file(cfg.dataset_path)}
     for name in sorted(cfg.corpora):
-        hashes[f"corpus.{name}"] = sha256_file(cfg.corpora[name])
-    return hashes
+        inputs[f"corpus.{name}"] = sha256_file(cfg.corpora[name])
+    return inputs
 
 
 def _artifact_paths(cfg: PipelineConfig) -> dict:
@@ -130,36 +136,24 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
     """Build (or reuse) the KG, dimension models, seeded subgraph, and
     knowledge embedding under the config's output directory.
 
-    The stored build is reused when the manifest records the same
-    build_hash (the [subkg] and [embedding] settings and the corpus
-    names), the same input sha256s and the sha256 of every artifact.
+    The stored build is reused when _reusable finds the manifest's build
+    record made from the same inputs (_build_inputs) and every artifact
+    as the manifest records it.
     """
     require_input_files(cfg)
     out_dir = cfg.out_dir
     paths = _artifact_paths(cfg)
-    cfg_sha = config_hash(cfg)
-    build_sha = build_hash(cfg)
-    inputs = _input_hashes(cfg)
-
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    if os.path.isfile(manifest_path):
-        manifest = _read_json(manifest_path)
-        if manifest.get("build_sha256") == build_sha and manifest.get("inputs") == inputs:
-            recorded = manifest.get("artifacts")
-            recorded = recorded if isinstance(recorded, dict) else {}
-            stale = sorted(rel for rel, sha in _artifact_hashes(cfg, paths).items()
-                           if sha is None or recorded.get(rel) != sha)
-            if not stale:
-                log.info("build artifacts up to date in %s", out_dir)
-                art = load_build(cfg, cfg_sha)
-                art.up_to_date = True
-                # One row per triple, concept and embedded concept, as the
-                # manifest's sha256s have just confirmed.
-                art.subgraph_counts = tuple(
-                    read_text(paths[key]).count("\n")
-                    for key in ("subkg_triples", "subkg_depths", "subkg_concepts"))
-                return art
-            log.info("rebuilding: missing or changed since the manifest: %s", ", ".join(stale))
+    inputs = _build_inputs(cfg)
+    if _reusable(cfg, paths, BUILD_RECORD, lambda: inputs):
+        log.info("build artifacts up to date in %s", out_dir)
+        art = load_build(cfg)
+        art.up_to_date = True
+        # One row per triple, concept and embedded concept, as the
+        # manifest's sha256s have just confirmed.
+        art.subgraph_counts = tuple(
+            read_text(paths[key]).count("\n")
+            for key in ("subkg_triples", "subkg_depths", "subkg_concepts"))
+        return art
 
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
     rows = read_labeled_tsv(cfg.dataset_path)
@@ -192,22 +186,48 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
         _save_model(paths, model)
     _save_seeded(paths, kg, seeded)
     ke = _write_knowledge_embedding(cfg, paths, seeded, models)
-    _write_manifest(cfg, paths, {"format": 1, "build_sha256": build_sha, "inputs": inputs})
+    _write_manifest(cfg, paths, {"format": 1, BUILD_RECORD: inputs})
     counts = (len(seeded.subkg.triples), len(seeded.subkg.concepts()),
               seeded.embedding_matrix.shape[1])
-    return BuildArtifacts(models, ke.values, ke.pair_count, cfg_sha, subgraph_counts=counts)
+    return BuildArtifacts(models, ke.values, ke.pair_count, config_hash(cfg),
+                          subgraph_counts=counts)
 
 
-def _artifact_hashes(cfg: PipelineConfig, paths: dict) -> dict:
-    """{path relative to the output directory: sha256, or None if missing}."""
+def _read_manifest(cfg: PipelineConfig) -> dict | None:
+    """The output directory's manifest, or None when there is none."""
+    path = os.path.join(cfg.out_dir, MANIFEST_NAME)
+    return _read_json(path) if os.path.isfile(path) else None
+
+
+def _reusable(cfg: PipelineConfig, paths: dict, key: str, inputs, unread=()) -> dict | None:
+    """The manifest's record under key, when a command can be answered
+    from it: the record holds every item of inputs() (called only when
+    there is a record), every artifact exists, and each one whose paths
+    key is not in unread still has the sha256 the manifest records. None
+    otherwise, with each missing or changed artifact logged by name. An
+    unreadable manifest raises StorageError."""
+    manifest = _read_manifest(cfg) or {}
+    record, recorded = manifest.get(key), manifest.get("artifacts")
+    if not (isinstance(record, dict) and inputs().items() <= record.items()):
+        return None
+    recorded = recorded if isinstance(recorded, dict) else {}
     base = os.path.join(cfg.out_dir, "")  # every artifact path is joined onto it
-    return {p[len(base):]: sha256_file(p) if os.path.isfile(p) else None
-            for p in paths.values()}
+    stale = sorted(path[len(base):] for name, path in paths.items()
+                   if not os.path.isfile(path)
+                   or name not in unread and sha256_file(path) != recorded.get(path[len(base):]))
+    if stale:
+        log.info("missing or changed since the %s record in %s: %s", key, MANIFEST_NAME,
+                 ", ".join(stale))
+        return None
+    return record
 
 
 def _write_manifest(cfg: PipelineConfig, paths: dict, manifest: dict) -> None:
-    """Store manifest plus the sha256 of every artifact file."""
-    artifacts = _artifact_hashes(cfg, paths)
+    """Store manifest plus the sha256 of every artifact file (None for a
+    missing one) by its path relative to the output directory."""
+    base = os.path.join(cfg.out_dir, "")  # every artifact path is joined onto it
+    artifacts = {p[len(base):]: sha256_file(p) if os.path.isfile(p) else None
+                 for p in paths.values()}
     atomic_write_text(os.path.join(cfg.out_dir, MANIFEST_NAME),
                       json.dumps({**manifest, "artifacts": artifacts}, indent=2, sort_keys=True)
                       + "\n")
@@ -238,46 +258,42 @@ def _write_columns(path, *columns) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
-def _read_columns(path, *types) -> list:
-    """The columns _write_columns wrote, each converted by its type: a
-    callable applied to each cell, or a (cell, column) pair of converters
-    whose column function converts the whole column in one call (a list of
-    cells in, the converted list out, ValueError where the cell function
-    would raise on some cell). A wrong field count, a ValueError from a
-    cell function, a cut last line or bytes that are not UTF-8 raise
-    StorageError naming path:line; of several faults, the first line's
-    wins, its field count before its fields."""
+def _read_columns(path, *converters) -> list:
+    """The columns _write_columns wrote, each converted by its converter:
+    a function from a column's list of cells to the converted list, which
+    raises ValueError naming the first bad cell. A faulty file is rescanned
+    line by line, each cell converted as a one-cell list, so that a wrong
+    field count, a converter's ValueError, a cut last line or bytes that
+    are not UTF-8 raise StorageError naming path:line; of several faults,
+    the first line's wins, its field count before its fields."""
     try:
         lines = read_text(path).split("\n")
     except ValidationError as exc:
         raise StorageError(str(exc)) from exc
     if lines.pop():
         raise StorageError(f"{path}:{len(lines) + 1}: line not terminated (truncated file?)")
-    width = len(types)
+    width = len(converters)
     if set(map(str.count, lines, itertools.repeat("\t"))) <= {width - 1}:
         cells = "\t".join(lines).split("\t") if lines else []
         try:
-            return [_convert_column(kind, cells[j::width]) for j, kind in enumerate(types)]
+            return [convert(cells[j::width]) for j, convert in enumerate(converters)]
         except ValueError:
             pass  # named by the row-order rescan below
-    cell_types = [kind[0] if isinstance(kind, tuple) else kind for kind in types]
     for number, line in enumerate(lines, start=1):
         fields = line.split("\t")
         if len(fields) != width:
             raise StorageError(f"{path}:{number}: expected {width} fields, got {len(fields)}")
         try:
-            for kind, value in zip(cell_types, fields):
-                kind(value)
+            for convert, value in zip(converters, fields):
+                convert([value])
         except ValueError as exc:
             raise StorageError(f"{path}:{number}: {exc}") from exc
     raise AssertionError(f"{path}: a column failed to convert but no row does")
 
 
-def _convert_column(kind, cells: list) -> list:
-    """One column's cells converted by its _read_columns type."""
-    if isinstance(kind, tuple):
-        return kind[1](cells)
-    return cells if kind is str else list(map(kind, cells))
+def _each(convert):
+    """The _read_columns converter that applies convert to each cell."""
+    return lambda cells: list(map(convert, cells))
 
 
 def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededSubKG,
@@ -301,7 +317,7 @@ def _save_model(paths: dict, model: DimensionModel) -> None:
 
 def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
     vocab_path = paths[f"{name}.vocab"]
-    tokens, indices = _read_columns(vocab_path, str, int)
+    tokens, indices = _read_columns(vocab_path, list, _each(int))
     if indices != list(range(len(indices))):
         raise StorageError(f"{vocab_path}: indices are not 0..{len(indices) - 1} in order")
     vocab = dict(zip(tokens, indices))
@@ -328,11 +344,8 @@ def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
     save_array(paths["subkg_matrix"], seeded.embedding_matrix)
 
 
-def load_build(cfg: PipelineConfig, cfg_sha: str | None = None) -> BuildArtifacts:
-    """Load the dimension models and the knowledge embedding of a build.
-
-    cfg_sha is config_hash(cfg), when the caller has already computed it.
-    """
+def load_build(cfg: PipelineConfig) -> BuildArtifacts:
+    """Load the dimension models and the knowledge embedding of a build."""
     paths = _artifact_paths(cfg)
     if not all(map(os.path.isfile, paths.values())):
         raise ValidationError(
@@ -343,8 +356,7 @@ def load_build(cfg: PipelineConfig, cfg_sha: str | None = None) -> BuildArtifact
     pair_count = _read_json(paths["ke_meta"]).get("pair_count")
     if type(pair_count) is not int or pair_count < 0:
         raise StorageError(f"{paths['ke_meta']}: pair_count is not a count")
-    return BuildArtifacts(models, ke_values, pair_count,
-                          config_hash(cfg) if cfg_sha is None else cfg_sha)
+    return BuildArtifacts(models, ke_values, pair_count, config_hash(cfg))
 
 
 def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSubKG]:
@@ -360,10 +372,10 @@ def _load_subkg(cfg: PipelineConfig, paths: dict) -> SubKG:
     """Stage one of load_subgraph: parse the graph and read the stored
     triples and depths over it."""
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
-    labels = _label_converters(kg)
+    labels = _labels(kg)
     subjects, predicates, objects = _read_columns(
-        paths["subkg_triples"], labels, (normalize_label, normalize_all), labels)
-    depths = _read_columns(paths["subkg_depths"], _concept_converters(kg), int)
+        paths["subkg_triples"], labels, normalize_all, labels)
+    depths = _read_columns(paths["subkg_depths"], _concepts(kg), _each(int))
     return SubKG(parent=kg, triples=frozenset(make_triples(subjects, predicates, objects)),
                  frontier_depth=dict(zip(*depths)))
 
@@ -371,45 +383,40 @@ def _load_subkg(cfg: PipelineConfig, paths: dict) -> SubKG:
 def _load_seeded(paths: dict, subkg: SubKG, models) -> SeededSubKG:
     """Stage two of load_subgraph: the stored relevance scores, embedded
     concepts and embedding matrix of subkg."""
-    concepts = _concept_converters(subkg.parent)
-    relevance = _read_columns(paths["subkg_scores"], concepts, float)
+    concepts = _concepts(subkg.parent)
+    relevance = _read_columns(paths["subkg_scores"], concepts, _each(float))
     embedded = tuple(_read_columns(paths["subkg_concepts"], concepts)[0])
     matrix = _load_shaped(paths["subkg_matrix"], (content_width(models), len(embedded)))
     return SeededSubKG(subkg, dict(zip(*relevance)), matrix, embedded)
 
 
-def _concept_converters(kg: KnowledgeGraph) -> tuple:
-    """The (cell, column) converters for _read_columns of a column of the
-    graph's concept ids: the column is checked by one set comparison."""
-    def concept(cid):
-        if cid not in kg.concepts:
-            raise ValueError(f"{cid!r} is not a concept of the graph")
-        return cid
-
+def _concepts(kg: KnowledgeGraph):
+    """The _read_columns converter of a column of the graph's concept ids,
+    checked by one set comparison."""
     def concepts(cells):
         if not kg.concepts.keys() >= set(cells):
-            raise ValueError("a cell is not a concept of the graph")
+            bad = next(cid for cid in cells if cid not in kg.concepts)
+            raise ValueError(f"{bad!r} is not a concept of the graph")
         return cells
 
-    return concept, concepts
+    return concepts
 
 
-def _label_converters(kg: KnowledgeGraph) -> tuple:
-    """The (cell, column) converters for _read_columns of a column of
-    stored labels, each turned into its concept's id: a label is looked up
-    among the graph's own labels, and only a miss is normalized."""
+def _labels(kg: KnowledgeGraph):
+    """The _read_columns converter of a column of stored labels, each
+    turned into its concept's id: a label is looked up among the graph's
+    own labels, and only a miss is normalized."""
     ids = dict(zip(kg.concepts.values(), kg.concepts))  # label -> concept id
-    concept = _concept_converters(kg)[0]
-
-    def label(text):
-        cid = ids.get(text)  # a stored label is the concept's own
-        return concept(normalize_label(text)) if cid is None else cid
+    concepts = _concepts(kg)
 
     def labels(cells):
         found = list(map(ids.get, cells))
-        return list(map(label, cells)) if None in found else found
+        if None not in found:  # every stored label is its concept's own
+            return found
+        return concepts([normalize_label(text) if cid is None else cid
+                         for text, cid in zip(cells, found)])
 
-    return label, labels
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -869,10 +876,8 @@ class UpdateOutcome:
 
 ABSORBED = "difference already absorbed"
 
-# The manifest key of the record an absorbing update leaves, and the
-# artifacts a no-op update does not read: the build's config and stats,
-# and the three seeded-subgraph files it opens only to absorb.
-UPDATE_RECORD = "last_update"
+# The artifacts a no-op update does not read: the build's config and
+# stats, and the three seeded-subgraph files it opens only to absorb.
 _UNREAD_BY_NO_OP = ("config", "stats", "subkg_scores", "subkg_concepts", "subkg_matrix")
 
 
@@ -887,19 +892,26 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
 
     An absorbing update records in the manifest what its outcome read
     (_update_inputs) and how many documents it missed. An update that
-    repeats it, with every artifact present and every one a no-op reads
-    (the models, the knowledge embedding, the stored triples and depths)
-    unchanged since, finds every retrieved triple stored, because the
-    absorbing update unioned them all in. It is answered from the record
-    and appends the same audit line as the computed no-op, reading no
-    table, checkpoint or graph.
+    repeats it, which _reusable finds with every artifact present and
+    every one a no-op reads (all but _UNREAD_BY_NO_OP) unchanged since,
+    finds every retrieved triple stored, because the absorbing update
+    unioned them all in. It is answered from the record and appends the
+    same audit line as the computed no-op, reading no table, checkpoint
+    or graph. Any other update is computed, also when the manifest is
+    unreadable; an absorbing one then raises StorageError before it
+    writes a file.
     """
     paths = _artifact_paths(cfg)
     path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
-    repeated = _repeated_misses(cfg, paths, checkpoint_path, path)
-    if repeated is not None:
+    try:
+        record = _reusable(cfg, paths, UPDATE_RECORD,
+                           lambda: _update_inputs(cfg, checkpoint_path, path), _UNREAD_BY_NO_OP)
+    except (StorageError, OSError):
+        record = None  # the computed update meets and reports the fault
+    count = record and record.get("misclassified")
+    if type(count) is int and count >= 1:
         log.info("update repeats the last absorbing update recorded in %s", MANIFEST_NAME)
-        return _finish_update(cfg, UpdateOutcome(repeated, 0, 0, ABSORBED))
+        return _finish_update(cfg, UpdateOutcome(count, 0, 0, ABSORBED))
 
     art = load_build(cfg)
     subkg = _load_subkg(cfg, paths)
@@ -941,13 +953,12 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         )
     updated = dke_mod.update_seeded(seeded, diff, solution)
 
+    manifest = _read_manifest(cfg)  # an unreadable one raises before the first write
     _save_seeded(paths, kg, updated)
     _write_knowledge_embedding(cfg, paths, updated, art.models)
-    manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
-    if os.path.isfile(manifest_path):
-        record = {**_update_inputs(cfg, checkpoint_path, path), "misclassified": misclassified}
-        _write_manifest(cfg, paths, {**_read_json(manifest_path), "evolved": True,
-                                     UPDATE_RECORD: record})
+    if manifest is not None:
+        _write_manifest(cfg, paths, {**manifest, UPDATE_RECORD: {
+            **_update_inputs(cfg, checkpoint_path, path), "misclassified": misclassified}})
 
     outcome = UpdateOutcome(
         misclassified=misclassified,
@@ -967,29 +978,6 @@ def _update_inputs(cfg: PipelineConfig, checkpoint_path, dataset_path) -> dict:
     return {"checkpoint": sha256_file(checkpoint_path), "dataset": sha256_file(dataset_path),
             "kg": sha256_file(cfg.kg_path), "build_sha256": build_hash(cfg),
             "proximity_hops": cfg.proximity_hops}
-
-
-def _repeated_misses(cfg: PipelineConfig, paths: dict, checkpoint_path, dataset_path):
-    """The misclassified count the manifest records for the last absorbing
-    update, when this update repeats it: the same inputs, every artifact
-    present, and each one a no-op reads as the manifest records it. None
-    otherwise, also when the manifest or an input cannot be read, so that
-    the computed update meets and reports any fault."""
-    try:
-        manifest = _read_json(os.path.join(cfg.out_dir, MANIFEST_NAME))
-        record, recorded = manifest.get(UPDATE_RECORD), manifest.get("artifacts")
-        if not (isinstance(record, dict) and isinstance(recorded, dict)
-                and all(map(os.path.isfile, paths.values()))):
-            return None
-        count = record.get("misclassified")
-        if (type(count) is not int or count < 1 or record != {
-                **_update_inputs(cfg, checkpoint_path, dataset_path), "misclassified": count}):
-            return None
-        read = {key: p for key, p in paths.items() if key not in _UNREAD_BY_NO_OP}
-        hashes = _artifact_hashes(cfg, read)
-    except (StorageError, OSError):
-        return None
-    return count if all(recorded.get(rel) == sha for rel, sha in hashes.items()) else None
 
 
 def _finish_update(cfg: PipelineConfig, outcome: UpdateOutcome) -> UpdateOutcome:

@@ -74,7 +74,7 @@ class TestBuild:
         manifest = json.loads(
             open(os.path.join(cfg.out_dir, "manifest.json"), encoding="utf-8").read()
         )
-        assert manifest["build_sha256"] == build_hash(cfg)
+        assert manifest["build"]["build_sha256"] == build_hash(cfg)
         assert art.config_sha == config_hash(cfg)
         for rel in manifest["artifacts"]:
             assert os.path.isfile(os.path.join(cfg.out_dir, rel))
@@ -906,6 +906,31 @@ class TestRepeatedUpdate:
         assert not repeated
         assert (code, out, logged) == bare[:3]
 
+    def test_an_edited_artifact_is_named_and_the_update_computed(self, twins, capsys,
+                                                                   caplog):
+        recorded = twins[0]
+        # A repeated row: other bytes, the same stored triples.
+        _edit("out/subkg/triples.tsv", lambda b: b[:b.index(b"\n") + 1] + b)(recorded)
+        code, out, _, repeated = self._update(recorded, capsys, caplog)
+        assert (code, repeated) == (0, False)
+        assert "missing or changed since" in caplog.text
+        assert os.path.join("subkg", "triples.tsv") in caplog.text
+        assert "outcome: difference already absorbed" in out
+
+    def test_an_absorbing_update_over_a_cut_manifest_changes_no_file(self, update_project,
+                                                                     capsys):
+        cfg, ckpt, data = update_project
+        manifest = os.path.join(cfg.out_dir, "manifest.json")
+        _rewrite(manifest, lambda b: b[:len(b) // 2])
+        root = os.path.dirname(ckpt)
+        before = _tree_bytes(root)
+        code = cli_main(["update-kg", "--config", os.path.join(root, "pipeline.cfg"),
+                         "--checkpoint", ckpt, "--dataset", data])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"runtime error: {manifest}: unreadable JSON" in err
+        assert _tree_bytes(root) == before
+
 
 class TestCorruptBuildArtifacts:
     @pytest.fixture
@@ -1054,6 +1079,10 @@ def _tables(draw):
     return blob, types
 
 
+# The _read_columns converter of each cell type _tables draws.
+_COLUMN_OF = {str: list, int: pipeline._each(int), float: pipeline._each(float)}
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(table=_tables())
 @example(table=(b"a\t1\tb\n2\n", (str, int)))  # field counts that balance out
@@ -1069,7 +1098,7 @@ def test_read_columns_equals_the_row_reader(table):
         except StorageError as exc:
             expected = str(exc)
         try:
-            columns = pipeline._read_columns(path, *types)
+            columns = pipeline._read_columns(path, *(_COLUMN_OF[kind] for kind in types))
         except StorageError as exc:
             assert str(exc) == expected
             return
@@ -1088,23 +1117,41 @@ _STORED_CELLS = st.one_of(
                      "place", "nowhere", "isa", "Part  Of", "part of", " ISA ", "0", "3", "-1",
                      "1.5", "nan", "x", "", "\r", "\t", "\n"]),
     st.text(alphabet="ab 1.-", max_size=3)).map(str.encode)
-# Per stored subgraph file, its _read_columns types over the graph.
-_LABELS = pipeline._label_converters(_STORED_GRAPH)
-_CONCEPTS = pipeline._concept_converters(_STORED_GRAPH)
+_STORED_IDS = dict(zip(_STORED_GRAPH.concepts.values(), _STORED_GRAPH.concepts))
+
+
+def _concept_cell(cid):
+    """Reference: a stored concept id, checked against the graph."""
+    if cid not in _STORED_GRAPH.concepts:
+        raise ValueError(f"{cid!r} is not a concept of the graph")
+    return cid
+
+
+def _label_cell(text):
+    """Reference: a stored label's concept id, by the graph's own labels
+    and, for any other spelling, by normalize_label."""
+    return _STORED_IDS[text] if text in _STORED_IDS else _concept_cell(normalize_label(text))
+
+
+# Per stored subgraph file, its reference cell functions, and its
+# _read_columns converters over the graph.
+_LABELS = pipeline._labels(_STORED_GRAPH)
+_CONCEPTS = pipeline._concepts(_STORED_GRAPH)
 _STORED_FILES = {
-    "triples": (_LABELS, (normalize_label, normalize_all), _LABELS),
-    "depths": (_CONCEPTS, int),
-    "scores": (_CONCEPTS, float),
-    "concepts": (_CONCEPTS,),
+    "triples": ((_label_cell, normalize_label, _label_cell), (_LABELS, normalize_all, _LABELS)),
+    "depths": ((_concept_cell, int), (_CONCEPTS, pipeline._each(int))),
+    "scores": ((_concept_cell, float), (_CONCEPTS, pipeline._each(float))),
+    "concepts": ((_concept_cell,), (_CONCEPTS,)),
 }
 
 
 @st.composite
 def _stored_tables(draw):
-    """(file bytes, types) of a stored subgraph file, drawn as _tables
-    draws, from cells that are mostly valid."""
-    types = _STORED_FILES[draw(st.sampled_from(sorted(_STORED_FILES)))]
-    row = st.lists(_STORED_CELLS, min_size=len(types), max_size=len(types))
+    """(file bytes, stored file name), drawn as _tables draws, from cells
+    that are mostly valid."""
+    name = draw(st.sampled_from(sorted(_STORED_FILES)))
+    width = len(_STORED_FILES[name][0])
+    row = st.lists(_STORED_CELLS, min_size=width, max_size=width)
     lines = draw(st.lists(st.one_of(row, row, row, st.lists(_STORED_CELLS, max_size=4))
                           .map(b"\t".join), max_size=8))
     blob = b"".join(line + b"\n" for line in lines)
@@ -1114,33 +1161,44 @@ def _stored_tables(draw):
     if draw(rarely):
         at = draw(st.integers(0, len(blob)))
         blob = blob[:at] + b"\xff" + blob[at:]
-    return blob, types
+    return blob, name
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(table=_stored_tables())
-@example(table=(b"Red Fox\tisa\tanimal\nriver\tisa\tplace\n", _STORED_FILES["triples"]))
-@example(table=(" RED  fox \tPart  Of\tοδοσ\n".encode(), _STORED_FILES["triples"]))
-@example(table=(b"red fox\t2\nnowhere\tx\n", _STORED_FILES["depths"]))  # the first fault wins
-@example(table=(b"red fox\t2\nplace\t1\tx\nnowhere\t1\n", _STORED_FILES["depths"]))
+@example(table=(b"Red Fox\tisa\tanimal\nriver\tisa\tplace\n", "triples"))
+@example(table=(" RED  fox \tPart  Of\tοδοσ\n".encode(), "triples"))
+@example(table=(b"red fox\t2\nnowhere\tx\n", "depths"))  # the first fault wins
+@example(table=(b"red fox\t2\nplace\t1\tx\nnowhere\t1\n", "depths"))
+@example(table=(b"nowhere\t1\nriver\t2\nx\t1\n", "scores"))  # two bad cells, one column
 def test_column_converters_equal_the_row_reader(table):
-    blob, types = table
+    blob, name = table
+    cells, converters = _STORED_FILES[name]
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "table.tsv")
         with open(path, "wb") as handle:
             handle.write(blob)
         try:
-            cells = (kind[0] if isinstance(kind, tuple) else kind for kind in types)
             expected = repr(_read_rows(path, *cells))
         except StorageError as exc:
             expected = str(exc)
         try:
-            columns = pipeline._read_columns(path, *types)
+            columns = pipeline._read_columns(path, *converters)
         except StorageError as exc:
             assert str(exc) == expected
             return
     assert all(type(column) is list and len(column) == len(columns[0]) for column in columns)
     assert repr(list(zip(*columns))) == expected
+
+
+@pytest.mark.parametrize("converter", [_CONCEPTS, _LABELS], ids=["concepts", "labels"])
+def test_a_column_converter_names_its_first_bad_cell(converter, tmp_path):
+    with pytest.raises(ValueError, match="^'nowhere' is not a concept of the graph$"):
+        converter(["nowhere", "river", "elsewhere"])
+    path = tmp_path / "table.tsv"
+    path.write_text("nowhere\nriver\nelsewhere\n", encoding="utf-8")
+    with pytest.raises(StorageError, match=re.escape(f"{path}:1: 'nowhere' is not")):
+        pipeline._read_columns(str(path), converter)
 
 
 def test_link_concepts_matches_multiword_labels():
