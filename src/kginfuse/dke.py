@@ -145,9 +145,10 @@ def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG,
                   solution: MappingSolution | None) -> SeededSubKG:
     """Absorb the differential subgraph into the seeded one.
 
-    New triples are unioned in; each resolvable new concept's embedding
-    is the mapped vector W v, renormalized, and its relevance score is
-    1/(1 + retrieval depth). With an empty difference this is a no-op.
+    New triples are unioned in, and each resolvable new concept's
+    embedding is the mapped vector W v, renormalized. The relevance
+    passes through unchanged: seeding scored every concept it can score.
+    With an empty difference this is a no-op.
     """
     if not diff.triples:
         return seeded
@@ -185,13 +186,5 @@ def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG,
     embedded = tuple(sorted(source))
     matrix = np.ascontiguousarray(columns[:, [source[c] for c in embedded]])
 
-    relevance = dict(seeded.relevance)
-    for cid, depth in diff.frontier_depth.items():
-        relevance.setdefault(cid, 1.0 / (1.0 + depth))
-
-    return SeededSubKG(
-        subkg=new_subkg,
-        relevance=relevance,
-        embedding_matrix=matrix,
-        embedded_concepts=embedded,
-    )
+    return SeededSubKG(subkg=new_subkg, relevance=seeded.relevance, embedding_matrix=matrix,
+                       embedded_concepts=embedded)

@@ -104,8 +104,10 @@ class BuildArtifacts:
 
 def _build_inputs(cfg: PipelineConfig) -> dict:
     """What a build reads: the settings build_hash covers and the sha256
-    of each input file."""
-    inputs = {"build_sha256": build_hash(cfg), "kg": sha256_file(cfg.kg_path),
+    of each input file, plus the format of the artifacts, so that a build
+    stored in an older format is rebuilt (format 2: scores.tsv holds every
+    scored concept)."""
+    inputs = {"format": 2, "build_sha256": build_hash(cfg), "kg": sha256_file(cfg.kg_path),
               "dataset": sha256_file(cfg.dataset_path)}
     for name in sorted(cfg.corpora):
         inputs[f"corpus.{name}"] = sha256_file(cfg.corpora[name])
@@ -186,7 +188,7 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
         _save_model(paths, model)
     _save_seeded(paths, kg, seeded)
     ke = _write_knowledge_embedding(cfg, paths, seeded, models)
-    _write_manifest(cfg, paths, {"format": 1, BUILD_RECORD: inputs})
+    _write_manifest(cfg, paths, {BUILD_RECORD: inputs})
     counts = (len(seeded.subkg.triples), len(seeded.subkg.concepts()),
               seeded.embedding_matrix.shape[1])
     return BuildArtifacts(models, ke.values, ke.pair_count, config_hash(cfg),

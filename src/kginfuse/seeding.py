@@ -3,7 +3,9 @@
 Concepts are scored against a labeled corpus by their pointwise KL
 contribution (add-1 smoothed target-class probability vs. whole-corpus
 probability), the top-scoring ones seed an n-hop expansion, and the
-expanded subgraph is embedded into a concept matrix.
+expanded subgraph is embedded into a concept matrix. Those scores are
+the only relevance scale, and every one is kept, so a concept the
+differential knowledge engine absorbs later already has its score.
 """
 
 from __future__ import annotations
@@ -40,8 +42,11 @@ class CorpusStats:
 class SeededSubKG:
     """Relevance-scored subgraph plus its concept-embedding matrix.
 
-    embedding_matrix has one unit-norm column per resolvable concept,
-    ordered by embedded_concepts (sorted concept ids).
+    relevance holds seeding's score of every graph concept whose label
+    tokens all occur in the training set, inside the subgraph or not; a
+    concept with no entry has no score. embedding_matrix has one
+    unit-norm column per resolvable concept, ordered by embedded_concepts
+    (sorted concept ids).
     """
 
     subkg: SubKG
@@ -114,8 +119,9 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
     by relevance_score's sum: each distinct token's term is computed
     once and added, in label order, wherever it occurs. The top_m scores
     (ties at the boundary included) become seeds and are expanded to
-    their hop-neighborhood. Ties and column order are broken by concept
-    id, so the result is independent of document order.
+    their hop-neighborhood; every score is kept as the relevance. Ties
+    and column order are broken by concept id, so the result is
+    independent of document order.
     """
     if top_m < 1:
         raise ValidationError("top_m must be >= 1")
@@ -136,10 +142,5 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
 
     subkg = n_hop_neighborhood(kg, seeds, hops)
     matrix, embedded = embed_concepts(kg, sorted(subkg.frontier_depth), models)
-    relevance = {cid: scores[cid] for cid in subkg.frontier_depth if cid in scores}
-    return SeededSubKG(
-        subkg=subkg,
-        relevance=relevance,
-        embedding_matrix=matrix,
-        embedded_concepts=embedded,
-    )
+    return SeededSubKG(subkg=subkg, relevance=scores, embedding_matrix=matrix,
+                       embedded_concepts=embedded)

@@ -151,10 +151,7 @@ def reference_update_seeded(seeded, diff, solution):
     width = seeded.embedding_matrix.shape[0]
     matrix = (np.stack([vectors[c] for c in embedded], axis=1)
               if embedded else np.zeros((width, 0)))
-    relevance = dict(seeded.relevance)
-    for cid, depth in diff.frontier_depth.items():
-        relevance.setdefault(cid, 1.0 / (1.0 + depth))
-    return SeededSubKG(subkg=new_subkg, relevance=relevance, embedding_matrix=matrix,
+    return SeededSubKG(subkg=new_subkg, relevance=seeded.relevance, embedding_matrix=matrix,
                        embedded_concepts=embedded)
 
 

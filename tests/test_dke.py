@@ -264,4 +264,4 @@ class TestUpdateSeeded:
         assert seeded.subkg.triples <= updated.subkg.triples
         norms = np.linalg.norm(updated.embedding_matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert updated.relevance["d"] == 1.0 / (1.0 + diff.frontier_depth["d"])
+        assert updated.relevance == seeded.relevance

@@ -146,6 +146,22 @@ class TestBuild:
                 for name in os.listdir(subkg)} == evolved
         assert build(cfg).up_to_date
 
+    def test_a_build_stored_before_format_2_is_rebuilt_once(self, tiny_project, capsys):
+        cfg = parse_config(tiny_project)
+        build(cfg)
+        path = os.path.join(cfg.out_dir, "manifest.json")
+        manifest = json.loads(read_text(path))
+        # The format-1 layout: a top-level format, which no build read, and
+        # a build record without one.
+        manifest["format"] = 1
+        manifest["build"].pop("format", None)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        for want in ("built artifacts", "up to date"):
+            assert cli_main(["build", "--config", str(tiny_project)]) == 0
+            assert capsys.readouterr().out.startswith(want)
+
     def test_a_copied_project_is_up_to_date(self, tiny_project, tmp_path_factory):
         build(parse_config(tiny_project))
         copy = tmp_path_factory.mktemp("copy")

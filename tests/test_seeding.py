@@ -4,6 +4,7 @@ import importlib
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from kginfuse.config import parse_config
 from kginfuse.datasets import read_labeled_tsv
 from kginfuse.embedding import DimensionModel, embed_token_lists
 from kginfuse.errors import ValidationError
+from kginfuse import pipeline
 from kginfuse.kg import KnowledgeGraph, load_graph, n_hop_neighborhood
 from kginfuse.pipeline import link_concepts
-from kginfuse.synth import generate_benchmark
+from kginfuse.storage import read_text
+from kginfuse.synth import DIAGNOSTIC_TOKENS, generate_benchmark
 from kginfuse.seeding import corpus_stats, extract_seeded_subkg, relevance_score
 from kginfuse.text import tokenize
 
@@ -239,7 +242,8 @@ class TestExtractSeededSubkg:
         assert seeded.embedding_matrix.shape[1] <= len(seeded.subkg.concepts())
         norms = np.linalg.norm(seeded.embedding_matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert set(seeded.relevance) <= seeded.subkg.concepts()
+        assert set(seeded.relevance) == {cid for cid, tokens in kg.label_tokens.items()
+                                         if tokens and stats.vocab.issuperset(tokens)}
 
 
 def _synth_project(tmp_path, monkeypatch):
@@ -265,6 +269,39 @@ def test_every_seeded_score_is_relevance_score_exactly(tmp_path, monkeypatch, pr
             assert score == relevance_score(kg.label_tokens[cid], stats, cfg.target_class), cid
     assert len(seeded.relevance) == sum(
         stats.vocab.issuperset(tokens) for tokens in kg.label_tokens.values() if tokens)
+
+
+def test_an_absorbing_update_keeps_every_score_seeding_gave(tmp_path):
+    cfg = replace(parse_config(generate_benchmark(str(tmp_path), seed=0).config), mode="infused")
+    pipeline.build(cfg)
+    scores_path = os.path.join(cfg.out_dir, "subkg", "scores.tsv")
+    with open(scores_path, "rb") as handle:
+        built = handle.read()
+    outcome = pipeline.update_kg(cfg, pipeline.train(cfg).checkpoint_path)
+    assert outcome.reason == "updated" and outcome.new_concepts > 0
+    with open(scores_path, "rb") as handle:
+        assert handle.read() == built
+
+    rows = read_labeled_tsv(cfg.dataset_path)
+    vocab = {token for _, text in rows for token in tokenize(text)}
+    kg = load_graph(cfg.kg_path, cfg.taxonomy_predicate)
+    stats = corpus_stats(rows)
+    stored = {cid: float(score) for cid, score in
+              (line.split("\t") for line in built.decode("utf-8").splitlines())}
+    assert set(stored) == {cid for cid, tokens in kg.label_tokens.items()
+                           if tokens and vocab.issuperset(tokens)}
+    for cid, score in stored.items():
+        assert score == relevance_score(kg.label_tokens[cid], stats, "pos"), cid
+    # The negative class's words, which the update absorbs, score below every
+    # diagnostic; absorbed concepts with a label word outside the training
+    # set have no score, as the build's unscored neighbours have none.
+    negative = {"meadow", "picnic", "lullaby", "orchard"}
+    assert max(stored[cid] for cid in negative) < min(stored[t] for t in DIAGNOSTIC_TOKENS)
+    depths = read_text(os.path.join(cfg.out_dir, "subkg", "depths.tsv"))
+    in_subgraph = {line.split("\t")[0] for line in depths.splitlines()}
+    unscored = {"brook", "calm", "garden", "hammock", "teapot", "scene",
+                "portent", "threat", "warning"}
+    assert negative | unscored <= in_subgraph and not unscored & set(stored)
 
 
 def test_long_labels_sum_their_terms_in_label_order():
