@@ -2,10 +2,11 @@
 subgraph, the semantic mapping solver, and seeded-subgraph evolution.
 
 The engine runs after evaluation: concepts mentioned by misclassified
-examples are expanded to their hop-neighborhood, the triples not already
-in the seeded subgraph form the differential subgraph, and a ridge-
-regularized linear map between the two embedding spaces transfers the
-new concepts' embeddings into the seeded space.
+examples are expanded to their hop-neighborhood, and the triples not
+already in the seeded subgraph form the differential subgraph, which the
+seeded one absorbs with each new concept's own embedding. A ridge-
+regularized linear map between the seeded and the new concepts' columns
+diagnoses how far the new concepts sit from the seeded ones.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def solve_mapping(seeded_matrix: np.ndarray, diff_matrix: np.ndarray,
     defect. The unregularized two-sided imbalance, the absolute value of
     |S - W D|^2 - alpha |W S - D|^2, is reported as a diagnostic, not
     enforced: 0 when both sides balance, larger the further apart they are.
+    W is reported with the two diagnostics, not applied: an absorbed
+    concept keeps its own column (update_seeded).
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
@@ -141,22 +144,18 @@ def _align_columns(seeded_matrix: np.ndarray, diff_matrix: np.ndarray):
     return seeded_matrix[:, nearest], diff_matrix
 
 
-def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG,
-                  solution: MappingSolution | None) -> SeededSubKG:
+def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG) -> SeededSubKG:
     """Absorb the differential subgraph into the seeded one.
 
-    New triples are unioned in, and each resolvable new concept's
-    embedding is the mapped vector W v, renormalized. The relevance
-    passes through unchanged: seeding scored every concept it can score.
-    With an empty difference this is a no-op.
+    New triples are unioned in, and each resolvable new concept keeps its
+    own unit column from the differential subgraph. The relevance passes
+    through unchanged: seeding scored every concept it can score. With an
+    empty difference this is a no-op.
     """
     if not diff.triples:
         return seeded
-    if diff.new_concepts and solution is None:
-        raise ValidationError("a mapping solution is required to absorb new concepts")
 
     old = seeded.subkg
-    width = seeded.embedding_matrix.shape[0]
     merged_depth = dict(diff.frontier_depth)
     merged_depth.update(old.frontier_depth)
     new_subkg = SubKG(
@@ -165,24 +164,11 @@ def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG,
         frontier_depth=merged_depth,
     )
 
-    # One BLAS vector-matrix product per column, and one dot product per
-    # mapped row for its norm: each sums as w @ v and v.dot(v) do for that
-    # column alone (np.linalg.norm of a 1-d vector is sqrt(v.dot(v))), so
-    # a concept's vector does not depend on what else is absorbed with it.
-    mapped = (np.matmul(diff.embedding_matrix.T[:, None, :], solution.w.T)[:, 0]
-              if diff.new_concepts else np.empty((0, width)))
-    norms = np.sqrt(np.matmul(mapped[:, None, :], mapped[:, :, None])[:, 0, 0])
-    for cid, norm in zip(diff.new_concepts, norms):
-        if norm == 0.0:
-            log.warning("mapped embedding for %s collapsed to zero; skipped", cid)
-    kept = np.flatnonzero(norms != 0.0)
-    # Columns of the old matrix, then the kept mapped ones; a concept's last
-    # column wins, and the result lists every concept once, sorted.
-    columns = np.concatenate([seeded.embedding_matrix, (mapped[kept] / norms[kept, None]).T],
-                             axis=1)
+    # Columns of the old matrix, then the new ones; a concept's last column
+    # wins, and the result lists every concept once, sorted.
+    columns = np.concatenate([seeded.embedding_matrix, diff.embedding_matrix], axis=1)
     source = dict(zip(seeded.embedded_concepts, range(len(seeded.embedded_concepts))))
-    source.update(zip((diff.new_concepts[i] for i in kept),
-                      range(len(seeded.embedded_concepts), columns.shape[1])))
+    source.update(zip(diff.new_concepts, range(len(seeded.embedded_concepts), columns.shape[1])))
     embedded = tuple(sorted(source))
     matrix = np.ascontiguousarray(columns[:, [source[c] for c in embedded]])
 

@@ -105,9 +105,9 @@ class BuildArtifacts:
 def _build_inputs(cfg: PipelineConfig) -> dict:
     """What a build reads: the settings build_hash covers and the sha256
     of each input file, plus the format of the artifacts, so that a build
-    stored in an older format is rebuilt (format 2: scores.tsv holds every
-    scored concept)."""
-    inputs = {"format": 2, "build_sha256": build_hash(cfg), "kg": sha256_file(cfg.kg_path),
+    stored in an older format is rebuilt (format 3: an absorbed concept
+    keeps its own embedding column)."""
+    inputs = {"format": 3, "build_sha256": build_hash(cfg), "kg": sha256_file(cfg.kg_path),
               "dataset": sha256_file(cfg.dataset_path)}
     for name in sorted(cfg.corpora):
         inputs[f"corpus.{name}"] = sha256_file(cfg.corpora[name])
@@ -186,6 +186,8 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
     atomic_write_text(paths["stats"], format_stats(kg))
     for model in models:
         _save_model(paths, model)
+    scored = sorted(seeded.relevance)
+    _write_columns(paths["subkg_scores"], scored, map(seeded.relevance.get, scored))
     _save_seeded(paths, kg, seeded)
     ke = _write_knowledge_embedding(cfg, paths, seeded, models)
     _write_manifest(cfg, paths, {BUILD_RECORD: inputs})
@@ -334,14 +336,15 @@ def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
 
 
 def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
+    """Write the seeded subgraph's files that an update changes: all but
+    the relevance scores, which build writes."""
     triples = seeded.subkg.sorted_triples
     label = kg.concepts
     _write_columns(paths["subkg_triples"], [label[t.subject] for t in triples],
                    [t.predicate for t in triples], [label[t.object] for t in triples])
-    for key, values in (("subkg_scores", seeded.relevance),
-                        ("subkg_depths", seeded.subkg.frontier_depth)):
-        ids = sorted(values)
-        _write_columns(paths[key], ids, map(values.get, ids))
+    depths = seeded.subkg.frontier_depth
+    ids = sorted(depths)
+    _write_columns(paths["subkg_depths"], ids, map(depths.get, ids))
     _write_columns(paths["subkg_concepts"], seeded.embedded_concepts)
     save_array(paths["subkg_matrix"], seeded.embedding_matrix)
 
@@ -941,19 +944,12 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     seeded = _load_seeded(paths, subkg, art.models)
     diff = dke_mod.differential_subkg(retrieved, seeded, art.models)
 
-    solution = None
-    if diff.new_concepts:
-        if seeded.embedding_matrix.shape[1] == 0:
-            return _finish_update(
-                cfg,
-                UpdateOutcome(misclassified, 0, len(diff.new_concepts),
-                              "seeded subgraph has no embedded concepts to map against"),
-            )
-        solution = dke_mod.solve_mapping(
-            seeded.embedding_matrix, diff.embedding_matrix,
-            alpha=cfg.alpha, ridge=cfg.ridge,
-        )
-    updated = dke_mod.update_seeded(seeded, diff, solution)
+    # The mapping is not applied; its residual and imbalance, logged in the
+    # audit line, diagnose how far the new concepts sit from the seeded ones.
+    solution = (dke_mod.solve_mapping(seeded.embedding_matrix, diff.embedding_matrix,
+                                      alpha=cfg.alpha, ridge=cfg.ridge)
+                if diff.new_concepts and seeded.embedding_matrix.shape[1] else None)
+    updated = dke_mod.update_seeded(seeded, diff)
 
     manifest = _read_manifest(cfg)  # an unreadable one raises before the first write
     _save_seeded(paths, kg, updated)

@@ -7,7 +7,6 @@ the same bits as their references, and an absorbing update the same bytes.
 """
 
 import importlib
-import logging
 import os
 import shutil
 from collections import deque
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from kginfuse import pipeline
 from kginfuse.config import parse_config
-from kginfuse.dke import DifferentialSubKG, MappingSolution, update_seeded
+from kginfuse.dke import DifferentialSubKG, update_seeded
 from kginfuse.embedding import (
     DimensionModel,
     KnowledgeEmbedding,
@@ -127,11 +126,9 @@ def reference_knowledge_embedding(seeded, models, allowlist=None):
     return KnowledgeEmbedding(values=acc[0] / norm, pair_count=len(pairs))
 
 
-def reference_update_seeded(seeded, diff, solution):
+def reference_update_seeded(seeded, diff):
     if not diff.triples:
         return seeded
-    if diff.new_concepts and solution is None:
-        raise ValidationError("a mapping solution is required to absorb new concepts")
     old = seeded.subkg
     merged_depth = dict(diff.frontier_depth)
     merged_depth.update(old.frontier_depth)
@@ -140,13 +137,7 @@ def reference_update_seeded(seeded, diff, solution):
     vectors = {cid: seeded.embedding_matrix[:, i]
                for i, cid in enumerate(seeded.embedded_concepts)}
     for i, cid in enumerate(diff.new_concepts):
-        mapped = solution.w @ diff.embedding_matrix[:, i]
-        norm = float(np.linalg.norm(mapped))
-        if norm == 0.0:
-            logging.getLogger("kginfuse.dke").warning(
-                "mapped embedding for %s collapsed to zero; skipped", cid)
-            continue
-        vectors[cid] = mapped / norm
+        vectors[cid] = diff.embedding_matrix[:, i]
     embedded = tuple(sorted(vectors))
     width = seeded.embedding_matrix.shape[0]
     matrix = (np.stack([vectors[c] for c in embedded], axis=1)
@@ -163,7 +154,6 @@ def reference_save_seeded(paths, kg, seeded):
     label = kg.concepts
     write_rows(paths["subkg_triples"], ((label[t.subject], t.predicate, label[t.object])
                                         for t in sorted(seeded.subkg.triples)))
-    write_rows(paths["subkg_scores"], sorted(seeded.relevance.items()))
     write_rows(paths["subkg_depths"], sorted(seeded.subkg.frontier_depth.items()))
     write_rows(paths["subkg_concepts"], ((cid,) for cid in seeded.embedded_concepts))
     pipeline.save_array(paths["subkg_matrix"], seeded.embedding_matrix)
@@ -284,8 +274,7 @@ def test_lcs_distance_rejects_unknown_concepts_in_argument_order():
 @st.composite
 def absorptions(draw):
     """A seeded subgraph and a differential one over concepts c0..c9, whose
-    new concepts may overlap the embedded ones, and a mapping; some
-    differential columns map to zero."""
+    new concepts may overlap the embedded ones."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     width = draw(st.integers(1, 13))
     names = [f"c{i}" for i in range(10)]
@@ -299,43 +288,27 @@ def absorptions(draw):
         rng.normal(size=(width, len(old))),
         tuple(old),
     )
-    diff_matrix = rng.normal(size=(width, len(new)))
-    diff_matrix[:, rng.random(len(new)) < 0.2] = 0.0
     diff = DifferentialSubKG(
         frozenset(triples[draw(st.integers(0, len(triples) - 1)):]),
-        diff_matrix,
+        rng.normal(size=(width, len(new))),
         tuple(new),
         {c: int(d) for c, d in zip(new, rng.integers(0, 3, len(new)))},
     )
-    return seeded, diff, MappingSolution(rng.normal(size=(width, width)), 0.0, 0.0)
+    return seeded, diff
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(absorptions())
 def test_update_seeded_equals_the_reference(case):
-    seeded, diff, solution = case
-    got = update_seeded(seeded, diff, solution)
-    want = reference_update_seeded(seeded, diff, solution)
+    seeded, diff = case
+    got = update_seeded(seeded, diff)
+    want = reference_update_seeded(seeded, diff)
     assert got.embedded_concepts == want.embedded_concepts
     assert same_bits(got.embedding_matrix, want.embedding_matrix)
     assert got.embedding_matrix.flags.c_contiguous
     assert got.relevance == want.relevance
     assert got.subkg.triples == want.subkg.triples
     assert got.subkg.frontier_depth == want.subkg.frontier_depth
-
-
-def test_update_seeded_warns_for_each_collapsed_column(caplog):
-    names = ["a", "b", "c"]
-    kg = KnowledgeGraph.from_labeled_triples([("a", "rel", "b"), ("b", "rel", "c")])
-    seeded = SeededSubKG(SubKG(kg, frozenset(), {"a": 0}), {}, np.eye(2)[:, :1], ("a",))
-    diff = DifferentialSubKG(frozenset(kg.triples), np.array([[0.0, 1.0], [0.0, 0.0]]),
-                             ("b", "c"), {"b": 1, "c": 1})
-    with caplog.at_level(logging.WARNING, logger="kginfuse.dke"):
-        got = update_seeded(seeded, diff, MappingSolution(np.eye(2), 0.0, 0.0))
-    assert got.embedded_concepts == ("a", "c")
-    assert [r.getMessage() for r in caplog.records] == [
-        "mapped embedding for b collapsed to zero; skipped"]
-    assert names == sorted(got.subkg.frontier_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +354,11 @@ def test_absorbing_update_writes_the_bytes_of_the_reference_functions(tmp_path, 
         with open(tmp_path / "reference" / rel, "rb") as want, open(tmp_path / "new" / rel,
                                                                     "rb") as got:
             assert got.read() == want.read(), rel
+    # An absorbed concept keeps its own column: the stored matrix is the
+    # subgraph's concepts embedded afresh.
+    new = replace(cfg, out_dir=str(tmp_path / "new"))
+    models = pipeline.load_build(new).models
+    kg, stored = pipeline.load_subgraph(new, models)
+    matrix, embedded = embed_concepts(kg, sorted(stored.subkg.frontier_depth), models)
+    assert stored.embedded_concepts == embedded
+    assert same_bits(stored.embedding_matrix, matrix)

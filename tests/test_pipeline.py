@@ -34,7 +34,7 @@ from kginfuse.pipeline import (
     update_kg,
 )
 from kginfuse.rng import derive_seed
-from kginfuse.storage import load_checkpoint, read_text, save_checkpoint, sha256_file
+from kginfuse.storage import load_checkpoint, read_text, save_array, save_checkpoint, sha256_file
 from kginfuse.text import normalize_all, normalize_label, tokenize
 from dataclasses import replace
 
@@ -150,17 +150,20 @@ class TestBuild:
         cfg = parse_config(tiny_project)
         build(cfg)
         path = os.path.join(cfg.out_dir, "manifest.json")
-        manifest = json.loads(read_text(path))
         # The format-1 layout: a top-level format, which no build read, and
-        # a build record without one.
-        manifest["format"] = 1
-        manifest["build"].pop("format", None)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        capsys.readouterr()
-        for want in ("built artifacts", "up to date"):
-            assert cli_main(["build", "--config", str(tiny_project)]) == 0
-            assert capsys.readouterr().out.startswith(want)
+        # a build record without one. Then a format-2 record, whose evolved
+        # subgraph may hold mapped columns.
+        for top, record in (({"format": 1}, {}), ({}, {"format": 2})):
+            manifest = json.loads(read_text(path))
+            manifest["build"].pop("format")
+            manifest.update(top)
+            manifest["build"].update(record)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            capsys.readouterr()
+            for want in ("built artifacts", "up to date"):
+                assert cli_main(["build", "--config", str(tiny_project)]) == 0
+                assert capsys.readouterr().out.startswith(want)
 
     def test_a_copied_project_is_up_to_date(self, tiny_project, tmp_path_factory):
         build(parse_config(tiny_project))
@@ -660,6 +663,19 @@ class TestUpdateKg:
         lines = logged.split(b"\n")
         assert len(lines) == 3 and lines[2] == b""
         assert lines[1].startswith(b"cycle=2 ")
+
+    def test_a_subgraph_with_no_embedded_concept_absorbs_unmapped(self, update_project):
+        cfg, ckpt, data = update_project
+        width = load_build(cfg).ke_values.shape[0]
+        open(os.path.join(cfg.out_dir, "subkg", "concepts.tsv"), "w").close()
+        save_array(os.path.join(cfg.out_dir, "subkg", "embeddings.kign"), np.zeros((width, 0)))
+        outcome = update_kg(cfg, ckpt, dataset_path=data)
+        assert outcome.reason == "updated" and outcome.new_concepts > 0
+        assert outcome.residual is None and outcome.imbalance is None
+        audit = read_text(os.path.join(cfg.out_dir, "update_audit.log"))
+        assert "residual=- imbalance=- reason=updated" in audit
+        after = stored_subgraph(cfg)
+        assert len(after.embedded_concepts) == after.embedding_matrix.shape[1] > 0
 
     def test_updated_embeddings_stay_unit_norm(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
