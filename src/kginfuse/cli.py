@@ -74,7 +74,7 @@ def cmd_build(args) -> int:
         print(f"up to date: {cfg.out_dir}")
     else:
         print(f"built artifacts in {cfg.out_dir}")
-    print("seeded subgraph: %d triples, %d concepts, %d embedded" % art.subgraph_counts)
+    print("seeded subgraph: %d triples, %d concepts" % art.subgraph_counts)
     print(f"knowledge embedding: {art.ke_pair_count} concept pairs")
     return 0
 

@@ -4,8 +4,9 @@ subgraph, the semantic mapping solver, and seeded-subgraph evolution.
 The engine runs after evaluation: concepts mentioned by misclassified
 examples are expanded to their hop-neighborhood, and the triples not
 already in the seeded subgraph form the differential subgraph, which the
-seeded one absorbs with each new concept's own embedding. A ridge-
-regularized linear map between the seeded and the new concepts' columns
+seeded one absorbs: its triples and depths are merged in, and the
+knowledge embedding is computed from the result. A ridge-regularized
+linear map between the seeded and the new concepts' embedding columns
 diagnoses how far the new concepts sit from the seeded ones.
 """
 
@@ -19,7 +20,6 @@ import numpy as np
 from .embedding import embed_concepts
 from .errors import SolverError, UnknownConceptError, ValidationError
 from .kg import KnowledgeGraph, SubKG, n_hop_neighborhood
-from .seeding import SeededSubKG
 
 log = logging.getLogger(__name__)
 
@@ -68,15 +68,15 @@ def knowledge_proximity(kg: KnowledgeGraph, datapoint_concepts, hops: int) -> Su
     return n_hop_neighborhood(kg, known, hops)
 
 
-def differential_subkg(retrieved: SubKG, seeded: SeededSubKG, models) -> DifferentialSubKG:
+def differential_subkg(retrieved: SubKG, seeded: SubKG, models) -> DifferentialSubKG:
     """Set difference of the retrieved subgraph against the seeded one.
 
     An empty difference is valid and signals there is nothing to learn.
     """
-    if retrieved.parent is not seeded.subkg.parent:
+    if retrieved.parent is not seeded.parent:
         raise ValidationError("retrieved and seeded subgraphs have different parents")
-    diff_triples = frozenset(retrieved.triples - seeded.subkg.triples)
-    seeded_concepts = seeded.subkg.concepts()
+    diff_triples = frozenset(retrieved.triples - seeded.triples)
+    seeded_concepts = seeded.concepts()
     new_concepts = sorted(
         {c for t in diff_triples for c in (t.subject, t.object)} - seeded_concepts
     )
@@ -101,8 +101,8 @@ def solve_mapping(seeded_matrix: np.ndarray, diff_matrix: np.ndarray,
     defect. The unregularized two-sided imbalance, the absolute value of
     |S - W D|^2 - alpha |W S - D|^2, is reported as a diagnostic, not
     enforced: 0 when both sides balance, larger the further apart they are.
-    W is reported with the two diagnostics, not applied: an absorbed
-    concept keeps its own column (update_seeded).
+    W is reported with the two diagnostics, not applied: the absorbing
+    update (update_seeded) merges only triples and depths.
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
@@ -144,33 +144,15 @@ def _align_columns(seeded_matrix: np.ndarray, diff_matrix: np.ndarray):
     return seeded_matrix[:, nearest], diff_matrix
 
 
-def update_seeded(seeded: SeededSubKG, diff: DifferentialSubKG) -> SeededSubKG:
-    """Absorb the differential subgraph into the seeded one.
-
-    New triples are unioned in, and each resolvable new concept keeps its
-    own unit column from the differential subgraph. The relevance passes
-    through unchanged: seeding scored every concept it can score. With an
-    empty difference this is a no-op.
+def update_seeded(seeded: SubKG, diff: DifferentialSubKG) -> SubKG:
+    """Absorb the differential subgraph into the seeded one: the union of
+    their triples, each concept at its seeded depth if it has one and at
+    its retrieval depth otherwise. With an empty difference this is a
+    no-op.
     """
     if not diff.triples:
         return seeded
-
-    old = seeded.subkg
     merged_depth = dict(diff.frontier_depth)
-    merged_depth.update(old.frontier_depth)
-    new_subkg = SubKG(
-        parent=old.parent,
-        triples=frozenset(old.triples | diff.triples),
-        frontier_depth=merged_depth,
-    )
-
-    # Columns of the old matrix, then the new ones; a concept's last column
-    # wins, and the result lists every concept once, sorted.
-    columns = np.concatenate([seeded.embedding_matrix, diff.embedding_matrix], axis=1)
-    source = dict(zip(seeded.embedded_concepts, range(len(seeded.embedded_concepts))))
-    source.update(zip(diff.new_concepts, range(len(seeded.embedded_concepts), columns.shape[1])))
-    embedded = tuple(sorted(source))
-    matrix = np.ascontiguousarray(columns[:, [source[c] for c in embedded]])
-
-    return SeededSubKG(subkg=new_subkg, relevance=seeded.relevance, embedding_matrix=matrix,
-                       embedded_concepts=embedded)
+    merged_depth.update(seeded.frontier_depth)
+    return SubKG(parent=seeded.parent, triples=frozenset(seeded.triples | diff.triples),
+                 frontier_depth=merged_depth)

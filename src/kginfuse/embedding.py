@@ -15,9 +15,9 @@ is embedded once per call: one lexsort puts every list's tokens in
 sorted order and one np.add.at per model adds them in that order, the
 summation order of one np.mean per concept. A concept's tokens are read
 from kg.KnowledgeGraph.label_tokens, the one tokenization of its label.
-The knowledge embedding summarizes a seeded subgraph as one vector in
-the same concatenated space: a distance-weighted sum over concept pairs,
-L2-normalized.
+The knowledge embedding summarizes a seeded subgraph's triples as one
+vector in the same concatenated space: a distance-weighted sum over
+concept pairs, each concept embedded from its label, L2-normalized.
 """
 
 from __future__ import annotations
@@ -217,8 +217,9 @@ def embed_concepts(kg, concept_ids, models) -> tuple[np.ndarray, tuple[str, ...]
     return matrix, tuple(concept_ids[i] for i in keep)
 
 
-def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
-    """Single-vector summary of a seeded subgraph (distance-weighted pairs).
+def knowledge_embedding(subkg, models, allowlist=None) -> KnowledgeEmbedding:
+    """Single-vector summary of a seeded subgraph (a kg.SubKG) by
+    distance-weighted concept pairs.
 
     For every triple whose predicate passes the allowlist and whose
     endpoints both resolve, the pair contributes the elementwise mean of
@@ -231,7 +232,6 @@ def knowledge_embedding(seeded, models, allowlist=None) -> KnowledgeEmbedding:
 
     allowlist=None admits every predicate; an empty set admits none.
     """
-    subkg = seeded.subkg
     if not subkg.triples:
         raise ValidationError("seeded subgraph has no triples")
     kg = subkg.parent

@@ -30,6 +30,7 @@ from .embedding import (
     DimensionModel,
     KnowledgeEmbedding,
     content_width,
+    embed_concepts,
     knowledge_embedding,
     train_dimension_model,
 )
@@ -53,7 +54,7 @@ from .nlm import (
     train_step,
 )
 from .rng import derive_seed, stream_rng
-from .seeding import SeededSubKG, corpus_stats, extract_seeded_subkg
+from .seeding import corpus_stats, extract_seeded_subkg
 from .storage import (
     atomic_write_text,
     load_array,
@@ -87,15 +88,15 @@ HEAD_CALIBRATION_MAX_HALVINGS = 40
 class BuildArtifacts:
     """What train and evaluate read of a build. The graph and the seeded
     subgraph, which only update_kg reads, come from load_subgraph. build
-    also sets subgraph_counts, the seeded subgraph's (triples, concepts,
-    embedded concepts), for the build command's summary."""
+    also sets subgraph_counts, the seeded subgraph's (triples, concepts),
+    for the build command's summary."""
 
     models: list
     ke_values: np.ndarray
     ke_pair_count: int
     config_sha: str
     up_to_date: bool = False
-    subgraph_counts: tuple[int, int, int] | None = None
+    subgraph_counts: tuple[int, int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,7 @@ def _build_inputs(cfg: PipelineConfig) -> dict:
     """What a build reads: the settings build_hash covers and the sha256
     of each input file, plus the format of the artifacts, so that a build
     stored in an older format is rebuilt (format 3: an absorbed concept
-    keeps its own embedding column)."""
+    keeps its own vector)."""
     inputs = {"format": 3, "build_sha256": build_hash(cfg), "kg": sha256_file(cfg.kg_path),
               "dataset": sha256_file(cfg.dataset_path)}
     for name in sorted(cfg.corpora):
@@ -123,8 +124,6 @@ def _artifact_paths(cfg: PipelineConfig) -> dict:
         "subkg_triples": os.path.join(out_dir, "subkg", "triples.tsv"),
         "subkg_scores": os.path.join(out_dir, "subkg", "scores.tsv"),
         "subkg_depths": os.path.join(out_dir, "subkg", "depths.tsv"),
-        "subkg_concepts": os.path.join(out_dir, "subkg", "concepts.tsv"),
-        "subkg_matrix": os.path.join(out_dir, "subkg", "embeddings.kign"),
         "ke": os.path.join(out_dir, "knowledge", "ke.kign"),
         "ke_meta": os.path.join(out_dir, "knowledge", "ke.json"),
     }
@@ -150,11 +149,10 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
         log.info("build artifacts up to date in %s", out_dir)
         art = load_build(cfg)
         art.up_to_date = True
-        # One row per triple, concept and embedded concept, as the
-        # manifest's sha256s have just confirmed.
+        # One row per triple and per concept, as the manifest's sha256s
+        # have just confirmed.
         art.subgraph_counts = tuple(
-            read_text(paths[key]).count("\n")
-            for key in ("subkg_triples", "subkg_depths", "subkg_concepts"))
+            read_text(paths[key]).count("\n") for key in ("subkg_triples", "subkg_depths"))
         return art
 
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
@@ -177,9 +175,8 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
             )
         )
 
-    seeded = extract_seeded_subkg(
-        kg, stats, cfg.target_class, hops=cfg.subkg_hops, top_m=cfg.top_m, models=models
-    )
+    seeded = extract_seeded_subkg(kg, stats, cfg.target_class, hops=cfg.subkg_hops,
+                                  top_m=cfg.top_m)
 
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(paths["config"], emit_config(cfg))
@@ -188,11 +185,10 @@ def build(cfg: PipelineConfig) -> BuildArtifacts:
         _save_model(paths, model)
     scored = sorted(seeded.relevance)
     _write_columns(paths["subkg_scores"], scored, map(seeded.relevance.get, scored))
-    _save_seeded(paths, kg, seeded)
-    ke = _write_knowledge_embedding(cfg, paths, seeded, models)
+    _save_seeded(paths, seeded.subkg)
+    ke = _write_knowledge_embedding(cfg, paths, seeded.subkg, models)
     _write_manifest(cfg, paths, {BUILD_RECORD: inputs})
-    counts = (len(seeded.subkg.triples), len(seeded.subkg.concepts()),
-              seeded.embedding_matrix.shape[1])
+    counts = (len(seeded.subkg.triples), len(seeded.subkg.frontier_depth))
     return BuildArtifacts(models, ke.values, ke.pair_count, config_hash(cfg),
                           subgraph_counts=counts)
 
@@ -226,12 +222,22 @@ def _reusable(cfg: PipelineConfig, paths: dict, key: str, inputs, unread=()) -> 
     return record
 
 
-def _write_manifest(cfg: PipelineConfig, paths: dict, manifest: dict) -> None:
-    """Store manifest plus the sha256 of every artifact file (None for a
-    missing one) by its path relative to the output directory."""
+def _write_manifest(cfg: PipelineConfig, paths: dict, manifest: dict, written=None) -> None:
+    """Store manifest plus one sha256 per artifact, by its path relative
+    to the output directory: the file's own (None for a missing one) for
+    each paths key in written, or for every key when written is None,
+    and for any other key the one manifest's "artifacts" records, so an
+    edit made to that file since still shows."""
     base = os.path.join(cfg.out_dir, "")  # every artifact path is joined onto it
-    artifacts = {p[len(base):]: sha256_file(p) if os.path.isfile(p) else None
-                 for p in paths.values()}
+    recorded = manifest.get("artifacts")
+    recorded = recorded if isinstance(recorded, dict) else {}
+    artifacts = {}
+    for name, path in paths.items():
+        rel = path[len(base):]
+        if written is None or name in written:
+            artifacts[rel] = sha256_file(path) if os.path.isfile(path) else None
+        else:
+            artifacts[rel] = recorded.get(rel)
     atomic_write_text(os.path.join(cfg.out_dir, MANIFEST_NAME),
                       json.dumps({**manifest, "artifacts": artifacts}, indent=2, sort_keys=True)
                       + "\n")
@@ -300,11 +306,11 @@ def _each(convert):
     return lambda cells: list(map(convert, cells))
 
 
-def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, seeded: SeededSubKG,
+def _write_knowledge_embedding(cfg: PipelineConfig, paths: dict, subkg: SubKG,
                                models) -> KnowledgeEmbedding:
     """Embed the seeded subgraph under the predicate allowlist and store it."""
     allow = None if cfg.predicates is None else frozenset(cfg.predicates)
-    ke = knowledge_embedding(seeded, models, allowlist=allow)
+    ke = knowledge_embedding(subkg, models, allowlist=allow)
     save_array(paths["ke"], ke.values)
     atomic_write_text(
         paths["ke_meta"], json.dumps({"pair_count": ke.pair_count}, sort_keys=True) + "\n"
@@ -335,18 +341,16 @@ def _load_model(paths: dict, name: str, cfg: PipelineConfig) -> DimensionModel:
     return DimensionModel(name, vocab, vectors, d_sub=cfg.d_sub[name])
 
 
-def _save_seeded(paths: dict, kg: KnowledgeGraph, seeded: SeededSubKG) -> None:
-    """Write the seeded subgraph's files that an update changes: all but
-    the relevance scores, which build writes."""
-    triples = seeded.subkg.sorted_triples
-    label = kg.concepts
+def _save_seeded(paths: dict, subkg: SubKG) -> None:
+    """Write the seeded subgraph's triples (by label) and depths, the
+    files an update changes."""
+    triples = subkg.sorted_triples
+    label = subkg.parent.concepts
     _write_columns(paths["subkg_triples"], [label[t.subject] for t in triples],
                    [t.predicate for t in triples], [label[t.object] for t in triples])
-    depths = seeded.subkg.frontier_depth
+    depths = subkg.frontier_depth
     ids = sorted(depths)
     _write_columns(paths["subkg_depths"], ids, map(depths.get, ids))
-    _write_columns(paths["subkg_concepts"], seeded.embedded_concepts)
-    save_array(paths["subkg_matrix"], seeded.embedding_matrix)
 
 
 def load_build(cfg: PipelineConfig) -> BuildArtifacts:
@@ -364,18 +368,10 @@ def load_build(cfg: PipelineConfig) -> BuildArtifacts:
     return BuildArtifacts(models, ke_values, pair_count, config_hash(cfg))
 
 
-def load_subgraph(cfg: PipelineConfig, models) -> tuple[KnowledgeGraph, SeededSubKG]:
-    """Parse the graph and load the stored seeded subgraph over it, whose
-    embedding matrix must be as wide as the models' content vectors.
-    Returns (kg, seeded)."""
+def load_subgraph(cfg: PipelineConfig) -> SubKG:
+    """Parse the graph and read the stored seeded subgraph's triples and
+    depths over it; the graph is the result's parent."""
     paths = _artifact_paths(cfg)
-    subkg = _load_subkg(cfg, paths)
-    return subkg.parent, _load_seeded(paths, subkg, models)
-
-
-def _load_subkg(cfg: PipelineConfig, paths: dict) -> SubKG:
-    """Stage one of load_subgraph: parse the graph and read the stored
-    triples and depths over it."""
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
     labels = _labels(kg)
     subjects, predicates, objects = _read_columns(
@@ -383,16 +379,6 @@ def _load_subkg(cfg: PipelineConfig, paths: dict) -> SubKG:
     depths = _read_columns(paths["subkg_depths"], _concepts(kg), _each(int))
     return SubKG(parent=kg, triples=frozenset(make_triples(subjects, predicates, objects)),
                  frontier_depth=dict(zip(*depths)))
-
-
-def _load_seeded(paths: dict, subkg: SubKG, models) -> SeededSubKG:
-    """Stage two of load_subgraph: the stored relevance scores, embedded
-    concepts and embedding matrix of subkg."""
-    concepts = _concepts(subkg.parent)
-    relevance = _read_columns(paths["subkg_scores"], concepts, _each(float))
-    embedded = tuple(_read_columns(paths["subkg_concepts"], concepts)[0])
-    matrix = _load_shaped(paths["subkg_matrix"], (content_width(models), len(embedded)))
-    return SeededSubKG(subkg, dict(zip(*relevance)), matrix, embedded)
 
 
 def _concepts(kg: KnowledgeGraph):
@@ -881,9 +867,12 @@ class UpdateOutcome:
 
 ABSORBED = "difference already absorbed"
 
-# The artifacts a no-op update does not read: the build's config and
-# stats, and the three seeded-subgraph files it opens only to absorb.
-_UNREAD_BY_NO_OP = ("config", "stats", "subkg_scores", "subkg_concepts", "subkg_matrix")
+# The artifacts a no-op update does not read, nor does any other: the
+# build's config, stats and relevance scores.
+_UNREAD_BY_NO_OP = ("config", "stats", "subkg_scores")
+# The artifacts an absorbing update writes; the manifest keeps the
+# recorded sha256 of every other one.
+_WRITTEN_BY_UPDATE = ("subkg_triples", "subkg_depths", "ke", "ke_meta")
 
 
 def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> UpdateOutcome:
@@ -891,9 +880,9 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
 
     Evolves the stored seeded subgraph, refreshes the knowledge
     embedding, and appends one line to the update audit log. The stored
-    triples and depths are read first; the scores, embedded concepts and
-    embedding matrix only once the retrieved triples are not all stored
-    already, so a cycle with nothing to absorb never reads them.
+    subgraph is its triples and depths. An absorbing update embeds its
+    concepts from their labels in one embed_concepts call, for the
+    audit's mapping diagnostic only.
 
     An absorbing update records in the manifest what its outcome read
     (_update_inputs) and how many documents it missed. An update that
@@ -904,7 +893,9 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     same audit line as the computed no-op, reading no table, checkpoint
     or graph. Any other update is computed, also when the manifest is
     unreadable; an absorbing one then raises StorageError before it
-    writes a file.
+    writes a file. The manifest an absorbing update rewrites hashes the
+    files it wrote (_WRITTEN_BY_UPDATE) and keeps the recorded sha256 of
+    every other artifact.
     """
     paths = _artifact_paths(cfg)
     path = dataset_path or cfg.eval_dataset_path or cfg.dataset_path
@@ -919,8 +910,8 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         return _finish_update(cfg, UpdateOutcome(count, 0, 0, ABSORBED))
 
     art = load_build(cfg)
-    subkg = _load_subkg(cfg, paths)
-    kg = subkg.parent
+    seeded = load_subgraph(cfg)
+    kg = seeded.parent
     ckpt = load_trained(checkpoint_path)
     rows = read_labeled_tsv(path)
 
@@ -939,24 +930,25 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
         )
 
     retrieved = dke_mod.knowledge_proximity(kg, missed_concepts, cfg.proximity_hops)
-    if retrieved.triples <= subkg.triples:
+    if retrieved.triples <= seeded.triples:
         return _finish_update(cfg, UpdateOutcome(misclassified, 0, 0, ABSORBED))
-    seeded = _load_seeded(paths, subkg, art.models)
     diff = dke_mod.differential_subkg(retrieved, seeded, art.models)
 
     # The mapping is not applied; its residual and imbalance, logged in the
     # audit line, diagnose how far the new concepts sit from the seeded ones.
-    solution = (dke_mod.solve_mapping(seeded.embedding_matrix, diff.embedding_matrix,
+    columns, _ = embed_concepts(kg, sorted(seeded.frontier_depth), art.models)
+    solution = (dke_mod.solve_mapping(columns, diff.embedding_matrix,
                                       alpha=cfg.alpha, ridge=cfg.ridge)
-                if diff.new_concepts and seeded.embedding_matrix.shape[1] else None)
+                if diff.new_concepts and columns.shape[1] else None)
     updated = dke_mod.update_seeded(seeded, diff)
 
     manifest = _read_manifest(cfg)  # an unreadable one raises before the first write
-    _save_seeded(paths, kg, updated)
+    _save_seeded(paths, updated)
     _write_knowledge_embedding(cfg, paths, updated, art.models)
     if manifest is not None:
         _write_manifest(cfg, paths, {**manifest, UPDATE_RECORD: {
-            **_update_inputs(cfg, checkpoint_path, path), "misclassified": misclassified}})
+            **_update_inputs(cfg, checkpoint_path, path), "misclassified": misclassified}},
+                        written=_WRITTEN_BY_UPDATE)
 
     outcome = UpdateOutcome(
         misclassified=misclassified,

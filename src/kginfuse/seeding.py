@@ -2,21 +2,19 @@
 
 Concepts are scored against a labeled corpus by their pointwise KL
 contribution (add-1 smoothed target-class probability vs. whole-corpus
-probability), the top-scoring ones seed an n-hop expansion, and the
-expanded subgraph is embedded into a concept matrix. Those scores are
-the only relevance scale, and every one is kept, so a concept the
-differential knowledge engine absorbs later already has its score.
+probability), and the top-scoring ones seed an n-hop expansion. Those
+scores are the only relevance scale, and every one is kept, so a concept
+the differential knowledge engine absorbs later already has its score.
+The subgraph is its triples and hop depths; a concept's vector is
+embedded from its label (embedding.embed_concepts) where it is needed.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .embedding import embed_concepts
 from .errors import ValidationError
 from .kg import KnowledgeGraph, SubKG, n_hop_neighborhood
 from .text import tokenize_all
@@ -40,19 +38,15 @@ class CorpusStats:
 
 @dataclass
 class SeededSubKG:
-    """Relevance-scored subgraph plus its concept-embedding matrix.
+    """The seeded subgraph with seeding's relevance scores.
 
     relevance holds seeding's score of every graph concept whose label
     tokens all occur in the training set, inside the subgraph or not; a
-    concept with no entry has no score. embedding_matrix has one
-    unit-norm column per resolvable concept, ordered by embedded_concepts
-    (sorted concept ids).
+    concept with no entry has no score.
     """
 
     subkg: SubKG
     relevance: dict[str, float]
-    embedding_matrix: np.ndarray
-    embedded_concepts: tuple[str, ...] = field(default_factory=tuple)
 
 
 def corpus_stats(dataset) -> CorpusStats:
@@ -112,16 +106,16 @@ def _summed_terms(tokens, term) -> float:
 
 
 def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: str,
-                         hops: int, top_m: int, models) -> SeededSubKG:
-    """Score, seed, expand, and embed.
+                         hops: int, top_m: int) -> SeededSubKG:
+    """Score, seed and expand.
 
     Every concept whose label tokens all occur in the corpus is scored
     by relevance_score's sum: each distinct token's term is computed
     once and added, in label order, wherever it occurs. The top_m scores
     (ties at the boundary included) become seeds and are expanded to
     their hop-neighborhood; every score is kept as the relevance. Ties
-    and column order are broken by concept id, so the result is
-    independent of document order.
+    are broken by concept id, so the result is independent of document
+    order.
     """
     if top_m < 1:
         raise ValidationError("top_m must be >= 1")
@@ -140,7 +134,4 @@ def extract_seeded_subkg(kg: KnowledgeGraph, stats: CorpusStats, target_class: s
     cutoff = ranked[min(top_m, len(ranked)) - 1][1]
     seeds = sorted(cid for cid, s in ranked if s >= cutoff)
 
-    subkg = n_hop_neighborhood(kg, seeds, hops)
-    matrix, embedded = embed_concepts(kg, sorted(subkg.frontier_depth), models)
-    return SeededSubKG(subkg=subkg, relevance=scores, embedding_matrix=matrix,
-                       embedded_concepts=embedded)
+    return SeededSubKG(subkg=n_hop_neighborhood(kg, seeds, hops), relevance=scores)

@@ -16,7 +16,6 @@ from kginfuse.dke import differential_subkg, solve_mapping, update_seeded
 from kginfuse.embedding import (
     DimensionModel,
     content_width,
-    embed_concepts,
     knowledge_embedding,
 )
 from kginfuse.infusion import (
@@ -217,9 +216,8 @@ def test_criterion_5_oracle_equivalence():
             rng.normal(size=(n, 3)), 3,
         )
         sub = n_hop_neighborhood(kg, set(kg.concepts), 1)
-        matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), [model])
-        seeded = SeededSubKG(sub, {}, matrix, embedded)
-        ke = knowledge_embedding(seeded, [model])
+        seeded = SeededSubKG(sub, {})
+        ke = knowledge_embedding(seeded.subkg, [model])
         want_ke, want_pairs = _brute_ke(seeded, [model])
         ok &= ke.pair_count == want_pairs
         ok &= bool(np.all(np.abs(ke.values - want_ke) < 1e-12))
@@ -239,9 +237,7 @@ def test_criterion_6_dke_absorption():
             "m", {t: i for i, t in enumerate(names)},
             rng.normal(size=(len(names), 3)), 3,
         )
-        sub = n_hop_neighborhood(kg, {names[0]}, 2)
-        matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), [model])
-        seeded = SeededSubKG(sub, {names[0]: 1.0}, matrix, embedded)
+        seeded = n_hop_neighborhood(kg, {names[0]}, 2)
         retrieved = n_hop_neighborhood(kg, {names[8]}, 2)
         diff = differential_subkg(retrieved, seeded, [model])
         if not diff.triples:

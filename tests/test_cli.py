@@ -12,8 +12,7 @@ from kginfuse.storage import load_checkpoint, save_checkpoint
 from kginfuse.synth import generate_benchmark
 
 
-SUMMARY = re.compile(r"^seeded subgraph: (\d+) triples, (\d+) concepts, (\d+) embedded$",
-                     re.MULTILINE)
+SUMMARY = re.compile(r"^seeded subgraph: (\d+) triples, (\d+) concepts$", re.MULTILINE)
 
 
 def test_build_then_train_then_eval(tiny_project, capsys):
@@ -40,7 +39,7 @@ def test_build_summary_line_counts_the_stored_subgraph(tiny_project, capsys):
     config = ["--config", str(tiny_project)]
     assert main(["build", *config]) == 0
     cold = SUMMARY.search(capsys.readouterr().out).group(0)
-    assert cold == "seeded subgraph: 4 triples, 5 concepts, 4 embedded"
+    assert cold == "seeded subgraph: 4 triples, 5 concepts"
 
     assert main(["build", *config]) == 0
     out = capsys.readouterr().out
@@ -83,12 +82,12 @@ def test_a_corrupt_subgraph_fails_update_kg_but_not_eval(tiny_project, capsys):
     assert main(["eval", *config, "--checkpoint", checkpoint]) == 0
     report = capsys.readouterr().out
 
-    concepts = tiny_project.parent / "out" / "subkg" / "concepts.tsv"
-    line = concepts.read_bytes().count(b"\n") + 1
-    with open(concepts, "ab") as handle:
-        handle.write(b"nowhere\n")
+    depths = tiny_project.parent / "out" / "subkg" / "depths.tsv"
+    line = depths.read_bytes().count(b"\n") + 1
+    with open(depths, "ab") as handle:
+        handle.write(b"nowhere\t1\n")
     assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 2
-    assert f"{concepts}:{line}: 'nowhere' is not a concept of the graph" in capsys.readouterr().err
+    assert f"{depths}:{line}: 'nowhere' is not a concept of the graph" in capsys.readouterr().err
 
     assert main(["eval", *config, "--checkpoint", checkpoint]) == 0
     assert capsys.readouterr().out == report
@@ -109,19 +108,6 @@ def test_a_no_op_update_kg_exits_two_on_a_cut_triples_or_depths_file(tiny_projec
     assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 2
     err = capsys.readouterr().err
     assert re.search(rf"{re.escape(str(path))}:\d+: line not terminated", err)
-
-
-@pytest.mark.parametrize("name, row", [("scores.tsv", b"nowhere\t0.5\n"),
-                                       ("concepts.tsv", b"nowhere\n")])
-def test_an_absorbing_update_kg_exits_two_naming_the_bad_line(tiny_project, capsys, name, row):
-    config = ["--config", str(tiny_project)]
-    checkpoint = _train_vanilla(tiny_project, capsys)
-    path = tiny_project.parent / "out" / "subkg" / name
-    line = path.read_bytes().count(b"\n") + 1
-    with open(path, "ab") as handle:
-        handle.write(row)
-    assert main(["update-kg", *config, "--checkpoint", checkpoint]) == 2
-    assert f"{path}:{line}: 'nowhere' is not a concept of the graph" in capsys.readouterr().err
 
 
 def test_train_infused_via_mode_flag(tiny_project, capsys):

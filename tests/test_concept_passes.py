@@ -30,7 +30,6 @@ from kginfuse.embedding import (
 )
 from kginfuse.errors import UnknownConceptError, ValidationError
 from kginfuse.kg import KnowledgeGraph, SubKG, Triple, lcs_distance, n_hop_neighborhood
-from kginfuse.seeding import SeededSubKG
 from kginfuse.synth import generate_benchmark
 from kginfuse.text import tokenize
 
@@ -100,8 +99,7 @@ def reference_lcs_distance(kg, a, b):
     return min(da[c] + db[c] for c in common)
 
 
-def reference_knowledge_embedding(seeded, models, allowlist=None):
-    subkg = seeded.subkg
+def reference_knowledge_embedding(subkg, models, allowlist=None):
     if not subkg.triples:
         raise ValidationError("seeded subgraph has no triples")
     kg = subkg.parent
@@ -129,34 +127,22 @@ def reference_knowledge_embedding(seeded, models, allowlist=None):
 def reference_update_seeded(seeded, diff):
     if not diff.triples:
         return seeded
-    old = seeded.subkg
-    merged_depth = dict(diff.frontier_depth)
-    merged_depth.update(old.frontier_depth)
-    new_subkg = SubKG(parent=old.parent, triples=frozenset(old.triples | diff.triples),
-                      frontier_depth=merged_depth)
-    vectors = {cid: seeded.embedding_matrix[:, i]
-               for i, cid in enumerate(seeded.embedded_concepts)}
-    for i, cid in enumerate(diff.new_concepts):
-        vectors[cid] = diff.embedding_matrix[:, i]
-    embedded = tuple(sorted(vectors))
-    width = seeded.embedding_matrix.shape[0]
-    matrix = (np.stack([vectors[c] for c in embedded], axis=1)
-              if embedded else np.zeros((width, 0)))
-    return SeededSubKG(subkg=new_subkg, relevance=seeded.relevance, embedding_matrix=matrix,
-                       embedded_concepts=embedded)
+    depth = {}
+    for cid, d in list(seeded.frontier_depth.items()) + list(diff.frontier_depth.items()):
+        depth.setdefault(cid, d)
+    return SubKG(parent=seeded.parent, triples=frozenset(seeded.triples | diff.triples),
+                 frontier_depth=depth)
 
 
-def reference_save_seeded(paths, kg, seeded):
+def reference_save_seeded(paths, subkg):
     def write_rows(path, rows):
         pipeline.atomic_write_text(
             path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
 
-    label = kg.concepts
+    label = subkg.parent.concepts
     write_rows(paths["subkg_triples"], ((label[t.subject], t.predicate, label[t.object])
-                                        for t in sorted(seeded.subkg.triples)))
-    write_rows(paths["subkg_depths"], sorted(seeded.subkg.frontier_depth.items()))
-    write_rows(paths["subkg_concepts"], ((cid,) for cid in seeded.embedded_concepts))
-    pipeline.save_array(paths["subkg_matrix"], seeded.embedding_matrix)
+                                        for t in sorted(subkg.triples)))
+    write_rows(paths["subkg_depths"], sorted(subkg.frontier_depth.items()))
 
 
 def same_bits(a, b):
@@ -253,12 +239,11 @@ def test_embed_concepts_equals_the_reference(kg, models, random):
 @given(graphs(), token_models(), st.sampled_from([None, frozenset({"isa"}), frozenset()]))
 def test_knowledge_embedding_equals_the_reference(kg, models, allowlist):
     subkg = n_hop_neighborhood(kg, kg.concepts, 0)
-    seeded = SeededSubKG(subkg, {}, np.zeros((content_width(models), 0)))
     for a in kg.concepts:
         for b in kg.concepts:
             assert lcs_distance(kg, a, b) == reference_lcs_distance(kg, a, b)
-    ke = knowledge_embedding(seeded, models, allowlist=allowlist)
-    want = reference_knowledge_embedding(seeded, models, allowlist=allowlist)
+    ke = knowledge_embedding(subkg, models, allowlist=allowlist)
+    want = reference_knowledge_embedding(subkg, models, allowlist=allowlist)
     assert ke.pair_count == want.pair_count
     assert same_bits(ke.values, want.values)
 
@@ -274,7 +259,7 @@ def test_lcs_distance_rejects_unknown_concepts_in_argument_order():
 @st.composite
 def absorptions(draw):
     """A seeded subgraph and a differential one over concepts c0..c9, whose
-    new concepts may overlap the embedded ones."""
+    new concepts may overlap the seeded ones."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     width = draw(st.integers(1, 13))
     names = [f"c{i}" for i in range(10)]
@@ -282,12 +267,8 @@ def absorptions(draw):
     triples = sorted(kg.triples)
     old = draw(st.lists(st.sampled_from(names), max_size=6))
     new = draw(st.lists(st.sampled_from(names), max_size=8, unique=True))
-    seeded = SeededSubKG(
-        SubKG(kg, frozenset(triples[:3]), {c: 0 for c in old}),
-        {c: 0.5 for c in old},
-        rng.normal(size=(width, len(old))),
-        tuple(old),
-    )
+    seeded = SubKG(kg, frozenset(triples[:3]), {c: int(d) for c, d in
+                                                zip(old, rng.integers(0, 3, len(old)))})
     diff = DifferentialSubKG(
         frozenset(triples[draw(st.integers(0, len(triples) - 1)):]),
         rng.normal(size=(width, len(new))),
@@ -303,12 +284,9 @@ def test_update_seeded_equals_the_reference(case):
     seeded, diff = case
     got = update_seeded(seeded, diff)
     want = reference_update_seeded(seeded, diff)
-    assert got.embedded_concepts == want.embedded_concepts
-    assert same_bits(got.embedding_matrix, want.embedding_matrix)
-    assert got.embedding_matrix.flags.c_contiguous
-    assert got.relevance == want.relevance
-    assert got.subkg.triples == want.subkg.triples
-    assert got.subkg.frontier_depth == want.subkg.frontier_depth
+    assert got.parent is want.parent
+    assert got.triples == want.triples
+    assert got.frontier_depth == want.frontier_depth
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +302,8 @@ def _wide_graph_project(tmp_path, monkeypatch):
     return importlib.import_module("workloads").generate("wide-graph", str(tmp_path / "project"), 0)
 
 
-_UPDATED = ("subkg/triples.tsv", "subkg/scores.tsv", "subkg/depths.tsv", "subkg/concepts.tsv",
-            "subkg/embeddings.kign", "knowledge/ke.kign", "knowledge/ke.json", "update_audit.log")
+_UPDATED = ("subkg/triples.tsv", "subkg/scores.tsv", "subkg/depths.tsv", "knowledge/ke.kign",
+            "knowledge/ke.json", "update_audit.log")
 
 
 @pytest.mark.parametrize("project", [_synth_project, _wide_graph_project])
@@ -335,6 +313,7 @@ def test_absorbing_update_writes_the_bytes_of_the_reference_functions(tmp_path, 
     cfg = parse_config(project(*args))
     pipeline.build(cfg)
     pipeline.train(replace(cfg, mode="infused"))
+    built = pipeline.load_build(cfg)
     outcomes = {}
     for side in ("reference", "new"):
         out = str(tmp_path / side)
@@ -342,6 +321,7 @@ def test_absorbing_update_writes_the_bytes_of_the_reference_functions(tmp_path, 
         with monkeypatch.context() as patch:
             if side == "reference":
                 patch.setattr("kginfuse.dke.embed_concepts", reference_embed_concepts)
+                patch.setattr("kginfuse.pipeline.embed_concepts", reference_embed_concepts)
                 patch.setattr("kginfuse.dke.update_seeded", reference_update_seeded)
                 patch.setattr("kginfuse.pipeline.knowledge_embedding",
                               reference_knowledge_embedding)
@@ -354,11 +334,15 @@ def test_absorbing_update_writes_the_bytes_of_the_reference_functions(tmp_path, 
         with open(tmp_path / "reference" / rel, "rb") as want, open(tmp_path / "new" / rel,
                                                                     "rb") as got:
             assert got.read() == want.read(), rel
-    # An absorbed concept keeps its own column: the stored matrix is the
-    # subgraph's concepts embedded afresh.
+    # The knowledge embedding is that of the evolved subgraph. On
+    # wide-graph the absorbed concepts resolve, so it moves and gains
+    # pairs; on synth they have no corpus token and it stays the same.
     new = replace(cfg, out_dir=str(tmp_path / "new"))
-    models = pipeline.load_build(new).models
-    kg, stored = pipeline.load_subgraph(new, models)
-    matrix, embedded = embed_concepts(kg, sorted(stored.subkg.frontier_depth), models)
-    assert stored.embedded_concepts == embedded
-    assert same_bits(stored.embedding_matrix, matrix)
+    stored = pipeline.load_build(new)
+    allow = None if cfg.predicates is None else frozenset(cfg.predicates)
+    ke = knowledge_embedding(pipeline.load_subgraph(new), stored.models, allowlist=allow)
+    assert same_bits(stored.ke_values, ke.values)
+    assert stored.ke_pair_count == ke.pair_count
+    if project is _wide_graph_project:
+        assert stored.ke_values.tobytes() != built.ke_values.tobytes()
+        assert stored.ke_pair_count > built.ke_pair_count

@@ -12,7 +12,6 @@ from kginfuse.dke import (
 from kginfuse.embedding import DimensionModel, embed_concepts
 from kginfuse.errors import SolverError, UnknownConceptError, ValidationError
 from kginfuse.kg import KnowledgeGraph, SubKG, Triple, n_hop_neighborhood
-from kginfuse.seeding import SeededSubKG
 
 
 def model_for(tokens, d_sub=2, seed=0):
@@ -26,11 +25,10 @@ def chain_kg(labels, predicate="linked"):
     return KnowledgeGraph.from_labeled_triples(rows)
 
 
-def seeded_from(kg, seeds, hops, models):
-    sub = n_hop_neighborhood(kg, seeds, hops)
-    matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), models)
-    relevance = {cid: 1.0 for cid in seeds}
-    return SeededSubKG(sub, relevance, matrix, embedded)
+def columns(sub, models):
+    """The embedding columns of a subgraph's concepts, as update_kg's
+    mapping diagnostic embeds them: (matrix, embedded ids)."""
+    return embed_concepts(sub.parent, sorted(sub.frontier_depth), models)
 
 
 def kron_solve(s, d, alpha, ridge):
@@ -76,7 +74,7 @@ class TestDifferentialSubkg:
     def test_subset_retrieval_gives_empty_difference(self):
         kg = chain_kg(["a", "b", "c", "d"])
         models = [model_for(["a", "b", "c", "d"])]
-        seeded = seeded_from(kg, {"a"}, 3, models)
+        seeded = n_hop_neighborhood(kg, {"a"}, 3)
         retrieved = n_hop_neighborhood(kg, {"b"}, 1)
         diff = differential_subkg(retrieved, seeded, models)
         assert diff.triples == frozenset()
@@ -85,7 +83,7 @@ class TestDifferentialSubkg:
     def test_one_extra_triple_difference(self):
         kg = chain_kg(["a", "b", "c", "d"])
         models = [model_for(["a", "b", "c", "d"])]
-        seeded = seeded_from(kg, {"a"}, 2, models)  # a-b, b-c
+        seeded = n_hop_neighborhood(kg, {"a"}, 2)  # a-b, b-c
         retrieved = n_hop_neighborhood(kg, {"d"}, 1)  # c-d
         diff = differential_subkg(retrieved, seeded, models)
         assert diff.triples == {Triple("c", "linked", "d")}
@@ -100,7 +98,7 @@ class TestDifferentialSubkg:
             ("b", "linked", "mystery"),
         ])
         models = [model_for(["a", "b", "newone", "newtwo"])]  # mystery missing
-        seeded = seeded_from(kg, {"a"}, 1, models)
+        seeded = n_hop_neighborhood(kg, {"a"}, 1)
         retrieved = n_hop_neighborhood(kg, {"b"}, 1)
         diff = differential_subkg(retrieved, seeded, models)
         new = {c for t in diff.triples for c in (t.subject, t.object)} - {"a", "b"}
@@ -112,7 +110,7 @@ class TestDifferentialSubkg:
         kg1 = chain_kg(["a", "b"])
         kg2 = chain_kg(["a", "b"])
         models = [model_for(["a", "b"])]
-        seeded = seeded_from(kg1, {"a"}, 1, models)
+        seeded = n_hop_neighborhood(kg1, {"a"}, 1)
         retrieved = n_hop_neighborhood(kg2, {"a"}, 1)
         with pytest.raises(ValidationError):
             differential_subkg(retrieved, seeded, models)
@@ -200,7 +198,7 @@ class TestUpdateSeeded:
     def setup_case(self):
         kg = chain_kg(["a", "b", "c", "d"])
         models = [model_for(["a", "b", "c", "d"])]
-        seeded = seeded_from(kg, {"a"}, 2, models)
+        seeded = n_hop_neighborhood(kg, {"a"}, 2)
         retrieved = n_hop_neighborhood(kg, {"d"}, 1)
         diff = differential_subkg(retrieved, seeded, models)
         return kg, models, seeded, retrieved, diff
@@ -216,33 +214,30 @@ class TestUpdateSeeded:
         kg = KnowledgeGraph.from_labeled_triples(
             [("a", "linked", "b"), ("b", "linked", "c"), ("a", "near", "c")])
         models = [model_for(["a", "b", "c"])]
-        matrix, embedded = embed_concepts(kg, ["a", "b", "c"], models)
         linked = frozenset(t for t in kg.triples if t.predicate == "linked")
-        seeded = SeededSubKG(SubKG(kg, linked, {"a": 0, "b": 1, "c": 1}),
-                             {"a": 1.0}, matrix, embedded)
+        seeded = SubKG(kg, linked, {"a": 0, "b": 1, "c": 1})
         diff = differential_subkg(n_hop_neighborhood(kg, {"a"}, 1), seeded, models)
         assert diff.triples == {Triple("a", "near", "c")} and not diff.new_concepts
         updated = update_seeded(seeded, diff)
-        assert updated.subkg.triples == kg.triples
-        assert updated.embedded_concepts == embedded
-        assert np.array_equal(updated.embedding_matrix, matrix)
+        assert updated.triples == kg.triples
+        assert updated.frontier_depth == seeded.frontier_depth
 
     def test_identity_map_keeps_normalized_embedding(self):
         _, models, seeded, _, diff = self.setup_case()
-        updated = update_seeded(seeded, diff)
-        col = updated.embedded_concepts.index("d")
-        assert updated.embedding_matrix[:, col].tobytes() == diff.embedding_matrix[:, 0].tobytes()
+        matrix, embedded = columns(update_seeded(seeded, diff), models)
+        col = embedded.index("d")
+        assert matrix[:, col].tobytes() == diff.embedding_matrix[:, 0].tobytes()
 
     def test_mapped_column_matches_hand_product(self):
         # A nonzero mapping exists between the seeded and new columns, but
         # the absorbed column is the concept's own, bit for bit.
         _, models, seeded, _, diff = self.setup_case()
-        sol = solve_mapping(seeded.embedding_matrix, diff.embedding_matrix,
+        sol = solve_mapping(columns(seeded, models)[0], diff.embedding_matrix,
                             alpha=2.0, ridge=0.1)
         assert np.linalg.norm(sol.w) > 0
-        updated = update_seeded(seeded, diff)
-        col = updated.embedded_concepts.index("d")
-        assert updated.embedding_matrix[:, col].tobytes() == diff.embedding_matrix[:, 0].tobytes()
+        matrix, embedded = columns(update_seeded(seeded, diff), models)
+        col = embedded.index("d")
+        assert matrix[:, col].tobytes() == diff.embedding_matrix[:, 0].tobytes()
 
     def test_absorption_is_idempotent(self):
         _, models, seeded, retrieved, diff = self.setup_case()
@@ -254,7 +249,7 @@ class TestUpdateSeeded:
     def test_triples_grow_monotonically_and_columns_stay_unit(self):
         _, models, seeded, _, diff = self.setup_case()
         updated = update_seeded(seeded, diff)
-        assert seeded.subkg.triples <= updated.subkg.triples
-        norms = np.linalg.norm(updated.embedding_matrix, axis=0)
+        assert seeded.triples <= updated.triples
+        norms = np.linalg.norm(columns(updated, models)[0], axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert updated.relevance == seeded.relevance
+        assert seeded.frontier_depth.items() <= updated.frontier_depth.items()

@@ -19,14 +19,12 @@ from kginfuse.embedding import (
     _fix_signs,
     _ppmi_matrix,
     content_width,
-    embed_concepts,
     embed_token_lists,
     knowledge_embedding,
     train_dimension_model,
 )
 from kginfuse.errors import ValidationError
 from kginfuse.kg import KnowledgeGraph, n_hop_neighborhood
-from kginfuse.seeding import SeededSubKG
 from kginfuse.synth import generate_benchmark
 from kginfuse.text import tokenize
 
@@ -356,17 +354,11 @@ class TestConceptEmbedding:
         assert not values.any()
 
 
-def seeded_from(kg, seeds, hops, models):
-    sub = n_hop_neighborhood(kg, seeds, hops)
-    matrix, embedded = embed_concepts(kg, sorted(sub.concepts()), models)
-    return SeededSubKG(sub, {}, matrix, embedded)
-
-
 class TestKnowledgeEmbedding:
     def test_single_self_pair_is_normalized_embedding(self):
         kg = KnowledgeGraph.from_labeled_triples([("sun", "related", "sun")])
         model = make_model("m", {"sun": [3.0, 4.0]}, 2)
-        seeded = seeded_from(kg, {"sun"}, 0, [model])
+        seeded = n_hop_neighborhood(kg, {"sun"}, 0)
         ke = knowledge_embedding(seeded, [model])
         assert ke.pair_count == 1
         np.testing.assert_allclose(ke.values, [0.6, 0.8])
@@ -381,7 +373,7 @@ class TestKnowledgeEmbedding:
         model = make_model(
             "m", {"sun": [1.0, 0.0], "ember": [0.0, 2.0], "fire": [0.0, 4.0]}, 2
         )
-        seeded = seeded_from(kg, set(kg.concepts), 1, [model])
+        seeded = n_hop_neighborhood(kg, set(kg.concepts), 1)
         ke = knowledge_embedding(seeded, [model])
         m1 = np.array([1.0, 0.0])
         m2 = (np.array([0.0, 2.0]) + np.array([0.0, 4.0])) / 2
@@ -401,7 +393,7 @@ class TestKnowledgeEmbedding:
         model = make_model(
             "m", {"sun": [1.0, 0.0], "ember": [0.0, 2.0], "ice": [0.0, 4.0]}, 2
         )
-        seeded = seeded_from(kg, set(kg.concepts), 1, [model])
+        seeded = n_hop_neighborhood(kg, set(kg.concepts), 1)
         ke = knowledge_embedding(seeded, [model])
         expected = np.array([1.0, 0.5 * 3.0])
         expected /= np.linalg.norm(expected)
@@ -411,7 +403,7 @@ class TestKnowledgeEmbedding:
     def test_empty_allowlist_gives_zero(self):
         kg = KnowledgeGraph.from_labeled_triples([("sun", "related", "sun")])
         model = make_model("m", {"sun": [1.0]}, 1)
-        seeded = seeded_from(kg, {"sun"}, 0, [model])
+        seeded = n_hop_neighborhood(kg, {"sun"}, 0)
         ke = knowledge_embedding(seeded, [model], allowlist=frozenset())
         assert ke.pair_count == 0
         assert not ke.values.any()
@@ -419,7 +411,7 @@ class TestKnowledgeEmbedding:
     def test_unresolvable_endpoint_skipped(self):
         kg = KnowledgeGraph.from_labeled_triples([("sun", "related", "void")])
         model = make_model("m", {"sun": [1.0]}, 1)
-        seeded = seeded_from(kg, set(kg.concepts), 1, [model])
+        seeded = n_hop_neighborhood(kg, set(kg.concepts), 1)
         ke = knowledge_embedding(seeded, [model])
         assert ke.pair_count == 0
 
@@ -434,7 +426,7 @@ class TestKnowledgeEmbedding:
             ("w3", "related", "w4"),
         ]
         kg = KnowledgeGraph.from_labeled_triples(rows)
-        seeded = seeded_from(kg, set(kg.concepts), 2, [model])
+        seeded = n_hop_neighborhood(kg, set(kg.concepts), 2)
         ke = knowledge_embedding(seeded, [model])
         assert ke.pair_count > 0
         assert abs(np.linalg.norm(ke.values) - 1.0) < 1e-12
@@ -451,7 +443,7 @@ def test_knowledge_embedding_equals_the_per_triple_loop_after_an_update(tmp_path
     outcome = pipeline.update_kg(cfg, result.checkpoint_path)
     assert outcome.reason == "updated" and outcome.new_triples > 0
     models = pipeline.load_build(cfg).models
-    _, seeded = pipeline.load_subgraph(cfg, models)
+    seeded = pipeline.load_subgraph(cfg)
     ke = knowledge_embedding(seeded, models, allowlist=allowlist)
     want = brute_force_ke(seeded, models, allowlist=allowlist)
     assert ke.values.tobytes() == want.tobytes()
@@ -468,10 +460,10 @@ def brute_force_ke(seeded, models, weight_scale=1.0, allowlist=None):
     from kginfuse.kg import lcs_distance
     from kginfuse.text import tokenize
 
-    kg = seeded.subkg.parent
+    kg = seeded.parent
     total = np.zeros(content_width(models))
     pairs = 0
-    for t in sorted(seeded.subkg.triples):
+    for t in sorted(seeded.triples):
         if allowlist is not None and t.predicate not in allowlist:
             continue
         vecs = []

@@ -237,7 +237,7 @@ class TestLabelTokens:
         kg = load_graph(path)
         label_tokens = kg.label_tokens
         index = kg.token_index
-        seeded = extract_seeded_subkg(kg, stats, "pos", hops=1, top_m=1, models=[model])
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=1, top_m=1)
         embed_concepts(kg, sorted(kg.concepts), [model])
         assert calls == []
         assert label_tokens == {cid: tuple(tokenize(label)) for cid, label in kg.concepts.items()}

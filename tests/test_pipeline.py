@@ -17,6 +17,7 @@ from kginfuse import pipeline
 from kginfuse.cli import main as cli_main
 from kginfuse.config import MODES, build_hash, config_hash, parse_config
 from kginfuse.datasets import read_labeled_tsv, token_sequence
+from kginfuse.embedding import embed_concepts
 from kginfuse.errors import ConfigError, StorageError, ValidationError
 from kginfuse.kg import KnowledgeGraph, Triple
 from kginfuse.nlm import log_softmax
@@ -60,9 +61,10 @@ def constant_checkpoint(path, labels=("neg", "pos"), width=4):
     return path
 
 
-def stored_subgraph(cfg):
-    """The seeded subgraph as the build's output directory holds it."""
-    return load_subgraph(cfg, load_build(cfg).models)[1]
+def embedded_columns(cfg, subkg):
+    """The embedding columns of a stored subgraph's concepts under the
+    build's models, as update_kg's mapping diagnostic embeds them."""
+    return embed_concepts(subkg.parent, sorted(subkg.frontier_depth), load_build(cfg).models)[0]
 
 
 class TestBuild:
@@ -226,10 +228,13 @@ class TestBuild:
         monkeypatch.setattr(pipeline, "extract_seeded_subkg", extract)
         art = build(cfg)
         loaded = load_build(cfg)
-        _, seeded = load_subgraph(cfg, loaded.models)
-        assert seeded.subkg.triples == extracted[0].subkg.triples
-        assert seeded.embedded_concepts == extracted[0].embedded_concepts
-        assert np.array_equal(seeded.embedding_matrix, extracted[0].embedding_matrix)
+        stored = load_subgraph(cfg)
+        assert stored.triples == extracted[0].subkg.triples
+        assert stored.frontier_depth == extracted[0].subkg.frontier_depth
+        scores = read_text(os.path.join(cfg.out_dir, "subkg", "scores.tsv"))
+        assert {cid: float(score) for cid, score in (line.split("\t")
+                                                     for line in scores.splitlines())
+                } == extracted[0].relevance
         assert np.array_equal(loaded.ke_values, art.ke_values)
         assert loaded.ke_pair_count == art.ke_pair_count
 
@@ -607,14 +612,14 @@ class TestUpdateKg:
         bad.write_text(
             "pos\tcomet in the sky\nneg\tgarden river calm\n", encoding="utf-8"
         )
-        before = stored_subgraph(cfg)
+        before = load_subgraph(cfg)
         outcome = update_kg(cfg, ckpt, dataset_path=str(bad))
         assert outcome.misclassified == 1
         assert outcome.new_triples == 2
         assert outcome.residual is not None
         assert outcome.imbalance is not None
-        after = stored_subgraph(cfg)
-        assert len(after.subkg.triples) == len(before.subkg.triples) + 2
+        after = load_subgraph(cfg)
+        assert len(after.triples) == len(before.triples) + 2
         audit = open(os.path.join(cfg.out_dir, "update_audit.log")).read()
         assert "new_triples=2" in audit
         assert f"imbalance={outcome.imbalance:.3e} reason=updated" in audit
@@ -666,16 +671,22 @@ class TestUpdateKg:
 
     def test_a_subgraph_with_no_embedded_concept_absorbs_unmapped(self, update_project):
         cfg, ckpt, data = update_project
-        width = load_build(cfg).ke_values.shape[0]
-        open(os.path.join(cfg.out_dir, "subkg", "concepts.tsv"), "w").close()
-        save_array(os.path.join(cfg.out_dir, "subkg", "embeddings.kign"), np.zeros((width, 0)))
+        # Rename every token of a stored concept's label in the vocabulary,
+        # so that no stored concept embeds.
+        before = load_subgraph(cfg)
+        hidden = {t for cid in before.frontier_depth for t in before.parent.label_tokens[cid]}
+        vocab = os.path.join(cfg.out_dir, "models", "main.vocab.tsv")
+        rows = [line.split("\t") for line in read_text(vocab).splitlines()]
+        with open(vocab, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{'unknown-' * (token in hidden)}{token}\t{index}\n"
+                              for token, index in rows)
+        assert embedded_columns(cfg, before).shape[1] == 0
         outcome = update_kg(cfg, ckpt, dataset_path=data)
         assert outcome.reason == "updated" and outcome.new_concepts > 0
         assert outcome.residual is None and outcome.imbalance is None
         audit = read_text(os.path.join(cfg.out_dir, "update_audit.log"))
         assert "residual=- imbalance=- reason=updated" in audit
-        after = stored_subgraph(cfg)
-        assert len(after.embedded_concepts) == after.embedding_matrix.shape[1] > 0
+        assert embedded_columns(cfg, load_subgraph(cfg)).shape[1] > 0
 
     def test_updated_embeddings_stay_unit_norm(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
@@ -684,8 +695,7 @@ class TestUpdateKg:
         bad = tmp_path / "update_eval.tsv"
         bad.write_text("pos\tcomet in the sky\n", encoding="utf-8")
         update_kg(cfg, ckpt, dataset_path=str(bad))
-        after = stored_subgraph(cfg)
-        norms = np.linalg.norm(after.embedding_matrix, axis=0)
+        norms = np.linalg.norm(embedded_columns(cfg, load_subgraph(cfg)), axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
@@ -755,8 +765,8 @@ class TestStagedReads:
         assert added[len(logged):].count(b"\n") == 1 and added.endswith(b"\n")
         assert after == before
 
-    def test_only_an_absorbing_update_opens_the_scores_concepts_and_matrix(
-            self, update_project, caplog, monkeypatch):
+    def test_no_update_opens_the_scores_concepts_or_matrix(self, update_project, caplog,
+                                                           monkeypatch):
         cfg, ckpt, data = update_project
         opened = set()
         real_open = open
@@ -767,7 +777,8 @@ class TestStagedReads:
 
         monkeypatch.setattr("builtins.open", recording_open)
         assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
-        assert {"triples.tsv", "depths.tsv"} | self.EXTRAS <= opened
+        assert {"triples.tsv", "depths.tsv"} <= opened
+        assert not opened & self.EXTRAS
         opened.clear()
         assert _no_op(cfg, ckpt, data, self.WAY, caplog).reason == "difference already absorbed"
         assert {"triples.tsv", "depths.tsv"} <= opened
@@ -776,7 +787,7 @@ class TestStagedReads:
     def test_an_absorbing_update_sorts_the_seeded_triples_once(self, update_project,
                                                                monkeypatch):
         cfg, ckpt, data = update_project
-        absorbed = len(stored_subgraph(cfg).subkg.triples) + 2
+        absorbed = len(load_subgraph(cfg).triples) + 2
         sorts = []
         by_value = sorted
 
@@ -805,16 +816,15 @@ class TestStagedReads:
             columns.append(list(cells))
             return normalize_all(cells)
 
-        models = load_build(cfg).models
         monkeypatch.setattr(pipeline, "normalize_label", alone)
         monkeypatch.setattr(pipeline, "normalize_all", counted)
-        load_subgraph(cfg, models)
+        load_subgraph(cfg)
         assert columns == [predicates]
 
     def test_a_no_op_passes_over_a_cut_scores_file(self, update_project, caplog):
         cfg, ckpt, data = update_project
-        update_kg(cfg, ckpt, dataset_path=data)
         _rewrite(os.path.join(cfg.out_dir, "subkg", "scores.tsv"), lambda b: b[:-3])
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
         assert _no_op(cfg, ckpt, data, self.WAY, caplog).reason == "difference already absorbed"
 
 
@@ -964,6 +974,70 @@ class TestRepeatedUpdate:
         assert _tree_bytes(root) == before
 
 
+def _rescore_first_concept(blob):
+    """Transform that gives the first row of scores.tsv another score."""
+    lines = blob.split(b"\n")
+    lines[0] = lines[0].split(b"\t")[0] + b"\t0.25"
+    return b"\n".join(lines)
+
+
+class TestManifestAfterAnUpdate:
+    """The manifest an absorbing update rewrites hashes only the files the
+    update wrote, so a build still sees what anything else changed."""
+
+    @pytest.mark.parametrize("name, transform", [
+        ("graph_stats.txt", lambda b: b + b"edited\n"),
+        (os.path.join("subkg", "scores.tsv"), _rescore_first_concept),
+    ], ids=["appended-stats", "changed-score"])
+    def test_an_edit_before_an_absorbing_update_still_rebuilds(self, update_project, caplog,
+                                                               name, transform):
+        cfg, ckpt, data = update_project
+        _rewrite(os.path.join(cfg.out_dir, name), transform)
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="kginfuse.pipeline"):
+            assert not build(cfg).up_to_date
+        assert f"missing or changed since the build record in manifest.json: {name}" \
+            in caplog.text
+
+    def test_a_project_that_stored_the_concept_matrix_is_reused_and_updated(
+            self, update_project):
+        # Builds before the concept matrix was dropped also stored
+        # subkg/concepts.tsv and subkg/embeddings.kign, and listed both in
+        # the manifest under the same build record format.
+        cfg, ckpt, data = update_project
+        subkg = load_subgraph(cfg)
+        matrix, embedded = embed_concepts(subkg.parent, sorted(subkg.frontier_depth),
+                                          load_build(cfg).models)
+        old = {os.path.join("subkg", "concepts.tsv"): "".join(c + "\n" for c in embedded),
+               os.path.join("subkg", "embeddings.kign"): matrix}
+        for rel, value in old.items():
+            path = os.path.join(cfg.out_dir, rel)
+            if isinstance(value, str):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(value)
+            else:
+                save_array(path, value)
+        manifest_path = os.path.join(cfg.out_dir, "manifest.json")
+        manifest = json.loads(read_text(manifest_path))
+        assert manifest["build"]["format"] == 3
+        manifest["artifacts"].update(
+            {rel: sha256_file(os.path.join(cfg.out_dir, rel)) for rel in old})
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        before = _tree_bytes(cfg.out_dir)
+
+        assert build(cfg).up_to_date
+        assert update_kg(cfg, ckpt, dataset_path=data).reason == "updated"
+        after = _tree_bytes(cfg.out_dir)
+        for rel in old:
+            assert after[rel] == before[rel]
+        rewritten = json.loads(read_text(manifest_path))
+        assert pipeline.UPDATE_RECORD in rewritten
+        assert not old.keys() & rewritten["artifacts"].keys()
+        assert build(cfg).up_to_date
+
+
 class TestCorruptBuildArtifacts:
     @pytest.fixture
     def built(self, tiny_project):
@@ -1002,32 +1076,28 @@ class TestCorruptBuildArtifacts:
         # Stored labels resolve by the graph's own labels first; any other
         # spelling falls back to normalize_label.
         path = os.path.join(built.out_dir, "subkg", "triples.tsv")
-        before = stored_subgraph(built)
+        before = load_subgraph(built)
         subject, predicate, obj = open(path, encoding="utf-8").readline().rstrip("\n").split("\t")
         respelled = "  " + subject.upper() + " "
         _rewrite(path, _replace_line(1, f"{respelled}\t{predicate}\t{obj}".encode()))
-        after = stored_subgraph(built)
-        assert after.subkg.triples == before.subkg.triples
-        assert after.subkg.frontier_depth == before.subkg.frontier_depth
-        assert after.relevance == before.relevance
-        assert after.embedded_concepts == before.embedded_concepts
-        assert np.array_equal(after.embedding_matrix, before.embedding_matrix)
+        after = load_subgraph(built)
+        assert after.triples == before.triples
+        assert after.frontier_depth == before.frontier_depth
 
         _rewrite(path, _replace_line(1, f"nowhere\t{predicate}\t{obj}".encode()))
         with pytest.raises(StorageError,
                            match=re.escape(f"{path}:1: 'nowhere' is not a concept of the graph")):
-            stored_subgraph(built)
+            load_subgraph(built)
 
     @pytest.mark.parametrize("name, transform, message", [
-        ("concepts.tsv", lambda b: b + b"place\n", "embeddings.kign: shape"),
-        ("concepts.tsv", lambda b: b + b"nowhere\n", "is not a concept"),
+        ("depths.tsv", lambda b: b + b"nowhere\t1\n", "is not a concept"),
         ("depths.tsv", _replace_line(1, b"jihad\t1.5"), ":1: invalid literal for int()"),
-        ("scores.tsv", _replace_line(1, b"jihad"), ":1: expected 2 fields, got 1"),
-    ], ids=["extra-concept", "unknown-concept", "float-depth", "one-field"])
+        ("depths.tsv", _replace_line(1, b"jihad"), ":1: expected 2 fields, got 1"),
+    ], ids=["unknown-concept", "float-depth", "one-field"])
     def test_bad_subgraph_file_rejected(self, built, name, transform, message):
         _rewrite(os.path.join(built.out_dir, "subkg", name), transform)
         with pytest.raises(StorageError, match=re.escape(message)):
-            stored_subgraph(built)
+            load_subgraph(built)
 
     @pytest.mark.parametrize("text", [b'{"pair_count": "3"}\n', b"[3]\n", b"{\xff}",
                                       b"[" * 100_000],
@@ -1040,10 +1110,8 @@ class TestCorruptBuildArtifacts:
     def test_every_truncation_of_each_text_artifact_loads_or_is_rejected(self, built):
         # Each file is cut under the loader that reads it.
         for name, load in (("models/main.vocab.tsv", load_build),
-                           ("subkg/triples.tsv", stored_subgraph),
-                           ("subkg/scores.tsv", stored_subgraph),
-                           ("subkg/depths.tsv", stored_subgraph),
-                           ("subkg/concepts.tsv", stored_subgraph),
+                           ("subkg/triples.tsv", load_subgraph),
+                           ("subkg/depths.tsv", load_subgraph),
                            ("knowledge/ke.json", load_build)):
             path = os.path.join(built.out_dir, name)
             blob = open(path, "rb").read()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kginfuse.config import parse_config
 from kginfuse.datasets import read_labeled_tsv
-from kginfuse.embedding import DimensionModel, embed_token_lists
+from kginfuse.embedding import DimensionModel, embed_concepts, embed_token_lists
 from kginfuse.errors import ValidationError
 from kginfuse import pipeline
 from kginfuse.kg import KnowledgeGraph, load_graph, n_hop_neighborhood
@@ -170,7 +170,7 @@ class TestExtractSeededSubkg:
 
     def test_argmax_seed_confirmed_by_brute_force(self):
         kg, dataset, stats, model = self.make_inputs()
-        seeded = extract_seeded_subkg(kg, stats, "pos", hops=2, top_m=1, models=[model])
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=2, top_m=1)
         brute = {
             cid: brute_relevance(kg.concepts[cid], dataset, "pos")
             for cid in kg.concepts
@@ -185,8 +185,7 @@ class TestExtractSeededSubkg:
         kg = KnowledgeGraph.from_labeled_triples([("solo", "related", "solo"),
                                                   ("solo", "related", "other")])
         stats = corpus_stats([("pos", "solo solo"), ("neg", "filler")])
-        model = zero_model(["solo", "filler"])
-        seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=1, models=[model])
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=1)
         assert seeds(seeded) == {"solo"}
         assert {(t.subject, t.object) for t in seeded.subkg.triples} == {("solo", "solo")}
 
@@ -197,18 +196,17 @@ class TestExtractSeededSubkg:
         # x and y have identical pos-heavy counts; z is neutral.
         dataset = [("pos", "x y x y"), ("neg", "z z x y")]
         stats = corpus_stats(dataset)
-        model = zero_model(["x", "y", "z"])
-        seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=1, models=[model])
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=1)
         assert seeds(seeded) == {"x", "y"}
 
     def test_document_order_never_changes_seeds(self):
         kg, dataset, stats, model = self.make_inputs()
-        base = extract_seeded_subkg(kg, corpus_stats(dataset), "pos", 1, 2, [model])
+        base = extract_seeded_subkg(kg, corpus_stats(dataset), "pos", 1, 2)
         rng = np.random.default_rng(4)
         for _ in range(6):
             shuffled = list(dataset)
             rng.shuffle(shuffled)
-            again = extract_seeded_subkg(kg, corpus_stats(shuffled), "pos", 1, 2, [model])
+            again = extract_seeded_subkg(kg, corpus_stats(shuffled), "pos", 1, 2)
             assert seeds(again) == seeds(base)
             assert again.subkg.triples == base.subkg.triples
 
@@ -222,25 +220,26 @@ class TestExtractSeededSubkg:
         stats = corpus_stats([("pos", text), ("neg", "ein weg")])
         model = zero_model(stats.vocab)
         assert link_concepts(kg, tokenize(text)) == {"strasse", "οδοσ"}
-        seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=2, models=[model])
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=0, top_m=2)
         assert seeds(seeded) == {"strasse", "οδοσ"}
-        assert seeded.embedded_concepts == ("strasse", "οδοσ")
-        _, hits = embed_token_lists([model], [kg.label_tokens[c]
-                                             for c in seeded.embedded_concepts])
+        _, embedded = embed_concepts(kg, sorted(seeded.subkg.frontier_depth), [model])
+        assert embedded == ("strasse", "οδοσ")
+        _, hits = embed_token_lists([model], [kg.label_tokens[c] for c in embedded])
         assert hits.all()
 
     def test_no_vocabulary_overlap_rejected(self):
         kg = KnowledgeGraph.from_labeled_triples([("qqq", "related", "www")])
         stats = corpus_stats([("pos", "alpha beta")])
         with pytest.raises(ValidationError):
-            extract_seeded_subkg(kg, stats, "pos", 1, 1, [zero_model(["alpha"])])
+            extract_seeded_subkg(kg, stats, "pos", 1, 1)
 
     def test_matrix_columns_are_unit_norm(self):
         kg, dataset, stats, model = self.make_inputs()
-        seeded = extract_seeded_subkg(kg, stats, "pos", hops=2, top_m=2, models=[model])
-        assert seeded.embedding_matrix.shape[1] == len(seeded.embedded_concepts)
-        assert seeded.embedding_matrix.shape[1] <= len(seeded.subkg.concepts())
-        norms = np.linalg.norm(seeded.embedding_matrix, axis=0)
+        seeded = extract_seeded_subkg(kg, stats, "pos", hops=2, top_m=2)
+        matrix, embedded = embed_concepts(kg, sorted(seeded.subkg.frontier_depth), [model])
+        assert matrix.shape[1] == len(embedded)
+        assert matrix.shape[1] <= len(seeded.subkg.concepts())
+        norms = np.linalg.norm(matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert set(seeded.relevance) == {cid for cid, tokens in kg.label_tokens.items()
                                          if tokens and stats.vocab.issuperset(tokens)}
@@ -260,10 +259,9 @@ def test_every_seeded_score_is_relevance_score_exactly(tmp_path, monkeypatch, pr
     cfg = parse_config(project(tmp_path, monkeypatch))
     kg = load_graph(cfg.kg_path, cfg.taxonomy_predicate)
     stats = corpus_stats(read_labeled_tsv(cfg.dataset_path))
-    models = [zero_model(stats.vocab)]
     # As configured, and with every scored concept a seed.
     for hops, top_m in ((cfg.subkg_hops, cfg.top_m), (0, len(kg.concepts))):
-        seeded = extract_seeded_subkg(kg, stats, cfg.target_class, hops, top_m, models)
+        seeded = extract_seeded_subkg(kg, stats, cfg.target_class, hops, top_m)
         assert len(seeded.relevance) >= min(top_m, cfg.top_m)
         for cid, score in seeded.relevance.items():
             assert score == relevance_score(kg.label_tokens[cid], stats, cfg.target_class), cid
@@ -314,8 +312,7 @@ def test_long_labels_sum_their_terms_in_label_order():
     kg = KnowledgeGraph.from_labeled_triples(
         [(labels[i], "related", labels[i + 1]) for i in range(len(labels) - 1)])
     stats = corpus_stats(dataset)
-    seeded = extract_seeded_subkg(kg, stats, "pos", 0, len(kg.concepts),
-                                  [zero_model(stats.vocab)])
+    seeded = extract_seeded_subkg(kg, stats, "pos", 0, len(kg.concepts))
     assert len(seeded.relevance) == len(kg.concepts)
     for cid, score in seeded.relevance.items():
         assert score == relevance_score(kg.label_tokens[cid], stats, "pos"), cid
