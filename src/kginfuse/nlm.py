@@ -8,6 +8,8 @@ be verified against central finite differences.
 One kernel serves training, hidden-state collection, the gradient
 check's loss and prediction: the recurrence runs over a time-major
 zero-padded batch with a length mask; one sequence is a batch of one.
+It works on hidden rows only: head_logits forms every logit row, and the
+backward pass enters at a gradient on the top layer's final hidden rows.
 Its time loops hold only the recurrence; what does not depend on it
 (the gate-derivative factors, the weight gradient) is formed over all
 steps at once. Every per-row product is one BLAS vector-matrix product
@@ -20,7 +22,7 @@ arrays, as the tests and the gradient check pass, is padded first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,15 +59,9 @@ class LSTMParams:
         yield "head.b", self.b_out
 
     def copy(self) -> "LSTMParams":
-        return LSTMParams(
-            layer_weights=[w.copy() for w in self.layer_weights],
-            layer_biases=[b.copy() for b in self.layer_biases],
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            d=self.d,
-            input_width=self.input_width,
-            n_classes=self.n_classes,
-        )
+        return replace(self, layer_weights=[w.copy() for w in self.layer_weights],
+                       layer_biases=[b.copy() for b in self.layer_biases],
+                       w_out=self.w_out.copy(), b_out=self.b_out.copy())
 
 
 @dataclass
@@ -184,9 +180,14 @@ def _idle_rows(mask: np.ndarray) -> list:
     return [None if every else ~live[:, None] for every, live in zip(mask.all(axis=1), mask)]
 
 
-def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
+def head_logits(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The logit rows (B, n) of hidden rows h (B, d) under a head w (n, d), b (n,)."""
+    return np.einsum("bd,nd->bn", h, w) + b
+
+
+def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None) -> list:
     """The batched recurrence over a padded batch; returns each layer's final
-    hidden rows (B, d) and the head logits (B, n_classes).
+    hidden rows (B, d). The head is not applied here (head_logits).
 
     Each layer runs in one time-major joint buffer J (T + 1, B, in + d):
     J[t] is step t's input beside the hidden state the step starts from,
@@ -250,8 +251,7 @@ def _recur(params: LSTMParams, x: np.ndarray, mask: np.ndarray, cache=None):
             cache.append((J, gates, C, TC))
         finals.append(np.ascontiguousarray(H[steps]))  # not a view pinning J
         inputs = H[1:]
-    logits = np.einsum("bd,nd->bn", finals[-1], params.w_out) + params.b_out
-    return finals, logits
+    return finals
 
 
 def _reverse_sum(terms: np.ndarray) -> np.ndarray:
@@ -262,9 +262,10 @@ def _reverse_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndarray,
-              dlogits: np.ndarray) -> dict:
-    """Summed gradients of the batch loss, given its gradient w.r.t. the logits.
+def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, dh_last: np.ndarray) -> dict:
+    """The layer groups' gradients of a batch loss, given dh_last, its
+    gradient (B, d) w.r.t. the top layer's final hidden rows; the head's
+    gradients, when the loss has a head, are the caller's.
 
     The step-local factors, go * (1 - tanh(c)^2) and the four gate
     derivatives, are formed for all steps at once, so the reverse time
@@ -281,10 +282,9 @@ def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, h_last: np.ndar
     d = params.d
     steps, rows = mask.shape
     idle = _idle_rows(mask)
-    grads = {"head.W": np.einsum("bn,bd->nd", dlogits, h_last),
-             "head.b": dlogits.sum(axis=0)}
+    grads = {}
     dh_above = np.zeros((steps, rows, d))
-    dh_above[-1] = np.einsum("bn,nd->bd", dlogits, params.w_out)
+    dh_above[-1] = dh_last
     for l in range(params.layers - 1, -1, -1):
         W = params.layer_weights[l]
         in_l = W.shape[1] - d
@@ -322,8 +322,8 @@ def forward_batch(params: LSTMParams, sequences):
     final-step hidden rows (B, d) and the class probabilities (B, n_classes).
     Row i is bit-identical to forward(params, sequences[i])."""
     batch = _as_batch(params, sequences)
-    finals, logits = _recur(params, batch.x, batch.mask)
-    probs = softmax(logits)
+    finals = _recur(params, batch.x, batch.mask)
+    probs = softmax(head_logits(finals[-1], params.w_out, params.b_out))
     if not np.all(np.isfinite(probs)):
         raise KginfuseError("non-finite values in forward pass")
     return HiddenStates(h=finals), probs
@@ -348,13 +348,16 @@ def batch_gradients(params: LSTMParams, batch):
     batch = _as_batch(params, batch, labelled=True)
     labels = batch.labels
     cache = []
-    finals, logits = _recur(params, batch.x, batch.mask, cache)
+    h_last = _recur(params, batch.x, batch.mask, cache)[-1]
+    logits = head_logits(h_last, params.w_out, params.b_out)
     loss = _mean_loss(logits, labels)
     if not np.isfinite(loss):
         raise KginfuseError(f"non-finite training loss: {loss!r}")
     dlogits = softmax(logits)
     dlogits[np.arange(len(labels)), labels] -= 1.0
-    summed = _backprop(params, cache, batch.mask, finals[-1], dlogits)
+    summed = _backprop(params, cache, batch.mask, np.einsum("bn,nd->bd", dlogits, params.w_out))
+    summed["head.W"] = np.einsum("bn,bd->nd", dlogits, h_last)
+    summed["head.b"] = dlogits.sum(axis=0)
     scale = 1.0 / len(labels)
     return loss, {name: summed[name] * scale for name, _ in params.named_groups()}
 
@@ -374,8 +377,7 @@ def train_step(params: LSTMParams, batch, lr: float, clip_norm: float):
     loss, grads = batch_gradients(params, batch)
     clip_gradients(grads, clip_norm)
     out = params.copy()
-    updated = dict(out.named_groups())
-    for name, arr in updated.items():
+    for name, arr in out.named_groups():
         arr -= lr * grads[name]
     return out, loss
 
@@ -397,7 +399,8 @@ def gradient_check(params: LSTMParams, batch, epsilon: float = 1e-5,
     arrays = dict(work.named_groups())
     selected = list(arrays) if groups is None else list(groups)
     by_group = finite_difference_errors(
-        lambda: _mean_loss(_recur(work, batch.x, batch.mask)[1], batch.labels),
+        lambda: _mean_loss(head_logits(_recur(work, batch.x, batch.mask)[-1], work.w_out,
+                                       work.b_out), batch.labels),
         {name: (arrays[name], analytic[name]) for name in selected}, epsilon)
     overall = max(by_group.values()) if by_group else 0.0
     return GradCheckReport(overall, by_group, sum(arrays[name].size for name in selected))

@@ -48,6 +48,7 @@ from .nlm import (
     LSTMParams,
     collect_hidden,
     forward_batch as forward,  # the one LSTM pass of every prediction; traced by perfbench
+    head_logits,
     init_params,
     log_softmax,
     softmax,
@@ -353,13 +354,20 @@ def _save_seeded(paths: dict, subkg: SubKG) -> None:
     _write_columns(paths["subkg_depths"], ids, map(depths.get, ids))
 
 
-def load_build(cfg: PipelineConfig) -> BuildArtifacts:
-    """Load the dimension models and the knowledge embedding of a build."""
-    paths = _artifact_paths(cfg)
-    if not all(map(os.path.isfile, paths.values())):
+def _require_built(cfg: PipelineConfig, *paths) -> None:
+    """Stop a command whose build lacks one of the files it reads."""
+    if not all(map(os.path.isfile, paths)):
         raise ValidationError(
             f"build artifacts missing under {cfg.out_dir}; run the build command first"
         )
+
+
+def load_build(cfg: PipelineConfig) -> BuildArtifacts:
+    """Load the dimension models and the knowledge embedding of a build,
+    the only artifacts it requires."""
+    paths = _artifact_paths(cfg)
+    _require_built(cfg, paths["ke"], paths["ke_meta"], *(
+        paths[f"{name}.{kind}"] for name in cfg.corpora for kind in ("vocab", "vectors")))
     models = [_load_model(paths, name, cfg) for name in sorted(cfg.corpora)]
     ke_values = _load_shaped(paths["ke"], (content_width(models),))
     pair_count = _read_json(paths["ke_meta"]).get("pair_count")
@@ -372,6 +380,7 @@ def load_subgraph(cfg: PipelineConfig) -> SubKG:
     """Parse the graph and read the stored seeded subgraph's triples and
     depths over it; the graph is the result's parent."""
     paths = _artifact_paths(cfg)
+    _require_built(cfg, paths["subkg_triples"], paths["subkg_depths"])
     kg = load_graph(cfg.kg_path, taxonomy_predicate=cfg.taxonomy_predicate)
     labels = _labels(kg)
     subjects, predicates, objects = _read_columns(
@@ -435,7 +444,7 @@ class Checkpoint:
         if self.mode == "vanilla":
             return probs
         gated = states.final * fuse_step(states.final, self.ke_values, self.fusion)
-        return softmax(np.einsum("bd,nd->bn", gated, self.head_w) + self.head_b)
+        return softmax(head_logits(gated, self.head_w, self.head_b))
 
     def predict_proba(self, sequence) -> np.ndarray:
         return self.predict_proba_batch([sequence])[0]
@@ -452,18 +461,11 @@ class TrainResult:
 
 
 def _batch_stream(rng: np.random.Generator, n: int, batch_size: int):
-    """Endless deterministic stream of index batches over a dataset."""
-    perm = rng.permutation(n)
-    pos = 0
+    """Endless deterministic stream of index batches over a dataset: one
+    permutation after another, each drawn when the last runs out."""
+    order = itertools.chain.from_iterable(rng.permutation(n) for _ in itertools.count())
     while True:
-        batch = []
-        for _ in range(batch_size):
-            if pos == len(perm):
-                perm = rng.permutation(n)
-                pos = 0
-            batch.append(int(perm[pos]))
-            pos += 1
-        yield batch
+        yield [int(i) for i in itertools.islice(order, batch_size)]
 
 
 def _calibrate_head(features: np.ndarray, targets, n_classes: int,
@@ -609,15 +611,12 @@ def train(cfg: PipelineConfig, art: BuildArtifacts | None = None) -> TrainResult
         "input_width": width,
         "n_classes": len(labels),
     }
-    arrays = {}
-    for name, arr in params.named_groups():
-        arrays["lstm." + name] = arr
+    arrays = {"lstm." + name: arr for name, arr in params.named_groups()}
     arrays["ke"] = art.ke_values
     if infused:
-        arrays["fusion.gate_weights"] = fusion.gate_weights
-        arrays["fusion.gate_bias"] = fusion.gate_bias
-        arrays["fusion.head.W"] = head_w
-        arrays["fusion.head.b"] = head_b
+        arrays.update({"fusion.gate_weights": fusion.gate_weights,
+                       "fusion.gate_bias": fusion.gate_bias,
+                       "fusion.head.W": head_w, "fusion.head.b": head_b})
     save_checkpoint(checkpoint_path, meta, arrays)
     return TrainResult(checkpoint_path, epoch_loss, infusion_results)
 
@@ -772,12 +771,10 @@ def compare(cfg: PipelineConfig, n_seeds=None) -> ComparisonReport:
         ckpt = load_trained(result.checkpoint_path)
         for mode in MODES:
             report = _score(cfg, replace(ckpt, mode=mode), *eval_set)
-            pos = report.positive_label
-            metrics[mode]["precision"].append(report.precision[pos])
-            metrics[mode]["recall"].append(report.recall[pos])
-            metrics[mode]["f1"].append(report.f1[pos])
-            metrics[mode]["false_alarm"].append(report.false_alarm)
-            metrics[mode]["accuracy"].append(report.accuracy)
+            for key in _COMPARE_METRICS:  # a per-class metric is read at the positive label
+                value = getattr(report, key)
+                metrics[mode][key].append(
+                    value[report.positive_label] if isinstance(value, dict) else value)
         divergence["inner_iterations"].append(
             float(np.mean([r.inner_iterations for r in result.infusion_results]))
         )

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from kginfuse.errors import ValidationError
 from kginfuse.nlm import (
+    _backprop,
     _padded,
+    _recur,
     _sigmoid,
     batch_gradients,
     collect_hidden,
+    finite_difference_errors,
     forward,
     forward_batch,
     gradient_check,
@@ -247,7 +250,8 @@ def einsum_products(rows, W):
 def reference_recur(params, x, mask, cache=None, product=row_products):
     """The step-by-step kernel the current one replaced, as an oracle: a
     concatenate, two activations and, when training, a cached tuple per
-    step. product(rows, W) forms each step's rows @ W.T."""
+    step. product(rows, W) forms each step's rows @ W.T. Returns each
+    layer's final hidden rows."""
     d = params.d
     steps, rows = mask.shape
     finals = []
@@ -274,21 +278,25 @@ def reference_recur(params, x, mask, cache=None, product=row_products):
                 outs[t] = h
         finals.append(h)
         inputs = outs
-    logits = np.einsum("bd,nd->bn", finals[-1], params.w_out) + params.b_out
-    return finals, logits
+    return finals
 
 
-def reference_backprop(params, cache, mask, h_last, dlogits):
-    """The step-by-step backward pass that went with reference_recur: the
+def reference_logits(params, h_last):
+    """The LSTM head's logit rows, written out for the oracle."""
+    return np.einsum("bd,nd->bn", h_last, params.w_out) + params.b_out
+
+
+def reference_backprop(params, cache, mask, dh_last):
+    """The step-by-step backward pass that went with reference_recur, from
+    the gradient dh_last on the top layer's final hidden rows: the
     gate-derivative factors and a weight-gradient einsum in every step,
     and the input gradient as one BLAS product per row, as the kernel
-    forms it."""
+    forms it. Returns the layer groups' gradients."""
     d = params.d
     steps, rows = mask.shape
-    grads = {"head.W": np.einsum("bn,bd->nd", dlogits, h_last),
-             "head.b": dlogits.sum(axis=0)}
+    grads = {}
     dh_above = np.zeros((steps, rows, d))
-    dh_above[-1] = np.einsum("bn,nd->bd", dlogits, params.w_out)
+    dh_above[-1] = dh_last
     for l in range(params.layers - 1, -1, -1):
         W = params.layer_weights[l]
         in_l = W.shape[1] - d
@@ -368,14 +376,18 @@ def assert_matches_the_step_by_step_kernel(batch):
     params = small_params(seed=14, layers=3)
     padded = _padded(params, [seq for seq, _ in batch], [label for _, label in batch])
     cache = []
-    ref_finals, ref_logits = reference_recur(params, padded.x, padded.mask, cache)
+    ref_finals = reference_recur(params, padded.x, padded.mask, cache)
+    ref_logits = reference_logits(params, ref_finals[-1])
     states, probs = forward_batch(params, padded)
     for rows, ref_rows in zip(states.h, ref_finals):
         assert np.array_equal(rows, ref_rows)
     assert np.array_equal(probs, softmax(ref_logits))
     dlogits = softmax(ref_logits)
     dlogits[np.arange(len(batch)), padded.labels] -= 1.0
-    ref_grads = reference_backprop(params, cache, padded.mask, ref_finals[-1], dlogits)
+    ref_grads = reference_backprop(params, cache, padded.mask,
+                                   np.einsum("bn,nd->bd", dlogits, params.w_out))
+    ref_grads["head.W"] = np.einsum("bn,bd->nd", dlogits, ref_finals[-1])
+    ref_grads["head.b"] = dlogits.sum(axis=0)
     _, grads = batch_gradients(params, padded)
     assert grads.keys() == ref_grads.keys()
     for name, grad in grads.items():
@@ -409,6 +421,24 @@ class TestBatchedKernel:
     @given(ragged_batches())
     def test_gradient_check_on_a_ragged_batch(self, batch):
         assert gradient_check(small_params(seed=13), batch).max_relative_error < 1e-4
+
+    def test_a_loss_on_the_hidden_rows_reaches_every_layer(self):
+        # sum(V * h_last): a loss with no head, whose gradient on the top
+        # layer's final hidden rows is V itself.
+        params = small_params(seed=17, layers=3)
+        batch = small_batch(seed=17)
+        padded = _padded(params, [seq for seq, _ in batch])
+        V = np.random.default_rng(18).normal(size=(len(batch), params.d))
+        cache = []
+        _recur(params, padded.x, padded.mask, cache)
+        grads = _backprop(params, cache, padded.mask, V)
+        work = params.copy()
+        arrays = {name: arr for name, arr in work.named_groups() if name.startswith("layer")}
+        assert grads.keys() == arrays.keys()
+        errors = finite_difference_errors(
+            lambda: float(np.sum(V * _recur(work, padded.x, padded.mask)[-1])),
+            {name: (arr, grads[name]) for name, arr in arrays.items()})
+        assert max(errors.values()) < 1e-4
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(ragged_batches())
@@ -452,11 +482,12 @@ def assert_close_to_an_einsum_product_kernel(params, sequences):
     """Only the products' summation order separates the kernel from one
     whose products are einsums."""
     padded = _padded(params, sequences)
-    finals, logits = reference_recur(params, padded.x, padded.mask, product=einsum_products)
+    finals = reference_recur(params, padded.x, padded.mask, product=einsum_products)
     states, probs = forward_batch(params, padded)
     for rows, ref_rows in zip(states.h, finals):
         np.testing.assert_allclose(rows, ref_rows, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(probs, softmax(logits), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(probs, softmax(reference_logits(params, finals[-1])),
+                               rtol=0, atol=1e-14)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)

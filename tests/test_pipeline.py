@@ -473,6 +473,23 @@ class TestEvaluate:
         report = evaluate(cfg, path, dataset_path=str(ragged), art=art, write_reports=False)
         np.testing.assert_array_equal(report.confusion, confusion)
 
+    def test_eval_requires_only_the_artifacts_it_reads(self, tiny_project):
+        cfg = replace(parse_config(tiny_project), mode="infused")
+        build(cfg)
+        path = train(cfg).checkpoint_path
+        before = evaluate(cfg, path, write_reports=False).confusion
+        for name in ("subkg/triples.tsv", "subkg/scores.tsv", "subkg/depths.tsv",
+                     "graph_stats.txt", "config.cfg"):
+            os.remove(os.path.join(cfg.out_dir, name))
+        np.testing.assert_array_equal(evaluate(cfg, path, write_reports=False).confusion, before)
+        missing = re.escape(f"build artifacts missing under {cfg.out_dir}; "
+                            "run the build command first")
+        with pytest.raises(ValidationError, match=missing):
+            update_kg(cfg, path)  # an update reads the subgraph
+        os.remove(os.path.join(cfg.out_dir, "knowledge", "ke.kign"))
+        with pytest.raises(ValidationError, match=missing):
+            evaluate(cfg, path, write_reports=False)
+
     def test_label_set_mismatch_rejected(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)
         art = build(cfg)
