@@ -128,14 +128,15 @@ def cmd_update_kg(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from . import infusion
-    from .nlm import gradient_check, init_params
+    from .nlm import Batch, gradient_check, init_params
 
     if args.seed < 0:
         raise ValidationError(f"gradcheck --seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     params = init_params(input_width=5, d=4, layers=2, n_classes=3, rng=rng)
-    batch = [(rng.normal(size=(rng.integers(2, 6), 5)), int(rng.integers(3)))
+    pairs = [(rng.normal(size=(rng.integers(2, 6), 5)), int(rng.integers(3)))
              for _ in range(3)]
+    batch = Batch.of([seq for seq, _ in pairs], [label for _, label in pairs])
     report = gradient_check(params, batch)
     print(f"lstm gradient check over {report.parameter_count} parameters:")
     for name, err in report.by_group.items():

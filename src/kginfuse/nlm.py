@@ -15,9 +15,9 @@ Its time loops hold only the recurrence; what does not depend on it
 steps at once. Every per-row product is one BLAS vector-matrix product
 per row (a stacked np.matmul), so a row's values depend only on that row;
 the weight gradient, a sum over the batch, is one batched matmul.
-The batched entry points take that padded Batch, which the pipeline
-gathers straight from its encoded dataset; a list of (steps, width)
-arrays, as the tests and the gradient check pass, is padded first.
+Every entry point takes that padded Batch, which the pipeline gathers
+straight from its encoded dataset; Batch.of pads a list of (steps, width)
+arrays into one.
 """
 
 from __future__ import annotations
@@ -62,22 +62,6 @@ class LSTMParams:
         return replace(self, layer_weights=[w.copy() for w in self.layer_weights],
                        layer_biases=[b.copy() for b in self.layer_biases],
                        w_out=self.w_out.copy(), b_out=self.b_out.copy())
-
-
-@dataclass
-class HiddenStates:
-    """Per-layer hidden vectors at the final time step: one (d,) vector per
-    layer for one sequence, one (B, d) array of rows for a batch."""
-
-    h: list
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.h[-1]
-
-    @property
-    def penultimate(self) -> np.ndarray:
-        return self.h[-2]
 
 
 def init_params(input_width: int, d: int, layers: int, n_classes: int,
@@ -128,50 +112,38 @@ class Batch:
     def __len__(self) -> int:
         return self.mask.shape[1]
 
-
-def _check_width(params: LSTMParams, width: int) -> None:
-    if width != params.input_width:
-        raise ValidationError(f"token width {width} != model input width {params.input_width}")
-
-
-def _as_sequence(params: LSTMParams, sequence) -> np.ndarray:
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim == 1:
-        seq = seq[None, :]
-    if seq.ndim != 2 or seq.shape[0] == 0:
-        raise ValidationError("sequence must be a nonempty list of vectors")
-    _check_width(params, seq.shape[1])
-    return seq
-
-
-def _padded(params: LSTMParams, sequences, labels=None) -> Batch:
-    """The list-of-arrays adapter: the Batch of (steps, input_width)
-    sequences, zero-padded to the longest."""
-    seqs = [_as_sequence(params, s) for s in sequences]
-    if not seqs:
-        raise ValidationError("batch is empty")
-    lengths = np.array([len(s) for s in seqs])
-    mask = np.arange(lengths.max())[:, None] < lengths
-    x = np.zeros(mask.shape + (params.input_width,))
-    x.transpose(1, 0, 2)[mask.T] = np.concatenate(seqs)
-    return Batch(x, mask, None if labels is None else np.array(labels))
+    @classmethod
+    def of(cls, sequences, labels=None) -> "Batch":
+        """The Batch of a list of (steps, width) arrays, zero-padded to the
+        longest, with labels (one class index per sequence) if given."""
+        seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
+        if not seqs:
+            raise ValidationError("batch is empty")
+        if any(s.ndim != 2 or s.shape[0] == 0 for s in seqs):
+            raise ValidationError("every sequence must be a nonempty (steps, width) array")
+        if len({s.shape[1] for s in seqs}) != 1:
+            raise ValidationError("sequences differ in width")
+        if labels is not None and len(labels) != len(seqs):
+            raise ValidationError(f"{len(labels)} labels for {len(seqs)} sequences")
+        lengths = np.array([len(s) for s in seqs])
+        mask = np.arange(lengths.max())[:, None] < lengths
+        x = np.zeros(mask.shape + (seqs[0].shape[1],))
+        x.transpose(1, 0, 2)[mask.T] = np.concatenate(seqs)
+        return cls(x, mask, None if labels is None else np.array(labels))
 
 
-def _as_batch(params: LSTMParams, batch, labelled: bool = False) -> Batch:
-    """batch if it is a Batch, else the padded Batch of a list of sequences
-    or, when labelled, of (sequence, class_index) pairs; its width and
-    class indices checked against the model."""
-    if not isinstance(batch, Batch):
-        if labelled:
-            batch = _padded(params, [s for s, _ in batch], [label for _, label in batch])
-        else:
-            batch = _padded(params, batch)
-    _check_width(params, batch.x.shape[-1])
+def _check(params: LSTMParams, batch: Batch, labelled: bool = False) -> None:
+    """Raise ValidationError unless batch fits the model: its width and,
+    when labelled, its class indices."""
+    if batch.x.shape[-1] != params.input_width:
+        raise ValidationError(f"token width {batch.x.shape[-1]} != model input width "
+                              f"{params.input_width}")
     if labelled:
+        if batch.labels is None:
+            raise ValidationError("batch has no labels")
         bad = batch.labels[(batch.labels < 0) | (batch.labels >= params.n_classes)]
         if bad.size:
             raise ValidationError(f"label index {bad[0]} out of range")
-    return batch
 
 
 def _idle_rows(mask: np.ndarray) -> list:
@@ -317,35 +289,26 @@ def _backprop(params: LSTMParams, cache: list, mask: np.ndarray, dh_last: np.nda
     return grads
 
 
-def forward_batch(params: LSTMParams, sequences):
-    """Full forward pass of a Batch (or a list of sequences): every layer's
-    final-step hidden rows (B, d) and the class probabilities (B, n_classes).
-    Row i is bit-identical to forward(params, sequences[i])."""
-    batch = _as_batch(params, sequences)
+def forward_batch(params: LSTMParams, batch: Batch):
+    """Full forward pass of a Batch: the list of every layer's final-step
+    hidden rows (B, d) and the class probabilities (B, n_classes). Row i
+    depends only on sequence i."""
+    _check(params, batch)
     finals = _recur(params, batch.x, batch.mask)
     probs = softmax(head_logits(finals[-1], params.w_out, params.b_out))
     if not np.all(np.isfinite(probs)):
         raise KginfuseError("non-finite values in forward pass")
-    return HiddenStates(h=finals), probs
-
-
-def forward(params: LSTMParams, sequence):
-    """Full forward pass; returns final-step hidden states and class probabilities."""
-    states, probs = forward_batch(params, [sequence])
-    return HiddenStates(h=[h[0] for h in states.h]), probs[0]
+    return finals, probs
 
 
 def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(log_softmax(logits)[np.arange(len(labels)), labels]))
 
 
-def batch_gradients(params: LSTMParams, batch):
-    """Mean cross-entropy loss and its exact gradient over a batch.
-
-    batch is a labelled Batch or a list of (sequence, class_index) pairs.
-    No clipping here; train_step applies the clip.
-    """
-    batch = _as_batch(params, batch, labelled=True)
+def batch_gradients(params: LSTMParams, batch: Batch):
+    """Mean cross-entropy loss and its exact gradient over a labelled Batch.
+    No clipping here; train_step applies the clip."""
+    _check(params, batch, labelled=True)
     labels = batch.labels
     cache = []
     h_last = _recur(params, batch.x, batch.mask, cache)[-1]
@@ -372,7 +335,7 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     return total
 
 
-def train_step(params: LSTMParams, batch, lr: float, clip_norm: float):
+def train_step(params: LSTMParams, batch: Batch, lr: float, clip_norm: float):
     """One SGD step on the mean cross-entropy; returns (new params, loss)."""
     loss, grads = batch_gradients(params, batch)
     clip_gradients(grads, clip_norm)
@@ -389,11 +352,11 @@ class GradCheckReport:
     parameter_count: int
 
 
-def gradient_check(params: LSTMParams, batch, epsilon: float = 1e-5,
+def gradient_check(params: LSTMParams, batch: Batch, epsilon: float = 1e-5,
                    groups=None) -> GradCheckReport:
-    """finite_difference_errors of the batch loss over the named groups (all
-    by default); intended for small models (a few thousand parameters)."""
-    batch = _as_batch(params, batch, labelled=True)
+    """finite_difference_errors of a labelled Batch's loss over the named
+    groups (all by default); intended for small models (a few thousand
+    parameters)."""
     _, analytic = batch_gradients(params, batch)
     work = params.copy()
     arrays = dict(work.named_groups())
@@ -445,8 +408,7 @@ def finite_difference_errors(loss, pairs: dict, epsilon: float = 1e-5) -> dict:
     return errors
 
 
-def collect_hidden(params: LSTMParams, sequences):
-    """Final and penultimate layer hidden rows for every sequence of a Batch
-    (or a list)."""
-    states, _ = forward_batch(params, sequences)
-    return states.final, states.penultimate
+def collect_hidden(params: LSTMParams, batch: Batch):
+    """Final and penultimate layer hidden rows for every sequence of a Batch."""
+    finals, _ = forward_batch(params, batch)
+    return finals[-1], finals[-2]

@@ -45,6 +45,7 @@ from .infusion import (
 from .kg import KnowledgeGraph, SubKG, format_stats, load_graph, make_triples
 from .metrics import EvalReport, evaluate_predictions, report_csv, report_text
 from .nlm import (
+    Batch,
     LSTMParams,
     collect_hidden,
     forward_batch as forward,  # the one LSTM pass of every prediction; traced by perfbench
@@ -436,21 +437,22 @@ class Checkpoint:
     head_b: np.ndarray | None
     meta: dict
 
-    def predict_proba_batch(self, sequences) -> np.ndarray:
-        """Class probabilities, one row per sequence of a Batch (or a list),
-        from one batched LSTM pass and, when infused, one batched gate and
-        head. Each row depends only on its own sequence."""
-        states, probs = forward(self.params, sequences)
+    def predict_proba_batch(self, batch: Batch) -> np.ndarray:
+        """Class probabilities, one row per sequence of a Batch (Batch.of
+        pads a list), from one batched LSTM pass and, when infused, one
+        batched gate and head. Each row depends only on its own sequence."""
+        finals, probs = forward(self.params, batch)
         if self.mode == "vanilla":
             return probs
-        gated = states.final * fuse_step(states.final, self.ke_values, self.fusion)
+        gated = finals[-1] * fuse_step(finals[-1], self.ke_values, self.fusion)
         return softmax(head_logits(gated, self.head_w, self.head_b))
 
     def predict_proba(self, sequence) -> np.ndarray:
-        return self.predict_proba_batch([sequence])[0]
+        """One (steps, width) sequence's probabilities: its batch of one."""
+        return self.predict_proba_batch(Batch.of([sequence]))[0]
 
-    def predict_labels(self, sequences) -> list:
-        return [self.labels[i] for i in np.argmax(self.predict_proba_batch(sequences), axis=1)]
+    def predict_labels(self, batch: Batch) -> list:
+        return [self.labels[i] for i in np.argmax(self.predict_proba_batch(batch), axis=1)]
 
 
 @dataclass
@@ -629,7 +631,8 @@ _CHECKPOINT_META = ("mode", "labels", "seed", "config_sha256", "layers", "hidden
 
 def load_trained(path) -> Checkpoint:
     """Read a checkpoint; a missing or invalid metadata key, or a missing
-    array or one whose shape the metadata does not give, raises StorageError."""
+    array, one whose shape the metadata does not give or one with a
+    non-finite entry, raises StorageError."""
     meta, arrays = load_checkpoint(path)
     infused = meta.get("mode") == "infused"
     missing = [k for k in _CHECKPOINT_META if k not in meta]
@@ -659,6 +662,9 @@ def load_trained(path) -> Checkpoint:
         if arrays[name].shape != shape:
             raise StorageError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
                                f"expected {shape}")
+    for name in sorted(shapes):
+        if not np.all(np.isfinite(arrays[name])):
+            raise StorageError(f"{path}: array {name!r} has non-finite values")
     params = LSTMParams(
         layer_weights=[arrays[f"lstm.layer{l}.W"] for l in range(layers)],
         layer_biases=[arrays[f"lstm.layer{l}.b"] for l in range(layers)],
@@ -713,14 +719,18 @@ def _read_eval_set(models, path) -> tuple:
     return [label for label, _ in rows], encoded.batch(), sha256_file(path)
 
 
-def _score(cfg: PipelineConfig, ckpt: Checkpoint, y_true, batch, dataset_sha) -> EvalReport:
-    """The checkpoint's report on an eval set that _read_eval_set read."""
+def _require_known_labels(ckpt: Checkpoint, y_true) -> None:
     unknown = set(y_true) - set(ckpt.labels)
     if unknown:
         raise ValidationError(
             "dataset labels outside the checkpoint's label set: "
             + ", ".join(sorted(unknown))
         )
+
+
+def _score(cfg: PipelineConfig, ckpt: Checkpoint, y_true, batch, dataset_sha) -> EvalReport:
+    """The checkpoint's report on an eval set that _read_eval_set read."""
+    _require_known_labels(ckpt, y_true)
     y_pred = ckpt.predict_labels(batch)
     positive = cfg.target_class if cfg.target_class in ckpt.labels else ckpt.labels[-1]
     return evaluate_predictions(
@@ -879,7 +889,9 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     embedding, and appends one line to the update audit log. The stored
     subgraph is its triples and depths. An absorbing update embeds its
     concepts from their labels in one embed_concepts call, for the
-    audit's mapping diagnostic only.
+    audit's mapping diagnostic only. A dataset label the checkpoint does
+    not know raises ValidationError, as in evaluate, before anything is
+    predicted or written.
 
     An absorbing update records in the manifest what its outcome read
     (_update_inputs) and how many documents it missed. An update that
@@ -911,6 +923,7 @@ def update_kg(cfg: PipelineConfig, checkpoint_path, dataset_path=None) -> Update
     kg = seeded.parent
     ckpt = load_trained(checkpoint_path)
     rows = read_labeled_tsv(path)
+    _require_known_labels(ckpt, [label for label, _ in rows])
 
     encoded = encode_texts(art.models, [text for _, text in rows])
     predicted = ckpt.predict_labels(encoded.batch())

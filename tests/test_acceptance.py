@@ -26,7 +26,7 @@ from kginfuse.infusion import (
 )
 from kginfuse.infusion import gradient_check as fusion_gradient_check
 from kginfuse.kg import KnowledgeGraph, lcs_distance, n_hop_neighborhood
-from kginfuse.nlm import gradient_check, init_params
+from kginfuse.nlm import Batch, gradient_check, init_params
 from kginfuse.pipeline import build, compare, train
 from kginfuse.seeding import (
     SeededSubKG,
@@ -48,10 +48,11 @@ def test_criterion_1_gradient_correctness():
     worst_lstm = 0.0
     for d in (4, 8):
         params = init_params(input_width=d, d=d, layers=2, n_classes=3, rng=rng)
-        batch = [
+        pairs = [
             (rng.normal(size=(int(rng.integers(2, 6)), d)), int(rng.integers(3)))
             for _ in range(3)
         ]
+        batch = Batch.of([seq for seq, _ in pairs], [label for _, label in pairs])
         worst_lstm = max(worst_lstm, gradient_check(params, batch).max_relative_error)
 
     worst_fusion = 0.0

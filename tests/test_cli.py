@@ -287,6 +287,19 @@ def test_misshapen_checkpoint_array_exits_two(tiny_project, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_finite_checkpoint_array_exits_two(tiny_project, tmp_path, capsys):
+    assert main(["train", "--config", str(tiny_project), "--mode", "infused"]) == 0
+    checkpoint = capsys.readouterr().out.split("checkpoint: ", 1)[1].splitlines()[0]
+    meta, arrays = load_checkpoint(checkpoint)
+    arrays["fusion.gate_weights"][0, 0] = np.nan
+    bad = str(tmp_path / "nan.kicp")
+    save_checkpoint(bad, meta, arrays)
+    assert main(["eval", "--config", str(tiny_project), "--checkpoint", bad]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error:" in err and "'fusion.gate_weights' has non-finite values" in err
+    assert "Traceback" not in err
+
+
 def test_checkpoint_of_another_token_width_exits_one(tiny_project, capsys):
     checkpoint = _train_vanilla(tiny_project, capsys)
     config = tiny_project.read_text(encoding="utf-8")

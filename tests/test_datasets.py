@@ -9,7 +9,7 @@ from kginfuse import pipeline
 from kginfuse.config import parse_config
 from kginfuse.datasets import encode_dataset, encode_texts, read_labeled_tsv, token_sequence
 from kginfuse.embedding import DimensionModel, content_width
-from kginfuse.nlm import _padded, init_params
+from kginfuse.nlm import Batch
 from kginfuse.rng import stream_rng
 from kginfuse.text import tokenize
 
@@ -34,8 +34,7 @@ def reference_sequence(models, text):
 
 
 def reference_batch(models, texts, labels=None):
-    params = init_params(content_width(models), 2, 2, 2, np.random.default_rng(0))
-    return _padded(params, [reference_sequence(models, text) for text in texts], labels)
+    return Batch.of([reference_sequence(models, text) for text in texts], labels)
 
 
 def assert_same_batch(got, want):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from kginfuse.errors import ValidationError
 from kginfuse.nlm import (
+    Batch,
     _backprop,
-    _padded,
     _recur,
     _sigmoid,
     batch_gradients,
     collect_hidden,
     finite_difference_errors,
-    forward,
     forward_batch,
     gradient_check,
     init_params,
@@ -34,6 +33,18 @@ def small_batch(seed=7, input_width=3, n_classes=3):
         (rng.normal(size=(2, input_width)), 0),
         (rng.normal(size=(4, input_width)), 2 % n_classes),
     ]
+
+
+def labelled(pairs):
+    """The labelled Batch of (sequence, class_index) pairs."""
+    return Batch.of([seq for seq, _ in pairs], [label for _, label in pairs])
+
+
+def alone(params, seq):
+    """One sequence's per-layer final hidden vectors and class
+    probabilities: its rows of a batch of one."""
+    finals, probs = forward_batch(params, Batch.of([seq]))
+    return [rows[0] for rows in finals], probs[0]
 
 
 def zeroed(params):
@@ -77,17 +88,17 @@ def reference_forward(params, seq):
 class TestForward:
     def test_all_zero_params_give_zero_hidden_and_uniform_softmax(self):
         params = zeroed(small_params())
-        states, probs = forward(params, np.ones((3, 3)))
-        for h in states.h:
+        hidden, probs = alone(params, np.ones((3, 3)))
+        for h in hidden:
             np.testing.assert_array_equal(h, np.zeros(4))
         np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-15)
 
     def test_matches_hand_unrolled_reference(self):
         params = small_params(seed=2, d=2, input_width=2, n_classes=2)
         seq = np.random.default_rng(9).normal(size=(3, 2))
-        states, probs = forward(params, seq)
+        hidden, probs = alone(params, seq)
         ref_hidden, ref_probs = reference_forward(params, seq)
-        for got, want in zip(states.h, ref_hidden):
+        for got, want in zip(hidden, ref_hidden):
             np.testing.assert_allclose(got, want, atol=1e-14)
         np.testing.assert_allclose(probs, ref_probs, atol=1e-14)
 
@@ -96,48 +107,98 @@ class TestForward:
         for b in params.layer_biases:
             b[4:8] = 0.0
         token = np.full((1, 3), 0.4)
-        one, _ = forward(params, token)
-        two, _ = forward(params, np.repeat(token, 2, axis=0))
-        assert not np.allclose(one.final, two.final)
+        one, _ = alone(params, token)
+        two, _ = alone(params, np.repeat(token, 2, axis=0))
+        assert not np.allclose(one[-1], two[-1])
 
     def test_probabilities_form_a_simplex(self):
         rng = np.random.default_rng(12)
         params = small_params(seed=12)
         for _ in range(20):
-            _, probs = forward(params, rng.normal(size=(rng.integers(1, 7), 3)))
+            _, probs = alone(params, rng.normal(size=(rng.integers(1, 7), 3)))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs >= 0)
 
     def test_deterministic_bitwise(self):
         params = small_params(seed=4)
         seq = np.random.default_rng(1).normal(size=(6, 3))
-        s1, p1 = forward(params, seq)
-        s2, p2 = forward(params, seq)
+        s1, p1 = alone(params, seq)
+        s2, p2 = alone(params, seq)
         assert np.array_equal(p1, p2)
-        assert all(np.array_equal(a, b) for a, b in zip(s1.h, s2.h))
+        assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError):
-            forward(small_params(), np.zeros((0, 3)))
+            Batch.of([np.zeros((0, 3))])
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            forward(small_params(), np.zeros((2, 5)))
+            forward_batch(small_params(), Batch.of([np.zeros((2, 5))]))
+
+
+class TestBatchOf:
+    """Batch.of is the one way to pad arrays; each entry point checks the
+    Batch it gets against the model."""
+
+    def test_pads_each_sequence_to_the_longest(self):
+        a, b = np.arange(6.0).reshape(3, 2), np.array([[7.0, 8.0]])
+        batch = Batch.of([a, b], [1, 0])
+        assert len(batch) == 2
+        np.testing.assert_array_equal(batch.x[:, 0], a)
+        np.testing.assert_array_equal(batch.x[:, 1], [[7.0, 8.0], [0.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(batch.mask, [[True, True], [True, False], [True, False]])
+        np.testing.assert_array_equal(batch.labels, [1, 0])
+        assert Batch.of([a]).labels is None
+
+    @pytest.mark.parametrize("sequences, labels", [
+        ([], None),
+        ([np.zeros(3)], None),
+        ([np.zeros((2, 3, 1))], None),
+        ([np.zeros((2, 3)), np.zeros((0, 3))], None),
+        ([np.zeros((2, 3)), np.zeros((2, 4))], None),
+        ([np.zeros((2, 3)), np.zeros((1, 3))], [0]),
+        ([np.zeros((2, 3))], [0, 1]),
+    ], ids=["empty", "1-d", "3-d", "no-steps", "widths-differ", "too-few-labels",
+            "too-many-labels"])
+    def test_rejects(self, sequences, labels):
+        with pytest.raises(ValidationError):
+            Batch.of(sequences, labels)
+
+    @pytest.mark.parametrize("entry", [
+        lambda params, batch: forward_batch(params, batch),
+        lambda params, batch: batch_gradients(params, batch),
+    ], ids=["forward_batch", "batch_gradients"])
+    def test_model_width_mismatch_rejected(self, entry):
+        with pytest.raises(ValidationError, match="model input width"):
+            entry(small_params(), Batch.of([np.zeros((2, 5))], [0]))
+
+    @pytest.mark.parametrize("entry", [
+        lambda params, batch: batch_gradients(params, batch),
+        lambda params, batch: train_step(params, batch, lr=0.1, clip_norm=5.0),
+        lambda params, batch: gradient_check(params, batch),
+    ], ids=["batch_gradients", "train_step", "gradient_check"])
+    def test_labelled_entry_points_need_labels(self, entry):
+        with pytest.raises(ValidationError, match="no labels"):
+            entry(small_params(), Batch.of([seq for seq, _ in small_batch()]))
+
+    def test_label_out_of_range_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            batch_gradients(small_params(), Batch.of([np.zeros((2, 3))], [3]))
 
 
 class TestTrainStep:
     def test_zero_learning_rate_is_identity(self):
         params = small_params()
         batch = small_batch()
-        updated, _ = train_step(params, batch, lr=0.0, clip_norm=5.0)
+        updated, _ = train_step(params, labelled(batch), lr=0.0, clip_norm=5.0)
         for (_, a), (_, b) in zip(params.named_groups(), updated.named_groups()):
             assert np.array_equal(a, b)
 
     def test_duplicated_example_equals_single(self):
         params = small_params()
         example = small_batch()[0]
-        once, loss1 = train_step(params, [example], lr=0.05, clip_norm=5.0)
-        twice, loss2 = train_step(params, [example, example], lr=0.05, clip_norm=5.0)
+        once, loss1 = train_step(params, labelled([example]), lr=0.05, clip_norm=5.0)
+        twice, loss2 = train_step(params, labelled([example, example]), lr=0.05, clip_norm=5.0)
         assert loss1 == loss2
         for (_, a), (_, b) in zip(once.named_groups(), twice.named_groups()):
             assert np.array_equal(a, b)
@@ -145,7 +206,7 @@ class TestTrainStep:
     def test_overfits_single_example(self):
         params = small_params(seed=3, n_classes=2)
         rng = np.random.default_rng(5)
-        batch = [(rng.normal(size=(4, 3)), 1)]
+        batch = labelled([(rng.normal(size=(4, 3)), 1)])
         loss = None
         for _ in range(200):
             params, loss = train_step(params, batch, lr=0.2, clip_norm=5.0)
@@ -155,7 +216,7 @@ class TestTrainStep:
         wins = 0
         for seed in range(10):
             params = small_params(seed=seed)
-            batch = small_batch(seed=seed)
+            batch = labelled(small_batch(seed=seed))
             losses = [train_step(params, batch, lr=1e-3, clip_norm=5.0)[1]]
             for _ in range(10):
                 params, loss = train_step(params, batch, lr=1e-3, clip_norm=5.0)
@@ -166,17 +227,17 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
-            train_step(small_params(), [], lr=0.1, clip_norm=5.0)
+            train_step(small_params(), Batch.of([]), lr=0.1, clip_norm=5.0)
 
 
 class TestGradientCheck:
     def test_full_small_model_close_to_finite_differences(self):
-        report = gradient_check(small_params(seed=2), small_batch(seed=2))
+        report = gradient_check(small_params(seed=2), labelled(small_batch(seed=2)))
         assert report.max_relative_error < 1e-5
 
     def test_head_group_is_tight(self):
         report = gradient_check(
-            small_params(seed=5), small_batch(seed=5), groups=["head.W", "head.b"]
+            small_params(seed=5), labelled(small_batch(seed=5)), groups=["head.W", "head.b"]
         )
         assert report.max_relative_error < 1e-7
 
@@ -186,7 +247,7 @@ class TestGradientCheck:
         params = small_params(seed=6, n_classes=2)
         params.b_out[1] = -40.0
         rng = np.random.default_rng(0)
-        batch = [(rng.normal(size=(3, 3)), 0) for _ in range(2)]
+        batch = labelled([(rng.normal(size=(3, 3)), 0) for _ in range(2)])
         report = gradient_check(params, batch, groups=["head.W", "head.b"])
         assert report.max_relative_error < 1e-6
 
@@ -197,16 +258,16 @@ class TestEpochHiddenSummary:
     def test_single_example_is_its_own_summary(self):
         params = small_params(seed=8)
         seq = np.random.default_rng(2).normal(size=(4, 3))
-        finals, penults = collect_hidden(params, [seq])
-        states, _ = forward(params, seq)
-        np.testing.assert_array_equal(finals, [states.final])
-        np.testing.assert_array_equal(penults, [states.penultimate])
+        finals, penults = collect_hidden(params, Batch.of([seq]))
+        hidden, _ = alone(params, seq)
+        np.testing.assert_array_equal(finals, [hidden[-1]])
+        np.testing.assert_array_equal(penults, [hidden[-2]])
 
     def test_duplicates_do_not_move_the_mean(self):
         params = small_params(seed=8)
         seq = np.random.default_rng(2).normal(size=(4, 3))
-        once, _ = collect_hidden(params, [seq])
-        thrice, _ = collect_hidden(params, [seq, seq, seq])
+        once, _ = collect_hidden(params, Batch.of([seq]))
+        thrice, _ = collect_hidden(params, Batch.of([seq, seq, seq]))
         np.testing.assert_array_equal(thrice, np.repeat(once, 3, axis=0))
         np.testing.assert_allclose(once.mean(axis=0), thrice.mean(axis=0), atol=1e-15)
 
@@ -214,12 +275,12 @@ class TestEpochHiddenSummary:
         params = small_params(seed=8)
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
-        finals, penults = collect_hidden(params, [a, b])
-        sa, _ = forward(params, a)
-        sb, _ = forward(params, b)
-        np.testing.assert_array_equal(finals, [sa.final, sb.final])
-        np.testing.assert_array_equal(penults, [sa.penultimate, sb.penultimate])
-        np.testing.assert_allclose(finals.mean(axis=0), (sa.final + sb.final) / 2, atol=1e-15)
+        finals, penults = collect_hidden(params, Batch.of([a, b]))
+        sa, _ = alone(params, a)
+        sb, _ = alone(params, b)
+        np.testing.assert_array_equal(finals, [sa[-1], sb[-1]])
+        np.testing.assert_array_equal(penults, [sa[-2], sb[-2]])
+        np.testing.assert_allclose(finals.mean(axis=0), (sa[-1] + sb[-1]) / 2, atol=1e-15)
 
 
 def test_softmax_is_simplex_for_arbitrary_logits():
@@ -349,24 +410,24 @@ def equal_batches(draw):
 def assert_rows_are_the_batches_of_one(batch, params=None):
     params = small_params(seed=11) if params is None else params
     sequences = [seq for seq, _ in batch]
-    states, probs = forward_batch(params, sequences)
+    finals, probs = forward_batch(params, Batch.of(sequences))
     for i, seq in enumerate(sequences):
-        alone, p = forward(params, seq)
-        for rows, h in zip(states.h, alone.h):
+        hidden, p = alone(params, seq)
+        for rows, h in zip(finals, hidden):
             assert np.array_equal(rows[i], h)
         assert np.array_equal(probs[i], p)
         ref_hidden, ref_probs = reference_forward(params, seq)
-        np.testing.assert_allclose(alone.final, ref_hidden[-1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(hidden[-1], ref_hidden[-1], rtol=0, atol=1e-14)
         np.testing.assert_allclose(p, ref_probs, rtol=0, atol=1e-14)
 
 
 def assert_gradient_is_the_mean_of_the_batches_of_one(batch, params=None):
     params = small_params(seed=12) if params is None else params
-    loss, grads = batch_gradients(params, batch)
-    alone = [batch_gradients(params, [example]) for example in batch]
-    assert abs(loss - np.mean([l for l, _ in alone])) <= 1e-12
+    loss, grads = batch_gradients(params, labelled(batch))
+    singles = [batch_gradients(params, labelled([example])) for example in batch]
+    assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
     for name, grad in grads.items():
-        mean = np.mean([g[name] for _, g in alone], axis=0)
+        mean = np.mean([g[name] for _, g in singles], axis=0)
         np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12)
 
 
@@ -374,12 +435,12 @@ def assert_matches_the_step_by_step_kernel(batch):
     """Forward values byte-equal to reference_recur's; gradients equal to
     reference_backprop's up to the order their sums are taken in."""
     params = small_params(seed=14, layers=3)
-    padded = _padded(params, [seq for seq, _ in batch], [label for _, label in batch])
+    padded = labelled(batch)
     cache = []
     ref_finals = reference_recur(params, padded.x, padded.mask, cache)
     ref_logits = reference_logits(params, ref_finals[-1])
-    states, probs = forward_batch(params, padded)
-    for rows, ref_rows in zip(states.h, ref_finals):
+    finals, probs = forward_batch(params, padded)
+    for rows, ref_rows in zip(finals, ref_finals):
         assert np.array_equal(rows, ref_rows)
     assert np.array_equal(probs, softmax(ref_logits))
     dlogits = softmax(ref_logits)
@@ -420,14 +481,14 @@ class TestBatchedKernel:
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(ragged_batches())
     def test_gradient_check_on_a_ragged_batch(self, batch):
-        assert gradient_check(small_params(seed=13), batch).max_relative_error < 1e-4
+        assert gradient_check(small_params(seed=13), labelled(batch)).max_relative_error < 1e-4
 
     def test_a_loss_on_the_hidden_rows_reaches_every_layer(self):
         # sum(V * h_last): a loss with no head, whose gradient on the top
         # layer's final hidden rows is V itself.
         params = small_params(seed=17, layers=3)
         batch = small_batch(seed=17)
-        padded = _padded(params, [seq for seq, _ in batch])
+        padded = Batch.of([seq for seq, _ in batch])
         V = np.random.default_rng(18).normal(size=(len(batch), params.d))
         cache = []
         _recur(params, padded.x, padded.mask, cache)
@@ -481,10 +542,10 @@ class TestBenchmarkSizes:
 def assert_close_to_an_einsum_product_kernel(params, sequences):
     """Only the products' summation order separates the kernel from one
     whose products are einsums."""
-    padded = _padded(params, sequences)
+    padded = Batch.of(sequences)
     finals = reference_recur(params, padded.x, padded.mask, product=einsum_products)
-    states, probs = forward_batch(params, padded)
-    for rows, ref_rows in zip(states.h, finals):
+    got, probs = forward_batch(params, padded)
+    for rows, ref_rows in zip(got, finals):
         np.testing.assert_allclose(rows, ref_rows, rtol=0, atol=1e-14)
     np.testing.assert_allclose(probs, softmax(reference_logits(params, finals[-1])),
                                rtol=0, atol=1e-14)

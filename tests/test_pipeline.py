@@ -20,7 +20,7 @@ from kginfuse.datasets import read_labeled_tsv, token_sequence
 from kginfuse.embedding import embed_concepts
 from kginfuse.errors import ConfigError, StorageError, ValidationError
 from kginfuse.kg import KnowledgeGraph, Triple
-from kginfuse.nlm import log_softmax
+from kginfuse.nlm import Batch, log_softmax
 from kginfuse.pipeline import (
     HEAD_CALIBRATION_L2,
     _calibrate_head,
@@ -464,7 +464,7 @@ class TestEvaluate:
                           "pos\tbanner jihad rally\n", encoding="utf-8")
         rows = read_labeled_tsv(str(ragged))
         sequences = [token_sequence(art.models, text) for _, text in rows]
-        batch = ckpt.predict_proba_batch(sequences)
+        batch = ckpt.predict_proba_batch(Batch.of(sequences))
         confusion = np.zeros((2, 2), dtype=int)
         for (label, _), sequence, row in zip(rows, sequences, batch):
             probs = ckpt.predict_proba(sequence)
@@ -641,17 +641,27 @@ class TestUpdateKg:
         assert "new_triples=2" in audit
         assert f"imbalance={outcome.imbalance:.3e} reason=updated" in audit
 
-    def test_labels_outside_the_checkpoint_count_as_misclassified(self, tiny_project,
-                                                                 tmp_path):
+    def test_labels_outside_the_checkpoint_are_rejected(self, tiny_project, tmp_path):
+        # update_kg refuses what evaluate refuses, with the same message,
+        # before it predicts: it writes no file and appends no audit line.
         cfg = parse_config(tiny_project)
         build(cfg)
         ckpt = constant_checkpoint(str(tmp_path / "const.kicp"))
-        bad = tmp_path / "update_eval.tsv"
-        bad.write_text("pos\tcomet in the sky\nneutral\tgarden river calm\n"
-                       "neg\tmeadow walk\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="outside the checkpoint's label set"):
-            evaluate(cfg, ckpt, dataset_path=str(bad), write_reports=False)
-        assert update_kg(cfg, ckpt, dataset_path=str(bad)).misclassified == 2
+        mixed = tmp_path / "mixed.tsv"
+        mixed.write_text("pos\tcomet in the sky\nneutral\tgarden river calm\n"
+                         "neg\tmeadow walk\n", encoding="utf-8")
+        upper = tmp_path / "upper.tsv"
+        upper.write_text("".join(f"{label.upper()}\t{text}\n" for label, text
+                                 in read_labeled_tsv(cfg.eval_dataset_path)), encoding="utf-8")
+        before = _tree_bytes(cfg.out_dir)
+        for bad, unknown in ((mixed, "neutral"), (upper, "NEG, POS")):
+            message = re.escape(f"dataset labels outside the checkpoint's label set: {unknown}")
+            with pytest.raises(ValidationError, match=message):
+                evaluate(cfg, ckpt, dataset_path=str(bad), write_reports=False)
+            with pytest.raises(ValidationError, match=message):
+                update_kg(cfg, ckpt, dataset_path=str(bad))
+        assert _tree_bytes(cfg.out_dir) == before
+        assert not os.path.exists(os.path.join(cfg.out_dir, "update_audit.log"))
 
     def test_second_update_is_absorbed(self, tiny_project, tmp_path):
         cfg = parse_config(tiny_project)

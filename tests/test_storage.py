@@ -15,6 +15,7 @@ from kginfuse.config import parse_config
 from kginfuse.datasets import read_labeled_tsv
 from kginfuse.errors import StorageError, ValidationError
 from kginfuse.kg import load_graph
+from kginfuse.nlm import Batch
 from kginfuse.pipeline import build, load_trained, train
 from kginfuse.storage import (
     ARRAY_MAGIC,
@@ -149,7 +150,7 @@ class TestCorruptArtifacts:
         meta, arrays = load_checkpoint(checkpoint)
         meta.update(target_class="pos", gate_lr=0.1, epsilon=1e-6, max_inner_iters=20)
         save_checkpoint(tmp_path / "older.kicp", meta, arrays)
-        sequences = [np.random.default_rng(i).normal(size=(i + 1, 4)) for i in range(5)]
+        sequences = Batch.of([np.random.default_rng(i).normal(size=(i + 1, 4)) for i in range(5)])
         assert np.array_equal(load_trained(tmp_path / "older.kicp").predict_proba_batch(sequences),
                               load_trained(checkpoint).predict_proba_batch(sequences))
 
@@ -186,6 +187,21 @@ class TestCorruptArtifacts:
             save_checkpoint(tmp_path / "fusion.kicp", meta, bad)
             with pytest.raises(StorageError, match=re.escape(name)):
                 load_trained(tmp_path / "fusion.kicp")
+
+    @pytest.mark.parametrize("name", ["lstm.layer0.W", "ke", "fusion.gate_weights",
+                                      "fusion.head.W"])
+    def test_non_finite_array_rejected_by_load_trained(self, tiny_project, tmp_path, name):
+        # The first read array in sorted order with a non-finite entry is
+        # named; an array load_trained does not read is not checked.
+        cfg = replace(parse_config(tiny_project), mode="infused")
+        meta, arrays = load_checkpoint(train(cfg, art=build(cfg)).checkpoint_path)
+        arrays[name].flat[-1] = np.nan
+        arrays["lstm.layer1.b"][0] = np.inf
+        arrays["a.unread"] = np.full(2, np.nan)
+        path = tmp_path / "nan.kicp"
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(StorageError, match=re.escape(f"{name!r} has non-finite values")):
+            load_trained(path)
 
     @pytest.mark.parametrize("key, value", [
         ("layers", "2"), ("hidden", 0), ("n_classes", 2.0), ("labels", ["neg"]),
